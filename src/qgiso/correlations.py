@@ -15,7 +15,7 @@ import numpy as np
 
 from .equitable import CommonEquitablePartition, verify_common_equitable
 from .games import iso_game_predicate
-from .graphs import Graph, GraphError, SizeLimitError
+from .graphs import Graph, GraphError, ParseError, SizeLimitError
 
 DEFAULT_TOL = 1e-9
 MAX_EXHAUSTIVE_VERTICES = 32
@@ -43,6 +43,9 @@ class Correlation:
             N = len(self.inputs)
             if self.table.shape != (N, N, N, N):
                 raise ValueError("dense table shape does not match the token list")
+            # every verifier tests `value > tol`, which is False for NaN
+            if not np.isfinite(self.table).all():
+                raise GraphError("correlation table has a non-finite entry")
 
     @property
     def size(self):
@@ -304,25 +307,28 @@ def format_correlation(corr: Correlation):
 
 
 def parse_correlation(text, tol=DEFAULT_TOL):
-    lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]
-    head = lines[0].split()
+    lines = [(no, l) for no, l in enumerate(text.splitlines(), start=1)
+             if l.strip() and not l.startswith("#")]
+    head = lines[0][1].split()
     if len(head) != 3 or head[0] != "corr":
         raise GraphError("correlation file must start with 'corr <N> <mode>'")
     N, mode = int(head[1]), head[2]
-    inputs = tuple(lines[1].split())
+    inputs = tuple(lines[1][1].split())
     if len(inputs) != N:
         raise GraphError(f"expected {N} tokens, found {len(inputs)}")
     if mode == "exact":
         table = {}
     else:
         table = np.zeros((N, N, N, N))
-    for line in lines[2:]:
+    for lineno, line in lines[2:]:
         parts = line.split()
         if len(parts) != 5:
-            raise GraphError(f"malformed correlation line: {line!r}")
-        x_a, x_b, y_a, y_b = (int(p) for p in parts[:4])
+            raise ParseError(f"malformed correlation line: {line!r}", lineno)
+        key = tuple(int(p) for p in parts[:4])
+        if not all(0 <= i < N for i in key):
+            raise ParseError(f"index out of range [0, {N}): {line!r}", lineno)
         if mode == "exact":
-            table[(x_a, x_b, y_a, y_b)] = Fraction(parts[4])
+            table[key] = Fraction(parts[4])
         else:
-            table[x_a, x_b, y_a, y_b] = float(Fraction(parts[4]))
+            table[key] = float(Fraction(parts[4]))
     return Correlation(inputs, mode, table, tol=tol)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, GraphError, disjoint_union
+from .graphs import Graph, GraphError, _neighbour_lists, _refine, disjoint_union
 
 
 @dataclass(frozen=True)
@@ -73,28 +73,12 @@ def _check_counting_identity(p: EquitablePartition):
                 raise AssertionError("partition-number counting identity violated")
 
 
-def _stable_coloring(g: Graph, init=None):
-    """Iterate (color, sorted neighbor-color multiset) signatures to a fixed
-    point.  Cell numbering follows sorted signature order, so the result is
-    deterministic."""
-    n = g.n
-    colors = list(init) if init is not None else [0] * n
-    nbrs = [list(map(int, g.neighbors(v))) for v in range(n)]
-    while True:
-        sigs = [(colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(n)]
-        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [order[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
-
-
 def color_refinement(g: Graph):
     """Coarsest equitable partition of g, by 1-dimensional refinement.
 
     The result is re-verified before returning.
     """
-    colors = _stable_coloring(g)
+    colors = _refine(_neighbour_lists(g), [0] * g.n)
     k = max(colors) + 1
     cells = [tuple(v for v in range(g.n) if colors[v] == i) for i in range(k)]
     part, violation = verify_equitable(g, cells)
@@ -142,20 +126,20 @@ def verify_common_equitable(g: Graph, h: Graph, cep: CommonEquitablePartition):
 def common_equitable_partition(g: Graph, h: Graph):
     """Coarsest common equitable partition of a graph pair, or None.
 
-    Runs color refinement on the disjoint union and aligns color classes; a
-    class wholly inside one graph, or splitting unevenly, means no common
-    equitable partition exists.
+    Runs color refinement on the disjoint union and aligns color classes.
+    The refinement stops at the first round where the two graphs' color
+    histograms differ: then no common equitable partition exists.
     """
     union, off_g, off_h = disjoint_union(g, h)
-    colors = _stable_coloring(union)
+    colors = _refine(_neighbour_lists(union), [0] * union.n, split=off_h)
+    if colors is None:
+        return None
     k = max(colors) + 1
     cells_g, cells_h = [], []
     for i in range(k):
         cls = [v for v in range(union.n) if colors[v] == i]
         part_g = tuple(v for v in cls if v < off_h)
         part_h = tuple(v - off_h for v in cls if v >= off_h)
-        if len(part_g) != len(part_h):
-            return None
         cells_g.append(part_g)
         cells_h.append(part_h)
     pg, vio = verify_equitable(g, cells_g)

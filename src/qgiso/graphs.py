@@ -7,6 +7,7 @@ independence oracles are complete searches (with pruning), not heuristics.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,66 +277,173 @@ def _bits(mask):
         mask ^= low
 
 
-def find_isomorphism(g: Graph, h: Graph):
-    """Exhaustive isomorphism search with color-refinement pruning.
+def _neighbour_lists(g: Graph):
+    return [np.flatnonzero(row).tolist() for row in g.adj]
 
-    Returns a verified VertexMap or None; a None answer means the
-    individualization-refinement backtracking exhausted all candidates.
+
+def _refine(nbrs, colors, split=None, changed=None):
+    """The colour-refinement kernel: iterate (colour, sorted neighbour
+    colours) signatures to a fixed point.
+
+    New colours number the signatures in sorted order, so the result is
+    deterministic.  ``changed`` names the vertices recoloured since the
+    colouring was last stable (default: all); each round recomputes only
+    the signatures that can differ from their cellmates', those of
+    neighbours of a vertex whose cell split, and the result is the same
+    as recomputing every signature.  With ``split`` the vertices are a
+    disjoint union cut at that index; the kernel returns None at the first
+    round where the two halves have different colour histograms.
+    Refinement only ever splits cells, so a histogram that differs once
+    differs at the fixed point too.
+    """
+    if split is not None and sorted(colors[:split]) != sorted(colors[split:]):
+        return None
+    colors = list(colors)
+    cells = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    if changed is None:
+        touched = set(range(len(nbrs)))
+    else:
+        touched = set(changed).union(*(nbrs[v] for v in changed))
+    while True:
+        subs = {}  # colour -> {sorted neighbour colours: touched members}
+        for v in touched:
+            key = tuple(sorted([colors[u] for u in nbrs[v]]))
+            subs.setdefault(colors[v], {}).setdefault(key, []).append(v)
+        new_cells, moved = [], []
+        for c in sorted(cells):
+            members, groups = cells[c], subs.get(c)
+            if groups is None:
+                new_cells.append(members)
+                continue
+            rest = [v for v in members if v not in touched]
+            if rest:  # untouched cellmates still share one signature
+                key = tuple(sorted([colors[u] for u in nbrs[rest[0]]]))
+                groups.setdefault(key, []).extend(rest)
+            if len(groups) > 1:
+                if split is not None and any(
+                        2 * sum(v < split for v in sub) != len(sub) for sub in groups.values()):
+                    return None
+                moved.extend(members)
+            new_cells.extend(groups[key] for key in sorted(groups))
+        cells = dict(enumerate(new_cells))
+        for c, members in cells.items():
+            for v in members:
+                colors[v] = c
+        if not moved:
+            return colors
+        touched = {u for v in moved for u in nbrs[v]}
+
+
+def _root(g, h):
+    """Neighbour lists of the disjoint union and its stable colouring from
+    degrees, or None for the colouring if the halves' histograms differ."""
+    nbrs = _neighbour_lists(disjoint_union(g, h)[0])
+    return nbrs, _refine(nbrs, [len(nb) for nb in nbrs], split=g.n)
+
+
+class _Automorphisms:
+    """Automorphisms of h, found on first use by the search on (h, h).
+
+    On the first path the search individualises the same vertex on both
+    sides; every other candidate there is searched for one automorphism
+    that maps the first-path vertex to it.  The maps found generate the
+    pointwise stabilisers along the first path, as in nauty.
+    """
+
+    def __init__(self, h: Graph):
+        self.h = h
+        self.found = None
+
+    def orbits(self, prefix):
+        """Orbit label of each vertex of h under the automorphisms found so
+        far that fix ``prefix`` pointwise."""
+        if self.found is None:
+            self.found = []
+            nbrs, colors = _root(self.h, self.h)
+            _search(self.h, self.h, nbrs, colors, (), self, first_path=True)
+        label = list(range(self.h.n))
+
+        def find(x):
+            while label[x] != x:
+                label[x] = x = label[label[x]]
+            return x
+
+        for s in self.found:
+            if all(s[x] == x for x in prefix):
+                for x, y in enumerate(s):
+                    if x != y:
+                        a, b = find(x), find(y)
+                        label[max(a, b)] = min(a, b)
+        return [find(x) for x in range(self.h.n)]
+
+
+def _search(g, h, nbrs, colors, prefix, autos, first_path=False):
+    """Individualisation-refinement below one node of the search tree.
+
+    ``colors`` is a stable colouring of the disjoint union of g and h whose
+    halves have equal histograms, and ``prefix`` holds the h vertices
+    individualised so far.  The g side individualises the first vertex of
+    the smallest non-singleton cell; the h side branches over that cell,
+    skipping candidates in the orbit of an already tried one.  Returns a
+    verified VertexMap, or None.  On h's first path of the search on
+    (h, h), the automorphisms found are recorded and the search goes on.
+    """
+    n = g.n
+    counts = Counter(colors[n:])
+    if len(counts) == n:
+        pos = {c: w for w, c in enumerate(colors[n:])}
+        phi = VertexMap(tuple(pos[c] for c in colors[:n]))
+        return phi if not first_path and is_isomorphism(g, h, phi) else None
+    target = min((k, c) for c, k in counts.items() if k > 1)[1]
+    v = colors.index(target)
+    tried, orbit = [], None
+    for w in range(n):
+        if colors[n + w] != target:
+            continue
+        if tried:
+            orbit = orbit or autos.orbits(prefix)
+            if any(orbit[t] == orbit[w] for t in tried):
+                continue
+        child = list(colors)
+        child[v] = child[n + w] = len(colors)  # a colour no vertex has
+        child = _refine(nbrs, child, split=n, changed=(v, n + w))
+        if child is not None:
+            phi = _search(g, h, nbrs, child, prefix + (w,), autos, first_path and w == v)
+            if phi is not None:
+                if not first_path:
+                    return phi
+                autos.found.append(phi.image)
+                orbit = None
+        tried.append(w)
+    return None
+
+
+def find_isomorphism(g: Graph, h: Graph):
+    """Exact isomorphism search: individualisation-refinement on the
+    disjoint union, pruned by automorphisms of h.
+
+    One colour-refinement kernel (``_refine``, shared with
+    ``equitable``) refines the union from neighbour lists built once, and
+    gives up on a branch at the first round where the g and h halves have
+    different colour histograms.  The g side follows one path; the h side
+    branches and skips a candidate in the same orbit as a failed one,
+    under the automorphisms of h that fix its individualised vertices.
+    Those automorphisms are found lazily, the first time a node reaches a
+    second candidate, by the same search run on (h, h) and checked with
+    ``is_isomorphism`` like every map returned.  Returns a verified
+    VertexMap or None; None means the search was exhausted up to proven
+    automorphisms.
     """
     _check_oracle_size(g)
     _check_oracle_size(h)
     if g.n != h.n or g.num_edges() != h.num_edges():
         return None
-    n = g.n
-    gm, hm = g.bitmasks(), h.bitmasks()
-
-    def stable(colors_g, colors_h):
-        # joint refinement: run both sides against a shared signature order
-        nbrs_g = [list(_bits(m)) for m in gm]
-        nbrs_h = [list(_bits(m)) for m in hm]
-        cg, ch = colors_g, colors_h
-        while True:
-            sg = [(cg[v], tuple(sorted(cg[u] for u in nbrs_g[v]))) for v in range(n)]
-            sh = [(ch[v], tuple(sorted(ch[u] for u in nbrs_h[v]))) for v in range(n)]
-            order = {s: i for i, s in enumerate(sorted(set(sg) | set(sh)))}
-            ng_, nh_ = [order[s] for s in sg], [order[s] for s in sh]
-            if ng_ == cg and nh_ == ch:
-                return cg, ch
-            cg, ch = ng_, nh_
-
-    def search(colors_g, colors_h, mapping):
-        cg, ch = stable(colors_g, colors_h)
-        if sorted(cg) != sorted(ch):
-            return None
-        if len(set(cg)) == n:
-            # discrete coloring: the color matching is the only candidate map
-            pos = {c: i for i, c in enumerate(ch)}
-            phi = VertexMap(tuple(pos[c] for c in cg))
-            return phi if is_isomorphism(g, h, phi) else None
-        # pick an unmapped vertex in a smallest non-singleton color class
-        counts = {}
-        for c in cg:
-            counts[c] = counts.get(c, 0) + 1
-        target = min((c for c in counts if counts[c] > 1), key=lambda c: counts[c])
-        v = cg.index(target)
-        fresh = n + len(mapping) + 1  # unused color id
-        for w in range(n):
-            if ch[w] != target:
-                continue
-            ng_ = list(cg)
-            nh_ = list(ch)
-            ng_[v] = fresh
-            nh_[w] = fresh
-            result = search(ng_, nh_, mapping + [(v, w)])
-            if result is not None:
-                return result
+    nbrs, colors = _root(g, h)
+    if colors is None:
         return None
-
-    # deterministic initial coloring by degree (label-sort tie break is
-    # implicit: vertices keep index order inside a color class)
-    init_g = [g.degree(v) for v in range(n)]
-    init_h = [h.degree(v) for v in range(n)]
-    return search(init_g, init_h, [])
+    return _search(g, h, nbrs, colors, (), _Automorphisms(h))
 
 
 def independence_number(g: Graph):

@@ -123,10 +123,9 @@ def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol
     if E.shape[:2] != (g.n, h.n):
         raise GraphError("certificate block grid does not match the graphs")
     d = cert.d
-    eye = np.eye(d)
-    idem, herm = projector_residuals(E)
-    row = float(np.linalg.norm(E.sum(axis=1) - eye, axis=(-2, -1)).max())
-    col = float(np.linalg.norm(E.sum(axis=0) - eye, axis=(-2, -1)).max())
+    ppm = verify_ppm(E, tol)
+    r = ppm["residuals"]
+    idem, herm, row, col = r["projector"], r["hermitian"], r["row_sum"], r["col_sum"]
 
     # pairwise product norms via ||A B||^2 = tr((A^dag A)(B B^dag))
     n = g.n
@@ -144,7 +143,6 @@ def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol
     ah = np.kron(h.adj.astype(float), np.eye(d))
     intertwine = float(np.linalg.norm(ag @ big - big @ ah))
 
-    ppm = verify_ppm(E, tol)
     residuals = {
         "projector": idem,
         "hermitian": herm,
@@ -152,7 +150,7 @@ def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol
         "col_sum": col,
         "orthogonality": orth,
         "intertwining": intertwine,
-        "unitarity": ppm["residuals"]["unitarity"],
+        "unitarity": r["unitarity"],
     }
     direct_ok = max(idem, herm, row, col, orth) <= tol
     intertwine_ok = max(idem, herm, row, col, intertwine) <= tol

@@ -121,3 +121,19 @@ def test_deterministic_reports(graph_files, capsys):
     first = capsys.readouterr().out
     main(["--json", "graph", "fractional-iso", *graph_files])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("mode, entry", [
+    ("float", "-1 0 1 1 1/2"),
+    ("float", "0 0 0 4 1/2"),
+    ("exact", "0 9 0 0 1/2"),
+    ("exact", "0 0 -3 0 1/2"),
+])
+def test_ns_verify_index_out_of_range_exits_2(tmp_path, capsys, mode, entry):
+    g = tmp_path / "k2.g"
+    g.write_text("v a\nv b\ne a b\n")
+    corr = tmp_path / "bad.corr"
+    corr.write_text(f"corr 4 {mode}\nG:a G:b H:a H:b\n0 0 2 2 1\n{entry}\n")
+    assert main(["ns", "verify", str(g), str(g), str(corr)]) == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and "out of range" in err and "Traceback" not in err

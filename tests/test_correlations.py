@@ -18,7 +18,7 @@ from qgiso.correlations import (
     verify_perfect_iso_strategy,
 )
 from qgiso.equitable import common_equitable_partition, verify_ds_witness
-from qgiso.graphs import find_isomorphism
+from qgiso.graphs import GraphError, find_isomorphism
 
 
 class TestPrBox:
@@ -184,3 +184,20 @@ class TestSerialization:
         corr = Correlation(("0", "1"), "float", dense)
         back = parse_correlation(format_correlation(corr))
         assert np.allclose(back.table, dense)
+
+
+class TestNonFinite:
+    """NaN passes every `value > tol` test, so non-finite tables are refused
+    before any verifier sees them."""
+
+    def test_all_nan_rejected(self):
+        with pytest.raises(GraphError, match="non-finite"):
+            Correlation(("0", "1"), "float", np.full((2, 2, 2, 2), np.nan))
+
+    def test_single_inf_rejected(self):
+        dense = np.zeros((2, 2, 2, 2))
+        for k, v in pr_box().table.items():
+            dense[k] = float(v)
+        dense[1, 0, 1, 1] = np.inf
+        with pytest.raises(GraphError, match="non-finite"):
+            Correlation(("0", "1"), "float", dense)

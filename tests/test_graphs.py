@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import pytest
 
 from conftest import (
     brute_force_alpha,
     brute_force_isomorphic,
+    cep_pair,
     complete,
     cycle,
     empty,
@@ -13,8 +17,10 @@ from conftest import (
     star,
     two_k3,
 )
+from qgiso.bcs import LinBCS, bcs_graph, homogenize, magic_square
 from qgiso.graphs import (
     CharPoly,
+    Graph,
     ParseError,
     SizeLimitError,
     VertexMap,
@@ -29,6 +35,7 @@ from qgiso.graphs import (
     is_isomorphism,
     parse_graph,
 )
+from qgiso.graphs import _Automorphisms, _neighbour_lists, _refine
 
 
 class TestParse:
@@ -172,6 +179,123 @@ class TestFindIsomorphism:
         big = empty(129)
         with pytest.raises(SizeLimitError):
             find_isomorphism(big, big)
+
+
+def _full_refinement(nbrs, colors, split=None):
+    """Reference for the kernel: recompute every signature each round."""
+    colors = list(colors)
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in nb))) for v, nb in enumerate(nbrs)]
+        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [order[s] for s in sigs]
+        if split is not None and sorted(new[:split]) != sorted(new[split:]):
+            return None
+        if new == colors:
+            return colors
+        colors = new
+
+
+class TestRefinementKernel:
+    def test_matches_full_recomputation(self, rng):
+        for _ in range(40):
+            g, h = random_graph(9, rng.random(), rng), random_graph(9, rng.random(), rng)
+            union, _, _ = disjoint_union(g, h)
+            nbrs = _neighbour_lists(union)
+            degrees = [len(nb) for nb in nbrs]
+            assert _refine(nbrs, degrees) == _full_refinement(nbrs, degrees)
+            assert _refine(nbrs, degrees, split=9) == _full_refinement(nbrs, degrees, split=9)
+            # a stable colouring with a few vertices recoloured
+            stable = _full_refinement(nbrs, degrees)
+            changed = rng.sample(range(18), 2)
+            colors = list(stable)
+            for v in changed:
+                colors[v] = 18 + rng.randrange(2)
+            assert (_refine(nbrs, colors, split=9, changed=changed)
+                    == _full_refinement(nbrs, colors, split=9))
+
+
+def _pair(system):
+    return bcs_graph(system).graph, bcs_graph(homogenize(system)).graph
+
+
+def _two_cycles(k):
+    return disjoint_union(cycle(k, "a"), cycle(k, "b"))[0]
+
+
+def _petersen():
+    outer = [(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+    inner = [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
+    spokes = [(f"o{i}", f"i{i}") for i in range(5)]
+    return from_edges([f"o{i}" for i in range(5)] + [f"i{i}" for i in range(5)],
+                      outer + inner + spokes)
+
+
+class TestPrunedSearch:
+    """Symmetric inputs, where candidates are pruned by automorphisms."""
+
+    def test_magic_square_pair(self):
+        assert find_isomorphism(*_pair(magic_square())) is None
+
+    def test_magic_square_relabelled(self, rng):
+        g = _pair(magic_square())[0]
+        h = permuted_copy(g, rng)
+        phi = find_isomorphism(g, h)
+        assert phi is not None and is_isomorphism(g, h, phi)
+
+    def test_pentagram_pair(self):
+        # Mermin's pentagram: X1 X2 X3 Y1 Y2 Y3 XXX YYX YXY XYY
+        pentagram = LinBCS(10, (((0, 1, 2, 6), 0), ((3, 4, 2, 7), 0), ((3, 1, 5, 8), 0),
+                                ((0, 4, 5, 9), 0), ((6, 7, 8, 9), 1)))
+        g, h = _pair(pentagram)
+        assert g.n == 40
+        assert find_isomorphism(g, h) is None
+
+    def test_long_cycle_vs_two_cycles(self):
+        assert find_isomorphism(cycle(64), _two_cycles(32)) is None
+        assert find_isomorphism(_two_cycles(32), cycle(64)) is None
+
+    def test_petersen_permuted(self, rng):
+        g = _petersen()
+        h = permuted_copy(g, rng)
+        phi = find_isomorphism(g, h)
+        assert phi is not None and is_isomorphism(g, h, phi)
+
+    def test_orbits_match_brute_force(self, rng):
+        graphs = [cycle(6), path(6), two_k3()] + [random_graph(6, rng.random(), rng) for _ in range(12)]
+        for g in graphs:
+            group = [p for p in itertools.permutations(range(6)) if is_isomorphism(g, g, VertexMap(p))]
+            autos = _Automorphisms(g)
+            for prefix in [(), (0,), (2,), (0, 1), (1, 4)]:
+                fixing = [p for p in group if all(p[x] == x for x in prefix)]
+                label = autos.orbits(prefix)
+                for x, y in itertools.combinations(range(6), 2):
+                    in_orbit = any(p[x] == y for p in fixing)
+                    # merged only if truly in one orbit; the whole group is found
+                    assert in_orbit or label[x] != label[y]
+                    assert prefix or in_orbit == (label[x] == label[y])
+
+    def test_agrees_with_networkx(self):
+        nx = pytest.importorskip("networkx")
+
+        def from_nx(x):
+            adj = nx.to_numpy_array(x, nodelist=range(x.number_of_nodes())).astype(bool)
+            return Graph(tuple(f"v{i}" for i in range(len(adj))), adj)
+
+        rng = random.Random(7)
+        for _ in range(30):
+            d = rng.choice([3, 4])
+            n = rng.choice([10, 12, 14])
+            g = from_nx(nx.random_regular_graph(d, n, seed=rng.randrange(10**6)))
+            if rng.random() < 0.3:
+                h = permuted_copy(g, rng)
+            else:
+                h = from_nx(nx.random_regular_graph(d, n, seed=rng.randrange(10**6)))
+            pairs = [(g, h), cep_pair(rng)[:2]]
+            for a, b in pairs:
+                expected = nx.is_isomorphic(nx.from_numpy_array(a.adj), nx.from_numpy_array(b.adj))
+                phi = find_isomorphism(a, b)
+                assert (phi is not None) == expected
+                assert phi is None or is_isomorphism(a, b, phi)
 
 
 class TestIndependenceNumber:
