@@ -2,31 +2,52 @@
 
 A Correlation stores the four-index table p(y_A, y_B | x_A, x_B) over a
 common input = output token set.  Exact mode keeps a sparse dict of
-Fractions and verifies with tolerance zero; floating mode keeps a dense
-numpy array and a tolerance.
+Fractions and verifies with tolerance zero; floating mode keeps a
+coordinate list of the non-zero entries and a tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .equitable import CommonEquitablePartition, verify_common_equitable
-from .games import iso_game_predicate
+from .games import iso_game_predicate, iso_game_wins
 from .graphs import Graph, GraphError, ParseError, SizeLimitError
 
 DEFAULT_TOL = 1e-9
 MAX_EXHAUSTIVE_VERTICES = 32
 
 
+@dataclass(frozen=True, eq=False)
+class CooTable:
+    """The stored entries of a float correlation over N tokens.
+
+    ``keys`` is an (nnz, 4) int array of (x_a, x_b, y_a, y_b), sorted
+    lexicographically with no repeats; ``values`` holds the aligned floats
+    and ``index`` each key flattened to one int in [0, N^4), so it is sorted
+    too and serves binary search.
+    """
+
+    keys: np.ndarray
+    values: np.ndarray
+    index: np.ndarray
+
+    @property
+    def nbytes(self):
+        return self.keys.nbytes + self.values.nbytes + self.index.nbytes
+
+
 @dataclass
 class Correlation:
     """p(y_A, y_B | x_A, x_B) over the token list ``inputs``.
 
-    ``table`` is a dict {(x_a, x_b, y_a, y_b): Fraction} in exact mode
-    (missing tuples are zero) or a dense float ndarray indexed the same way.
+    ``table`` is a dict {(x_a, x_b, y_a, y_b): Fraction} in exact mode, or
+    a ``CooTable`` in float mode; missing tuples are zero in both.  A float
+    table may be given as a pair (keys, values) or as a dense (N, N, N, N)
+    array, whose non-zero entries are kept.
     """
 
     inputs: tuple
@@ -37,15 +58,39 @@ class Correlation:
     def __post_init__(self):
         self.inputs = tuple(self.inputs)
         if self.mode not in ("exact", "float"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise GraphError(f"unknown mode {self.mode!r}")
         if self.mode == "float":
-            self.table = np.asarray(self.table, dtype=float)
-            N = len(self.inputs)
-            if self.table.shape != (N, N, N, N):
-                raise ValueError("dense table shape does not match the token list")
-            # every verifier tests `value > tol`, which is False for NaN
-            if not np.isfinite(self.table).all():
-                raise GraphError("correlation table has a non-finite entry")
+            self.table = self._coo(self.table)
+
+    def _coo(self, table):
+        N = len(self.inputs)
+        if isinstance(table, tuple):
+            keys, values = table
+        else:
+            dense = np.asarray(table, dtype=float)
+            if dense.shape != (N, N, N, N):
+                raise GraphError("dense table shape does not match the token list")
+            keys = np.argwhere(dense != 0)
+            values = dense[dense != 0]
+        keys, values = np.asarray(keys), np.asarray(values, dtype=float)
+        if keys.ndim != 2 or keys.shape[1] != 4 or values.shape != (len(keys),):
+            raise GraphError("a float table needs (nnz, 4) keys and nnz values")
+        if not np.issubdtype(keys.dtype, np.integer):
+            raise GraphError("correlation keys must be integers")
+        keys = keys.astype(np.int64, copy=False)
+        # the verifiers index relation matrices with the keys, and numpy
+        # wraps negative indices
+        if len(keys) and (keys.min() < 0 or keys.max() >= N):
+            raise GraphError(f"correlation key outside [0, {N})")
+        # every verifier tests `value > tol`, which is False for NaN
+        if not np.isfinite(values).all():
+            raise GraphError("correlation table has a non-finite entry")
+        index = np.ravel_multi_index(tuple(keys.T), (N,) * 4)
+        order = np.argsort(index, kind="stable")
+        index = index[order]
+        if np.any(index[1:] == index[:-1]):
+            raise GraphError("correlation table repeats a key")
+        return CooTable(keys[order], values[order], index)
 
     @property
     def size(self):
@@ -54,10 +99,26 @@ class Correlation:
     def get(self, x_a, x_b, y_a, y_b):
         if self.mode == "exact":
             return self.table.get((x_a, x_b, y_a, y_b), Fraction(0))
-        return float(self.table[x_a, x_b, y_a, y_b])
+        N = self.size
+        if not all(0 <= t < N for t in (x_a, x_b, y_a, y_b)):
+            raise IndexError(f"token outside [0, {N})")
+        flat = ((x_a * N + x_b) * N + y_a) * N + y_b
+        i = int(np.searchsorted(self.table.index, flat))
+        if i < len(self.table.index) and self.table.index[i] == flat:
+            return float(self.table.values[i])
+        return 0.0
 
     def effective_tol(self):
         return 0 if self.mode == "exact" else self.tol
+
+
+def _grouped(corr: Correlation, *columns):
+    """Sums of the stored values grouped by the given key columns, as a dense
+    array with one axis per column; absent groups sum to 0."""
+    N, keys = corr.size, corr.table.keys
+    flat = np.ravel_multi_index(tuple(keys[:, c] for c in columns), (N,) * len(columns))
+    sums = np.bincount(flat, weights=corr.table.values, minlength=N ** len(columns))
+    return sums.reshape((N,) * len(columns))
 
 
 def verify_distribution(corr: Correlation):
@@ -78,12 +139,11 @@ def verify_distribution(corr: Correlation):
                 if sums.get((x_a, x_b), Fraction(0)) != 1:
                     return False, f"inputs ({x_a}, {x_b}) sum to {sums.get((x_a, x_b), 0)}"
         return True, None
-    t = corr.tol
-    if corr.table.min() < -t:
-        idx = np.unravel_index(int(corr.table.argmin()), corr.table.shape)
-        return False, f"negative entry at {idx}"
-    totals = corr.table.sum(axis=(2, 3))
-    worst = float(np.abs(totals - 1.0).max())
+    t, values = corr.tol, corr.table.values
+    if len(values) and values.min() < -t:
+        return False, f"negative entry at {tuple(corr.table.keys[values.argmin()].tolist())}"
+    # every input pair, including those with no stored entry, must sum to 1
+    worst = float(np.abs(_grouped(corr, 0, 1) - 1.0).max())
     if worst > t:
         return False, f"normalization off by {worst:.3e}"
     return True, None
@@ -112,55 +172,21 @@ def verify_nonsignalling(corr: Correlation):
                     if vals[o] != vals[0]:
                         return False, (side, x, y, 0, o, vals[0], vals[o])
         return True, None
-    t = corr.tol
-    marg_a = corr.table.sum(axis=3)  # [x_a, x_b, y_a]
-    spread = marg_a.max(axis=1) - marg_a.min(axis=1)
-    if spread.max() > t:
-        x_a, y_a = np.unravel_index(int(spread.argmax()), spread.shape)
-        col = marg_a[x_a, :, y_a]
-        return False, ("A", int(x_a), int(y_a), int(col.argmin()), int(col.argmax()),
-                       float(col.min()), float(col.max()))
-    marg_b = corr.table.sum(axis=2)  # [x_a, x_b, y_b]
-    spread = marg_b.max(axis=0) - marg_b.min(axis=0)
-    if spread.max() > t:
-        x_b, y_b = np.unravel_index(int(spread.argmax()), spread.shape)
-        col = marg_b[:, x_b, y_b]
-        return False, ("B", int(x_b), int(y_b), int(col.argmin()), int(col.argmax()),
-                       float(col.min()), float(col.max()))
+    # marginal [x, y, x_other] of each side, over every x_other
+    for side, columns in (("A", (0, 2, 1)), ("B", (1, 3, 0))):
+        marg = _grouped(corr, *columns)
+        spread = marg.max(axis=2) - marg.min(axis=2)
+        if spread.max() > corr.tol:
+            x, y = np.unravel_index(int(spread.argmax()), spread.shape)
+            col = marg[x, y]
+            return False, (side, int(x), int(y), int(col.argmin()), int(col.argmax()),
+                           float(col.min()), float(col.max()))
     return True, None
 
 
 def iso_game_tokens(g: Graph, h: Graph):
     """Token list for the (G, H)-isomorphism game: V(G) then V(H)."""
     return tuple("G:" + l for l in g.labels) + tuple("H:" + l for l in h.labels)
-
-
-def winning_mask(g: Graph, h: Graph):
-    """Dense boolean mask of winning tuples [x_a, x_b, y_a, y_b]."""
-    n, N = g.n, g.n + h.n
-    if h.n != n:
-        raise GraphError("the isomorphism game needs equal vertex counts")
-    rel_g = np.full((n, n), 2, dtype=np.int8)
-    rel_g[g.adj] = 1
-    np.fill_diagonal(rel_g, 0)
-    rel_h = np.full((n, n), 2, dtype=np.int8)
-    rel_h[h.adj] = 1
-    np.fill_diagonal(rel_h, 0)
-    X = np.arange(N)
-    is_g = X < n
-    valid = is_g[:, None] ^ is_g[None, :]  # token pair from opposite graphs
-    g_of = np.where(is_g[:, None], X[:, None], X[None, :])
-    h_of = np.where(is_g[:, None], X[None, :] - n, X[:, None] - n)
-    g_of = np.clip(g_of, 0, n - 1)
-    h_of = np.clip(h_of, 0, n - 1)
-    ga = g_of[:, None, :, None]
-    gb = g_of[None, :, None, :]
-    ha = h_of[:, None, :, None]
-    hb = h_of[None, :, None, :]
-    win = rel_g[ga, gb] == rel_h[ha, hb]
-    win &= valid[:, None, :, None]
-    win &= valid[None, :, None, :]
-    return win
 
 
 def verify_perfect_iso_strategy(corr: Correlation, g: Graph, h: Graph):
@@ -175,12 +201,12 @@ def verify_perfect_iso_strategy(corr: Correlation, g: Graph, h: Graph):
             if v != 0 and not iso_game_predicate(g, h, x_a, x_b, y_a, y_b):
                 return False, (x_a, x_b, y_a, y_b, v)
         return True, None
-    win = winning_mask(g, h)
-    losing = np.where(win, 0.0, corr.table)
-    worst = float(losing.max())
-    if worst > corr.tol:
-        idx = np.unravel_index(int(losing.argmax()), losing.shape)
-        return False, (*map(int, idx), worst)
+    keys, values = corr.table.keys, corr.table.values
+    losing = np.flatnonzero(~iso_game_wins(g, h, *keys.T))
+    if len(losing):
+        worst = losing[values[losing].argmax()]
+        if values[worst] > corr.tol:
+            return False, (*keys[worst].tolist(), float(values[worst]))
     return True, None
 
 
@@ -298,37 +324,45 @@ def format_correlation(corr: Correlation):
             if v != 0:
                 lines.append(f"{x_a} {x_b} {y_a} {y_b} {v.numerator}/{v.denominator}")
     else:
-        nz = np.argwhere(corr.table != 0.0)
-        for x_a, x_b, y_a, y_b in nz:
-            lines.append(
-                f"{x_a} {x_b} {y_a} {y_b} {float(corr.table[x_a, x_b, y_a, y_b])!r}"
-            )
+        keep = corr.table.values != 0.0
+        for key, v in zip(corr.table.keys[keep].tolist(), corr.table.values[keep].tolist()):
+            lines.append(f"{key[0]} {key[1]} {key[2]} {key[3]} {v!r}")
     return "\n".join(lines) + "\n"
 
 
 def parse_correlation(text, tol=DEFAULT_TOL):
     lines = [(no, l) for no, l in enumerate(text.splitlines(), start=1)
              if l.strip() and not l.startswith("#")]
-    head = lines[0][1].split()
-    if len(head) != 3 or head[0] != "corr":
-        raise GraphError("correlation file must start with 'corr <N> <mode>'")
+    if not lines:
+        raise ParseError("empty correlation file")
+    head_no, head = lines[0][0], lines[0][1].split()
+    if (len(head) != 3 or head[0] != "corr" or not head[1].isdigit()
+            or head[2] not in ("exact", "float")):
+        raise ParseError("correlation file must start with 'corr <N> exact|float'", head_no)
     N, mode = int(head[1]), head[2]
+    if len(lines) < 2:
+        raise ParseError("the header is not followed by a token line", head_no)
     inputs = tuple(lines[1][1].split())
     if len(inputs) != N:
-        raise GraphError(f"expected {N} tokens, found {len(inputs)}")
-    if mode == "exact":
-        table = {}
-    else:
-        table = np.zeros((N, N, N, N))
+        raise ParseError(f"expected {N} tokens, found {len(inputs)}", lines[1][0])
+    table = {}
     for lineno, line in lines[2:]:
         parts = line.split()
-        if len(parts) != 5:
-            raise ParseError(f"malformed correlation line: {line!r}", lineno)
-        key = tuple(int(p) for p in parts[:4])
+        try:
+            if len(parts) != 5:
+                raise ValueError
+            key = tuple(int(p) for p in parts[:4])
+            value = Fraction(parts[4])
+            if mode == "float":
+                value = float(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ParseError(f"malformed correlation line: {line!r}", lineno) from None
         if not all(0 <= i < N for i in key):
             raise ParseError(f"index out of range [0, {N}): {line!r}", lineno)
-        if mode == "exact":
-            table[key] = Fraction(parts[4])
-        else:
-            table[key] = float(Fraction(parts[4]))
+        if key in table:
+            raise ParseError(f"repeated index {key}", lineno)
+        table[key] = value
+    if mode == "float":
+        table = (np.array(list(table), dtype=np.int64).reshape(-1, 4),
+                 np.array(list(table.values()), dtype=float))
     return Correlation(inputs, mode, table, tol=tol)

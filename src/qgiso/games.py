@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from enum import Enum
 
+import numpy as np
+
 from .graphs import Graph, GraphError
 
 
@@ -26,6 +28,15 @@ def rel(g: Graph, x, y):
     if g.adj[x, y]:
         return Rel.ADJACENT
     return Rel.DISTINCT_NONADJACENT
+
+
+def rel_codes(g: Graph):
+    """The n x n int8 matrix of ``rel``: 0 equal, 1 adjacent, 2 distinct
+    non-adjacent."""
+    r = np.full((g.n, g.n), 2, dtype=np.int8)
+    r[g.adj] = 1
+    np.fill_diagonal(r, 0)
+    return r
 
 
 def split_token(g: Graph, h: Graph, token):
@@ -57,6 +68,22 @@ def iso_game_predicate(g: Graph, h: Graph, x_a, x_b, y_a, y_b):
     g_a, h_a = (ix_a, iy_a) if sx_a == "G" else (iy_a, ix_a)
     g_b, h_b = (ix_b, iy_b) if sx_b == "G" else (iy_b, ix_b)
     return rel(g, g_a, g_b) == rel(h, h_a, h_b)
+
+
+def iso_game_wins(g: Graph, h: Graph, x_a, x_b, y_a, y_b):
+    """``iso_game_predicate`` over equal-length token arrays, as a bool array."""
+    x_a, x_b, y_a, y_b = (np.asarray(t, dtype=np.int64) for t in (x_a, x_b, y_a, y_b))
+    for t in (x_a, x_b, y_a, y_b):
+        if t.size and (t.min() < 0 or t.max() >= g.n + h.n):
+            raise GraphError("token outside V(G) + V(H)")
+    n = g.n
+    win = ((x_a < n) != (y_a < n)) & ((x_b < n) != (y_b < n))
+    rows = np.flatnonzero(win)  # each answer is from the other graph
+    x_a, x_b, y_a, y_b = x_a[rows], x_b[rows], y_a[rows], y_b[rows]
+    g_a, h_a = np.where(x_a < n, x_a, y_a), np.where(x_a < n, y_a, x_a) - n
+    g_b, h_b = np.where(x_b < n, x_b, y_b), np.where(x_b < n, y_b, x_b) - n
+    win[rows] = rel_codes(g)[g_a, g_b] == rel_codes(h)[h_a, h_b]
+    return win
 
 
 def bcs_game_predicate(bcs, l_a, l_b, f_a, f_b):

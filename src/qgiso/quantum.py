@@ -21,7 +21,7 @@ import numpy as np
 
 from .bcs import LinBCS, bcs_graph, homogenize, magic_square, satisfying_assignments, solve_gf2
 from .correlations import Correlation, iso_game_tokens
-from .games import bcs_game_predicate
+from .games import bcs_game_predicate, rel_codes
 from .graphs import Graph, GraphError
 
 DEFAULT_TOL = 1e-9
@@ -101,13 +101,6 @@ class QuantumIsoCertificate:
             raise GraphError("block dimension does not match d")
 
 
-def _rel_codes(g: Graph):
-    r = np.full((g.n, g.n), 2, dtype=np.int8)
-    r[g.adj] = 1
-    np.fill_diagonal(r, 0)
-    return r
-
-
 def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol=DEFAULT_TOL):
     """Full certificate report: projector, sum, orthogonality, and
     intertwining residuals, plus the projective-permutation-matrix cross
@@ -127,15 +120,16 @@ def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol
     r = ppm["residuals"]
     idem, herm, row, col = r["projector"], r["hermitian"], r["row_sum"], r["col_sum"]
 
-    # pairwise product norms via ||A B||^2 = tr((A^dag A)(B B^dag))
+    # pairwise product norms via ||A B||^2 = tr((A^dag A)(B B^dag)); a pair
+    # with an all-zero block has product exactly 0, so only non-zero blocks
+    # are paired
     n = g.n
-    M = E.reshape(n * n, d, d)
+    nz_g, nz_h = np.nonzero(np.any(E != 0, axis=(2, 3)))
+    M = E[nz_g, nz_h]
     P = M.conj().swapaxes(-2, -1) @ M
     Q = M @ M.conj().swapaxes(-2, -1)
     prod_sq = np.einsum("aij,bji->ab", P, Q).real
-    # mask index pairing follows the reshape: a = (g, h), b = (g', h')
-    mismatch = (_rel_codes(g)[:, None, :, None] != _rel_codes(h)[None, :, None, :])
-    mismatch = mismatch.reshape(n * n, n * n)
+    mismatch = rel_codes(g)[np.ix_(nz_g, nz_g)] != rel_codes(h)[np.ix_(nz_h, nz_h)]
     orth = float(np.sqrt(np.abs(prod_sq[mismatch]).max())) if mismatch.any() else 0.0
 
     big = assemble(E)
@@ -175,15 +169,28 @@ def classical_certificate(g: Graph, h: Graph, phi):
 def certificate_correlation(cert: QuantumIsoCertificate, g: Graph, h: Graph, tol=DEFAULT_TOL):
     """The correlation the certificate induces on the maximally entangled
     state: p(y, y' | x, x') = tr(E_xy E_x'y') / d, with Bob's operators the
-    transposes and the off-graph operator extensions set to zero."""
-    n, N, d = g.n, g.n + h.n, cert.d
-    ext = np.zeros((N, N, d, d), dtype=complex)
-    ext[:n, n:] = cert.blocks
-    ext[n:, :n] = cert.blocks.transpose(1, 0, 2, 3)
-    p = np.einsum("XYij,ABji->XAYB", ext, ext) / d
-    if float(np.abs(p.imag).max()) > tol:
+    transposes and the off-graph operator extensions set to zero.
+
+    Only the K non-zero blocks take part: one K x K product of the blocks,
+    each flattened to d^2 entries, gives every trace tr(E_a E_b).  Block
+    (g, h) is the operator for both question g / answer h and question h /
+    answer g, so each of the 2K (question, answer) pairs of either player
+    meets each of the other's; the entries with non-zero real part form the
+    sparse float ``Correlation``.
+    """
+    n, d = g.n, cert.d
+    nz_g, nz_h = np.nonzero(np.any(cert.blocks != 0, axis=(2, 3)))
+    blocks = cert.blocks[nz_g, nz_h]
+    k = len(blocks)
+    traces = (blocks.reshape(k, d * d) @ blocks.swapaxes(1, 2).reshape(k, d * d).T) / d
+    if traces.size and float(np.abs(traces.imag).max()) > tol:
         raise AssertionError("correlation has a non-real entry")
-    return Correlation(iso_game_tokens(g, h), "float", p.real, tol=tol)
+    x = np.concatenate([nz_g, nz_h + n])  # (question, answer) pair a uses block a % k
+    y = np.concatenate([nz_h + n, nz_g])
+    values = np.tile(traces.real, (2, 2))
+    a, b = np.nonzero(values)
+    keys = np.stack([x[a], x[b], y[a], y[b]], axis=1)
+    return Correlation(iso_game_tokens(g, h), "float", (keys, values[a, b]), tol=tol)
 
 
 @dataclass

@@ -137,3 +137,22 @@ def test_ns_verify_index_out_of_range_exits_2(tmp_path, capsys, mode, entry):
     assert main(["ns", "verify", str(g), str(g), str(corr)]) == 2
     err = capsys.readouterr().err
     assert "line 4" in err and "out of range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("corr 4 float\nG:a G:b H:a H:b\n0 0 2 2 1/0\n", 3),
+    ("corr 4 exact\nG:a G:b H:a H:b\n0 0 2 2 1/0\n", 3),
+    ("corr 4 sparse\nG:a G:b H:a H:b\n0 0 2 2 1\n", 1),
+    ("corr 4 exact\n", 1),
+    ("corr 4 float\nG:a G:b H:a H:b\n0 0 2 2 1/2\n0 0 2 2 1/2\n", 4),
+    ("corr 4 exact\nG:a G:b H:a H:b\n0 0 2 2 1/2\n0 0 2 2 1/2\n", 4),
+], ids=["float-zero-division", "exact-zero-division", "unknown-mode", "no-token-line",
+        "float-repeated-index", "exact-repeated-index"])
+def test_ns_verify_malformed_correlation_exits_2(tmp_path, capsys, text, line):
+    g = tmp_path / "k2.g"
+    g.write_text("v a\nv b\ne a b\n")
+    corr = tmp_path / "bad.corr"
+    corr.write_text(text)
+    assert main(["ns", "verify", str(g), str(g), str(corr)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}" in err and "Traceback" not in err

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cep_pair, cycle, path, star, two_k3
+from conftest import cep_pair, cycle, graph_from_bits, path, star, two_k3
 from qgiso.correlations import (
     Correlation,
     build_ns_correlation,
@@ -183,7 +185,8 @@ class TestSerialization:
             dense[k] = float(v)
         corr = Correlation(("0", "1"), "float", dense)
         back = parse_correlation(format_correlation(corr))
-        assert np.allclose(back.table, dense)
+        entries = np.array([back.get(*k) for k in np.ndindex(dense.shape)]).reshape(dense.shape)
+        assert np.allclose(entries, dense)
 
 
 class TestNonFinite:
@@ -201,3 +204,144 @@ class TestNonFinite:
         dense[1, 0, 1, 1] = np.inf
         with pytest.raises(GraphError, match="non-finite"):
             Correlation(("0", "1"), "float", dense)
+
+
+def _pr_box_coordinates():
+    box = pr_box()
+    return sorted(box.table), [float(v) for _, v in sorted(box.table.items())]
+
+
+class TestFloatTableValidation:
+    """Float tables are checked once, where they enter the library, because the
+    vectorised verifiers index with the keys and numpy wraps negative indices."""
+
+    @pytest.mark.parametrize("bad", [(-1, 0, 0, 0), (0, 0, 2, 0)])
+    def test_key_out_of_range(self, bad):
+        keys, values = _pr_box_coordinates()
+        with pytest.raises(GraphError, match="outside"):
+            Correlation(("0", "1"), "float", (keys + [bad], values + [0.5]))
+
+    def test_repeated_key(self):
+        keys, values = _pr_box_coordinates()
+        with pytest.raises(GraphError, match="repeats"):
+            Correlation(("0", "1"), "float", (keys + [keys[3]], values + [0.0]))
+
+    @pytest.mark.parametrize("keys", [np.zeros((2, 3), int), np.zeros(4, int), np.zeros((2, 4))])
+    def test_malformed_keys(self, keys):
+        with pytest.raises(GraphError):
+            Correlation(("0", "1"), "float", (keys, [0.5, 0.5]))
+
+    def test_non_finite_value(self):
+        keys, values = _pr_box_coordinates()
+        values[2] = np.nan
+        with pytest.raises(GraphError, match="non-finite"):
+            Correlation(("0", "1"), "float", (keys, values))
+
+    def test_keys_sorted_and_get(self):
+        keys, values = _pr_box_coordinates()
+        order = [5, 0, 7, 2, 1, 6, 3, 4]
+        corr = Correlation(("0", "1"), "float",
+                           ([keys[i] for i in order], [values[i] + i for i in order]))
+        assert corr.table.keys.tolist() == [list(k) for k in keys]
+        for i, k in enumerate(keys):
+            assert corr.get(*k) == values[i] + i
+        assert corr.get(0, 0, 0, 1) == 0.0 and corr.get(1, 1, 1, 1) == 0.0
+        with pytest.raises(IndexError):
+            corr.get(0, 0, 0, 2)
+
+
+# The dense float verifiers that the coordinate-list ones replaced, kept as
+# the oracle for their verdicts.
+
+def _dense_winning_mask(g, h):
+    n, N = g.n, g.n + h.n
+    rel_g = np.full((n, n), 2, dtype=np.int8)
+    rel_g[g.adj] = 1
+    np.fill_diagonal(rel_g, 0)
+    rel_h = np.full((n, n), 2, dtype=np.int8)
+    rel_h[h.adj] = 1
+    np.fill_diagonal(rel_h, 0)
+    X = np.arange(N)
+    is_g = X < n
+    valid = is_g[:, None] ^ is_g[None, :]
+    g_of = np.where(is_g[:, None], X[:, None], X[None, :])
+    h_of = np.where(is_g[:, None], X[None, :] - n, X[:, None] - n)
+    g_of = np.clip(g_of, 0, n - 1)
+    h_of = np.clip(h_of, 0, n - 1)
+    win = rel_g[g_of[:, None, :, None], g_of[None, :, None, :]] == \
+        rel_h[h_of[:, None, :, None], h_of[None, :, None, :]]
+    win &= valid[:, None, :, None]
+    win &= valid[None, :, None, :]
+    return win
+
+
+def _dense_verdicts(table, g, h, t):
+    distribution = not (table.min() < -t) and not (
+        float(np.abs(table.sum(axis=(2, 3)) - 1.0).max()) > t)
+    marg_a = table.sum(axis=3)
+    marg_b = table.sum(axis=2)
+    nonsignalling = not ((marg_a.max(axis=1) - marg_a.min(axis=1)).max() > t) and not (
+        (marg_b.max(axis=0) - marg_b.min(axis=0)).max() > t)
+    perfect = None
+    if g is not None:
+        perfect = not (float(np.where(_dense_winning_mask(g, h), 0.0, table).max()) > t)
+    return distribution, nonsignalling, perfect
+
+
+@st.composite
+def _float_tables(draw):
+    """A dense table on N <= 4 tokens: a product of local response tables or,
+    for N = 2n, a deterministic strategy from an isomorphism of an n-vertex
+    graph to itself, then perturbed, with input pairs zeroed or mass moved."""
+    N = draw(st.integers(1, 4))
+    g = None
+    if N % 2 == 0:
+        n = N // 2
+        g = graph_from_bits(n, draw(st.integers(0, 2 ** (n * (n - 1) // 2) - 1)))
+    if g is not None and draw(st.booleans()):
+        phi = draw(st.permutations(range(n)))
+        table = np.zeros((N,) * 4)
+        for a in range(n):
+            for b in range(n):
+                table[a, b, phi[a] + n, phi[b] + n] = 1.0
+                table[phi[a] + n, phi[b] + n, a, b] = 1.0
+                table[a, phi[b] + n, phi[a] + n, b] = 1.0
+                table[phi[a] + n, b, a, phi[b] + n] = 1.0
+    else:
+        local = []
+        for _ in range(2):
+            w = np.array(draw(st.lists(st.integers(0, 3), min_size=N * N, max_size=N * N)),
+                         dtype=float).reshape(N, N)
+            w[w.sum(axis=1) == 0, 0] = 1.0
+            local.append(w / w.sum(axis=1, keepdims=True))
+        table = np.einsum("ay,bz->abyz", *local)
+    index = st.tuples(*[st.integers(0, N - 1)] * 4)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["add", "drop", "move"]))
+        x_a, x_b, y_a, y_b = draw(index)
+        if kind == "add":
+            table[x_a, x_b, y_a, y_b] += draw(st.sampled_from([1e-12, -1e-12, 1e-6, -1e-6, 0.5]))
+        elif kind == "drop":
+            table[x_a, x_b] = 0.0
+        else:
+            _, _, z_a, z_b = draw(index)
+            table[x_a, x_b, z_a, z_b] += table[x_a, x_b, y_a, y_b]
+            table[x_a, x_b, y_a, y_b] = 0.0
+    return table, g
+
+
+class TestCoordinateVerifiersMatchDense:
+    @settings(max_examples=400, deadline=None)
+    @given(case=_float_tables(), data=st.data())
+    def test_same_verdicts(self, case, data):
+        table, g = case
+        N = table.shape[0]
+        keys = np.argwhere(table != 0)
+        perm = data.draw(st.permutations(range(len(keys))))
+        corr = Correlation(tuple(str(i) for i in range(N)), "float",
+                           (keys[perm], table[tuple(keys[perm].T)]))
+        distribution, nonsignalling, perfect = _dense_verdicts(table, g, g, corr.tol)
+        assert verify_distribution(corr)[0] == distribution
+        assert verify_nonsignalling(corr)[0] == nonsignalling
+        if g is not None:
+            assert verify_perfect_iso_strategy(corr, g, g)[0] == perfect

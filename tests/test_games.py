@@ -1,7 +1,15 @@
+import numpy as np
 import pytest
 
-from conftest import complete, cycle, empty, permuted_copy, random_graph
-from qgiso.games import Rel, bcs_game_predicate, iso_game_predicate, rel, split_token
+from conftest import complete, cycle, empty, path, permuted_copy, random_graph
+from qgiso.games import (
+    Rel,
+    bcs_game_predicate,
+    iso_game_predicate,
+    iso_game_wins,
+    rel,
+    split_token,
+)
 from qgiso.bcs import magic_square, satisfying_assignments
 from qgiso.graphs import GraphError, complement, disjoint_union, find_isomorphism
 
@@ -81,6 +89,23 @@ class TestIsoGamePredicate:
     def test_split_token_out_of_range(self):
         with pytest.raises(GraphError):
             split_token(cycle(3), cycle(3), 6)
+
+
+class TestIsoGameWins:
+    def test_matches_scalar_predicate_on_every_tuple(self, rng):
+        pairs = [(cycle(4), path(4)), (path(3), complete(3)), (complete(2), path(3)),
+                 (random_graph(4, 0.5, rng), random_graph(4, 0.5, rng))]
+        for g, h in pairs:
+            N = g.n + h.n
+            x_a, x_b, y_a, y_b = np.indices((N,) * 4).reshape(4, -1)
+            wins = iso_game_wins(g, h, x_a, x_b, y_a, y_b)
+            expected = [iso_game_predicate(g, h, *map(int, t)) for t in zip(x_a, x_b, y_a, y_b)]
+            assert wins.tolist() == expected
+
+    @pytest.mark.parametrize("token", [-1, 6])
+    def test_token_out_of_range(self, token):
+        with pytest.raises(GraphError):
+            iso_game_wins(cycle(3), cycle(3), [0], [token], [3], [3])
 
 
 class TestBcsGamePredicate:

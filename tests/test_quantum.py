@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import complete, cycle, permuted_copy, random_graph
-from qgiso.bcs import bcs_graph, homogenize, magic_square, parse_bcs, solve_gf2
+from qgiso.bcs import (
+    LinBCS,
+    bcs_graph,
+    homogenize,
+    magic_square,
+    parse_bcs,
+    satisfying_assignments,
+    solve_gf2,
+)
 from qgiso.correlations import verify_nonsignalling, verify_perfect_iso_strategy
 from qgiso.games import Rel, rel
 from qgiso.graphs import find_isomorphism
 from qgiso.quantum import (
+    BCSQuantumStrategy,
     ProjectivePacking,
     QuantumIsoCertificate,
     certificate_correlation,
@@ -102,7 +111,7 @@ class TestCertificateCorrelation:
             for y1 in range(0, N, 5):
                 for y2 in range(0, N, 5):
                     if y1 != y2:
-                        assert corr.table[x, x, y1, y2] <= 1e-12
+                        assert corr.get(x, x, y1, y2) <= 1e-12
 
     def test_rank_one_diagonal_value(self, mermin):
         _, _, bg, bg0, cert = mermin
@@ -111,8 +120,8 @@ class TestCertificateCorrelation:
         i, j = next(
             (a, b) for a in range(24) for b in range(24) if np.any(cert.blocks[a, b])
         )
-        assert corr.table[i, 24 + j, 24 + j, i] == pytest.approx(0.25)
-        assert corr.table[i, i, 24 + j, 24 + j] == pytest.approx(0.25)
+        assert corr.get(i, 24 + j, 24 + j, i) == pytest.approx(0.25)
+        assert corr.get(i, i, 24 + j, 24 + j) == pytest.approx(0.25)
 
     def test_d1_reproduces_deterministic_strategy(self, rng):
         g = random_graph(5, 0.5, rng)
@@ -122,7 +131,7 @@ class TestCertificateCorrelation:
         corr = certificate_correlation(cert, g, h)
         for a in range(g.n):
             for b in range(g.n):
-                assert corr.table[a, b, phi(a) + g.n, phi(b) + g.n] == pytest.approx(1.0)
+                assert corr.get(a, b, phi(a) + g.n, phi(b) + g.n) == pytest.approx(1.0)
 
     def test_passes_game_verifiers(self, mermin):
         _, _, bg, bg0, cert = mermin
@@ -136,15 +145,55 @@ class TestCertificateCorrelation:
         _, _, bg, bg0, cert = mermin
         corr = certificate_correlation(cert, bg.graph, bg0.graph)
         g, h = bg.graph, bg0.graph
-        p = corr.table
-        for ga in range(24):
-            for gb in range(24):
-                if not g.adj[ga, gb]:
-                    continue
-                block = p[ga, gb, 24:, 24:]
-                positive = np.argwhere(block > 1e-8)
-                for ha, hb in positive:
-                    assert h.adj[ha, hb]
+        positive = corr.table.keys[corr.table.values > 1e-8].tolist()
+        for ga, gb, ha, hb in positive:
+            if ga < 24 and gb < 24 and ha >= 24 and hb >= 24 and g.adj[ga, gb]:
+                assert h.adj[ha - 24, hb - 24]
+
+
+    def test_matches_dense_einsum(self, mermin):
+        _, _, bg, bg0, cert = mermin
+        corr = certificate_correlation(cert, bg.graph, bg0.graph)
+        n, N, d = 24, 48, cert.d
+        ext = np.zeros((N, N, d, d), dtype=complex)
+        ext[:n, n:] = cert.blocks
+        ext[n:, :n] = cert.blocks.transpose(1, 0, 2, 3)
+        dense = (np.einsum("XYij,ABji->XAYB", ext, ext) / d).real
+        assert np.array_equal(corr.table.keys, np.argwhere(dense != 0))
+        assert np.array_equal(corr.table.values, dense[dense != 0])
+
+    def test_pentagram_entries_lie_on_nonzero_blocks(self):
+        # Mermin's pentagram: X1 X2 X3 Y1 Y2 Y3 XXX YYX YXY XYY, d = 8
+        x, y, i2 = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.eye(2)
+        obs = [np.kron(np.kron(a, b), c) for a, b, c in (
+            (x, i2, i2), (i2, x, i2), (i2, i2, x), (y, i2, i2), (i2, y, i2), (i2, i2, y),
+            (x, x, x), (y, y, x), (y, x, y), (x, y, y))]
+        system = LinBCS(10, (((0, 1, 2, 6), 0), ((3, 4, 2, 7), 0), ((3, 1, 5, 8), 0),
+                             ((0, 4, 5, 9), 0), ((6, 7, 8, 9), 1)))
+        eye = np.eye(8, dtype=complex)
+        ops = []
+        for support, b in system.constraints:
+            family = []
+            for f in satisfying_assignments(support, b):
+                proj = eye
+                for v in support:
+                    proj = proj @ (eye + (-1.0) ** f[v] * obs[v]) / 2
+                family.append((f, proj))
+            ops.append(tuple(family))
+        strat = BCSQuantumStrategy(8, tuple(ops))
+        assert verify_bcs_strategy(system, strat)["ok"]
+        bg, bg0, cert = strategy_to_certificate(system, strat)
+        g, h = bg.graph, bg0.graph
+        corr = certificate_correlation(cert, g, h)
+        assert len(corr.table.keys) == 174_080
+        nonzero = np.any(cert.blocks != 0, axis=(2, 3))
+        n = g.n
+        for x_a, x_b, y_a, y_b in corr.table.keys.tolist():
+            for q, a in ((x_a, y_a), (x_b, y_b)):
+                assert (q < n) != (a < n)
+                assert nonzero[min(q, a), max(q, a) - n]
+        assert verify_perfect_iso_strategy(corr, g, h)[0]
+        assert verify_nonsignalling(corr)[0]
 
 
 class TestMerminStrategy:
