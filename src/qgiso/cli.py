@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,8 +37,9 @@ def _jsonable(x):
         return list(x.image)
     if isinstance(x, (np.integer,)):
         return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
+    if isinstance(x, (float, np.floating)):
+        x = float(x)
+        return x if math.isfinite(x) else str(x)  # JSON has no NaN or infinity literal
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

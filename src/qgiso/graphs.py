@@ -1,12 +1,15 @@
 """Graph values, exact combinatorial oracles, and integer characteristic polynomials.
 
 Everything in this module is exact: adjacency is boolean, characteristic
-polynomials use arbitrary-precision integers, and the isomorphism /
+polynomials are integer polynomials computed modulo primes and lifted
+with a proven coefficient bound, and the isomorphism /
 independence oracles are complete searches (with pruning), not heuristics.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -206,25 +209,101 @@ class CharPoly:
         return s.lstrip("+") or "0"
 
 
-def char_poly(g: Graph):
-    """Exact det(xI - A) via the Faddeev-LeVerrier recurrence over Python ints.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-    All divisions in the recurrence are exact, so the result carries no
-    floating-point error at any size.
+
+def _is_prime(m):
+    """Deterministic Miller-Rabin; these twelve bases decide every m < 2**64."""
+    if m < 2:
+        return False
+    for a in _WITNESSES:
+        if m % a == 0:
+            return m == a
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.cache
+def _prime(bits, i):
+    """The (i + 1)-th largest prime below 2**bits, found on first use."""
+    p = (1 << bits) - 1 if i == 0 else _prime(bits, i - 1) - 2
+    while not _is_prime(p):
+        p -= 2
+    return p
+
+
+def _mod(x, p):
+    """x mod p for float arrays of non-negative integers, exact while
+    x + p < 2**53: the rounded quotient is at most one too large, never too
+    small, so floor(x / p) * p <= x + p and one correction suffices."""
+    r = x - np.floor(x / p) * p
+    return np.where(r < 0, r + p, r)
+
+
+def char_poly(g: Graph):
+    """Exact det(xI - A) by Faddeev-LeVerrier modulo word-size primes,
+    lifted to the integers by the Chinese remainder theorem.
+
+    Per prime p the recurrence M_k = A M_(k-1) + c_(k-1) I, with
+    c_k = -tr(A M_k) / k, runs on float64 arrays with one matrix product
+    per step, all primes at once; the division by k is a multiplication
+    by k^-1 mod p, which exists because p > n.  The arithmetic is exact
+    because every value is an integer below 2**53: A M_(k-1) is reduced
+    into [0, p), so M_k is below 2p, A is 0/1, and every partial sum of
+    A @ M_k, in any summation order, plus p for its reduction, is below
+    2 n p.  Primes below 2**(52 - bit_length(n)) keep 2 n p below 2**53.
+
+    Each coefficient is (-1)^k times the sum of the C(n, k) principal
+    k x k minors.  By Hadamard's inequality a minor is at most
+    min(Delta, k)^(k/2), Delta the maximum degree, since each of its rows
+    holds at most min(Delta, k) ones.  Enough primes are taken that their
+    product exceeds twice that bound, so the symmetric lift is the exact
+    coefficient; one more prime confirms the lift, and a mismatch raises.
     """
     n = g.n
-    A = np.array(g.adj, dtype=object) * 1  # object array of Python ints
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    M = np.zeros((n, n), dtype=object)
-    c = 1
+    delta = int(g.adj.sum(axis=1).max()) if n else 0
+    bound = max(math.comb(n, k) * (math.isqrt(min(delta, k) ** k) + 1) for k in range(n + 1))
+    bits = 52 - n.bit_length()
+    primes, modulus = [], 1
+    while modulus <= 2 * bound:
+        primes.append(_prime(bits, len(primes)))
+        modulus *= primes[-1]
+    primes.append(_prime(bits, len(primes)))  # the check prime
+
+    p = np.array(primes, dtype=float)[:, None, None]
+    A = g.adj.astype(float)
+    diag = np.arange(n)
+    residues = np.zeros((len(primes), n + 1))  # residues[:, n - k] holds c_k mod p
+    residues[:, n] = 1
+    M = np.zeros((len(primes), n, n))
     for k in range(1, n + 1):
-        M = A @ M + c * np.eye(n, dtype=object)
-        AM = A @ M
-        t = int(np.trace(AM))
-        assert t % k == 0
-        c = -t // k
-        coeffs[n - k] = c
+        M[:, diag, diag] += residues[:, n - k + 1, None]  # M_k = A M_(k-1) + c_(k-1) I
+        M = _mod(A @ M, p)  # A M_k
+        residues[:, n - k] = [-int(t) * pow(k, -1, q) % q
+                              for t, q in zip(M.trace(axis1=1, axis2=2), primes)]
+    residues = residues.astype(np.int64).tolist()
+
+    lifted, modulus = [0] * (n + 1), 1
+    for q, res in zip(primes[:-1], residues):
+        inv = pow(modulus, -1, q)
+        lifted = [x + modulus * ((r - x) * inv % q) for x, r in zip(lifted, res)]
+        modulus *= q
+    coeffs = [x - modulus if 2 * x > modulus else x for x in lifted]
+    q = primes[-1]
+    if any((x - r) % q for x, r in zip(coeffs, residues[-1])):
+        raise AssertionError("characteristic polynomial lift disagrees with the check prime")
     return CharPoly(coeffs)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .bcs import LinBCS, bcs_graph, homogenize, magic_square, satisfying_assignments, solve_gf2
 from .correlations import Correlation, iso_game_tokens
 from .games import bcs_game_predicate, rel_codes
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, ParseError
 
 DEFAULT_TOL = 1e-9
 MAX_BLOCK_DIM = 64
@@ -213,8 +213,8 @@ def verify_packing(g: Graph, pack: ProjectivePacking, tol=DEFAULT_TOL):
     if a.shape != (g.n, pack.d, pack.d):
         raise GraphError("packing shape does not match the graph")
     idem, herm = projector_residuals(a)
-    if max(idem, herm) > tol:
-        return {"ok": False, "reason": f"non-projector entry (residual {max(idem, herm):.3e})"}
+    if not (idem <= tol and herm <= tol):  # also catches a NaN residual
+        return {"ok": False, "reason": f"non-projector entry (residuals {idem:.3e}, {herm:.3e})"}
     orth = 0.0
     for i in range(g.n):
         for j in g.neighbors(i):
@@ -273,14 +273,16 @@ def mermin_bcs_strategy(tol=DEFAULT_TOL):
     bcs = magic_square()
     obs = magic_square_observables()
     eye = np.eye(4, dtype=complex)
-    for o in obs:
-        assert frob(o - o.conj().T) < 1e-12 and frob(o @ o - eye) < 1e-12
-    for s, b in bcs.constraints:
+    for i, o in enumerate(obs):
+        if not (frob(o - o.conj().T) < 1e-12 and frob(o @ o - eye) < 1e-12):
+            raise AssertionError(f"observable {i} is not a hermitian involution")
+    for l, (s, b) in enumerate(bcs.constraints):
         o1, o2, o3 = (obs[i] for i in s)
-        assert frob(o1 @ o2 - o2 @ o1) < 1e-12
-        assert frob(o2 @ o3 - o3 @ o2) < 1e-12
-        assert frob(o1 @ o3 - o3 @ o1) < 1e-12
-        assert frob(o1 @ o2 @ o3 - (-1.0) ** b * eye) < 1e-12
+        if not (frob(o1 @ o2 - o2 @ o1) < 1e-12 and frob(o2 @ o3 - o3 @ o2) < 1e-12
+                and frob(o1 @ o3 - o3 @ o1) < 1e-12):
+            raise AssertionError(f"constraint {l}: observables do not commute")
+        if not frob(o1 @ o2 @ o3 - (-1.0) ** b * eye) < 1e-12:
+            raise AssertionError(f"constraint {l}: observable product is not (-1)^b I")
     ops = []
     for s, b in bcs.constraints:
         family = []
@@ -317,27 +319,26 @@ def verify_bcs_strategy(bcs: LinBCS, strat: BCSQuantumStrategy, tol=DEFAULT_TOL)
         raise GraphError("strategy constraint count does not match the system")
     d = strat.d
     eye = np.eye(d)
-    worst_proj = worst_sum = worst_losing = 0.0
+    proj, sums, losing = [0.0], [0.0], [0.0]
     for l, ((s, b), family) in enumerate(zip(bcs.constraints, strat.ops)):
         expected = satisfying_assignments(s, b)
         if [f for f, _ in family] != expected:
             raise GraphError(f"constraint {l}: assignment family mismatch")
         total = np.zeros((d, d), dtype=complex)
         for f, op in family:
-            idem, herm = projector_residuals(np.asarray(op)[None, None])
-            worst_proj = max(worst_proj, idem, herm)
+            proj.extend(projector_residuals(np.asarray(op)[None, None]))
             total += op
-        worst_sum = max(worst_sum, frob(total - eye))
+        sums.append(frob(total - eye))
     for l_a, fam_a in enumerate(strat.ops):
         for l_b, fam_b in enumerate(strat.ops):
             for f_a, op_a in fam_a:
                 for f_b, op_b in fam_b:
                     if not bcs_game_predicate(bcs, l_a, l_b, f_a, f_b):
-                        p = abs(np.trace(op_a @ op_b)) / d
-                        worst_losing = max(worst_losing, float(p))
-    residuals = {"projector": worst_proj, "sum": worst_sum, "losing_probability": worst_losing}
-    return {"ok": max(worst_proj, worst_sum) <= tol and worst_losing <= tol,
-            "residuals": residuals}
+                        losing.append(abs(np.trace(op_a @ op_b)) / d)
+    # np.max keeps a NaN residual, where Python's max() can drop it
+    residuals = {"projector": float(np.max(proj)), "sum": float(np.max(sums)),
+                 "losing_probability": float(np.max(losing))}
+    return {"ok": all(r <= tol for r in residuals.values()), "residuals": residuals}
 
 
 def strategy_packing(bcs: LinBCS, strat: BCSQuantumStrategy):
@@ -437,11 +438,41 @@ def _matrix_to_json(mat):
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, dtype=complex)]
 
 
-def _matrix_from_json(data, d):
-    mat = np.array([[complex(re, im) for re, im in row] for row in data])
-    if mat.shape != (d, d):
-        raise GraphError(f"matrix shape {mat.shape} does not match dimension {d}")
-    return mat
+def _family_from_json(text, keys):
+    """Dimension and entries of a matrix-family document
+    ``{"d": int, "entries": [{<keys>..., "matrix": [[[re, im], ...], ...]}, ...]}``.
+
+    Returns d and (index, entry, matrix) triples, each matrix a finite
+    d x d complex array.  A malformed document raises ParseError naming
+    the entry.
+    """
+    data = json.loads(text)
+    d = data.get("d") if isinstance(data, dict) else None
+    if type(d) is not int or not 1 <= d <= MAX_BLOCK_DIM:
+        raise ParseError(f'"d" must be an integer in [1, {MAX_BLOCK_DIM}], got {d!r}')
+    if not isinstance(data.get("entries"), list):
+        raise ParseError('"entries" must be a list')
+    parsed = []
+    for i, entry in enumerate(data["entries"]):
+        if not isinstance(entry, dict) or not {*keys, "matrix"} <= entry.keys():
+            raise ParseError(f"entry {i}: needs the keys {', '.join(keys)} and matrix")
+        try:
+            mat = np.array([[complex(re, im) for re, im in row] for row in entry["matrix"]])
+        except (TypeError, ValueError):
+            raise ParseError(f"entry {i}: matrix must be rows of [re, im] number pairs") from None
+        if mat.shape != (d, d):
+            raise ParseError(f"entry {i}: matrix shape {mat.shape} does not match dimension {d}")
+        if not np.isfinite(mat).all():
+            raise ParseError(f"entry {i}: non-finite matrix value")
+        parsed.append((i, entry, mat))
+    return d, parsed
+
+
+def _entry_vertex(graph: Graph, label, i):
+    try:
+        return graph.index(label)
+    except GraphError as exc:
+        raise ParseError(f"entry {i}: {exc}") from None
 
 
 def certificate_to_json(cert: QuantumIsoCertificate, g: Graph, h: Graph):
@@ -458,11 +489,15 @@ def certificate_to_json(cert: QuantumIsoCertificate, g: Graph, h: Graph):
 
 
 def certificate_from_json(text, g: Graph, h: Graph):
-    data = json.loads(text)
-    d = int(data["d"])
+    d, entries = _family_from_json(text, ("g", "h"))
     blocks = np.zeros((g.n, h.n, d, d), dtype=complex)
-    for entry in data["entries"]:
-        blocks[g.index(entry["g"]), h.index(entry["h"])] = _matrix_from_json(entry["matrix"], d)
+    seen = set()
+    for i, entry, mat in entries:
+        pair = _entry_vertex(g, entry["g"], i), _entry_vertex(h, entry["h"], i)
+        if pair in seen:
+            raise ParseError(f"entry {i}: repeated vertex pair")
+        seen.add(pair)
+        blocks[pair] = mat
     return QuantumIsoCertificate(d, blocks)
 
 
@@ -476,11 +511,15 @@ def packing_to_json(pack: ProjectivePacking, g: Graph):
 
 
 def packing_from_json(text, g: Graph):
-    data = json.loads(text)
-    d = int(data["d"])
+    d, entries = _family_from_json(text, ("vertex",))
     blocks = np.zeros((g.n, d, d), dtype=complex)
-    for entry in data["entries"]:
-        blocks[g.index(entry["vertex"])] = _matrix_from_json(entry["matrix"], d)
+    seen = set()
+    for i, entry, mat in entries:
+        v = _entry_vertex(g, entry["vertex"], i)
+        if v in seen:
+            raise ParseError(f"entry {i}: repeated vertex")
+        seen.add(v)
+        blocks[v] = mat
     return ProjectivePacking(d, blocks)
 
 
@@ -497,15 +536,15 @@ def strategy_to_json(strat: BCSQuantumStrategy):
 
 
 def strategy_from_json(text, bcs: LinBCS):
-    data = json.loads(text)
-    d = int(data["d"])
+    d, entries = _family_from_json(text, ("constraint", "f"))
     by_constraint = {}
-    for entry in data["entries"]:
-        l = int(entry["constraint"])
-        f = {int(k[1:]) - 1: int(v) for k, v in entry["f"].items()}
-        by_constraint.setdefault(l, {})[tuple(sorted(f.items()))] = _matrix_from_json(
-            entry["matrix"], d
-        )
+    for i, entry, mat in entries:
+        try:
+            l = int(entry["constraint"])
+            f = {int(k[1:]) - 1: int(v) for k, v in entry["f"].items()}
+        except (AttributeError, TypeError, ValueError):
+            raise ParseError(f"entry {i}: malformed constraint or assignment") from None
+        by_constraint.setdefault(l, {})[tuple(sorted(f.items()))] = mat
     ops = []
     for l, (s, b) in enumerate(bcs.constraints):
         family = []

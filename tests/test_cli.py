@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import qgiso
 
 from conftest import cycle, two_k3
 from qgiso.cli import main
@@ -156,3 +163,68 @@ def test_ns_verify_malformed_correlation_exits_2(tmp_path, capsys, text, line):
     assert main(["ns", "verify", str(g), str(g), str(corr)]) == 2
     err = capsys.readouterr().err
     assert f"line {line}" in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def witness_docs():
+    bcs, strat = magic_square(), qmod.mermin_bcs_strategy()
+    bg, bg0, cert = qmod.strategy_to_certificate(bcs, strat)
+    _, packing = qmod.strategy_packing(bcs, strat)
+    return {"certify": qmod.certificate_to_json(cert, bg.graph, bg0.graph),
+            "packing": qmod.packing_to_json(packing, bg.graph)}
+
+
+def _set_entry(doc, value):
+    doc["entries"][2]["matrix"][1][0] = value
+
+
+@pytest.mark.parametrize("command", ["certify", "packing"])
+@pytest.mark.parametrize("defect, named", [
+    (lambda doc: doc.pop("d"), '"d"'),
+    (lambda doc: doc.update(d="x"), '"d"'),
+    (lambda doc: _set_entry(doc, ["NaN", 0]), "entry 2"),
+    (lambda doc: _set_entry(doc, [float("nan"), 0]), "entry 2"),
+    (lambda doc: _set_entry(doc, [0, float("inf")]), "entry 2"),
+    (lambda doc: doc["entries"].insert(3, doc["entries"][2]), "entry 3: repeated"),
+], ids=["missing-d", "string-d", "string-value", "nan-literal", "infinity-literal",
+        "repeated-entry"])
+def test_quantum_malformed_witness_exits_2(magic_graph_files, witness_docs, tmp_path, capsys,
+                                           command, defect, named):
+    doc = json.loads(witness_docs[command])
+    defect(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    graphs = magic_graph_files if command == "certify" else magic_graph_files[:1]
+    assert main(["--json", "quantum", command, *graphs, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_quantum_certify_json_stays_valid_on_overflow(magic_graph_files, tmp_path, capsys):
+    # finite but huge blocks overflow every residual to inf or NaN
+    bg, bg0, cert = qmod.strategy_to_certificate(magic_square(), qmod.mermin_bcs_strategy())
+    blocks = cert.blocks.copy()
+    blocks[0] *= 1e300
+    blocks[1] *= -1e300
+    path = tmp_path / "huge.json"
+    path.write_text(qmod.certificate_to_json(qmod.QuantumIsoCertificate(4, blocks),
+                                             bg.graph, bg0.graph))
+    assert main(["--json", "quantum", "certify", *magic_graph_files, str(path)]) == 1
+
+    def no_bare_constant(name):
+        raise AssertionError(f"bare {name} in --json output")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=no_bare_constant)
+    assert doc["verdict"] == "FAIL" and doc["residuals"]["projector"] == "nan"
+
+
+def test_mermin_demo_under_optimize_flag(capsys):
+    src = str(Path(qgiso.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-m", "qgiso.cli", "--json", "quantum", "mermin-demo"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["--json", "quantum", "mermin-demo"]) == 0
+    assert json.loads(proc.stdout) == json.loads(capsys.readouterr().out)

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -127,12 +128,65 @@ class TestCharPoly:
             assert p.coeffs[-1] == 1 and p.coeffs[-2] == 0
 
     def test_matches_numpy_roundtrip(self, rng):
-        import numpy as np
-
         g = random_graph(9, 0.5, rng)
         exact = char_poly(g).coeffs
         approx = np.poly(g.adj.astype(float))[::-1]
         assert max(abs(a - b) for a, b in zip(exact, approx)) < 1e-6
+
+
+def _faddeev_leverrier_reference(g):
+    """The Python-int Faddeev-LeVerrier recurrence char_poly replaced: object
+    arrays, two products per step, every division checked exact."""
+    n = g.n
+    A = np.array(g.adj, dtype=object) * 1
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    M = np.zeros((n, n), dtype=object)
+    c = 1
+    for k in range(1, n + 1):
+        M = A @ M + c * np.eye(n, dtype=object)
+        t = int(np.trace(A @ M))
+        if t % k:
+            raise AssertionError("inexact division in the reference recurrence")
+        c = -t // k
+        coeffs[n - k] = c
+    return tuple(coeffs)
+
+
+# Mermin's pentagram: X1 X2 X3 Y1 Y2 Y3 XXX YYX YXY XYY
+PENTAGRAM = LinBCS(10, (((0, 1, 2, 6), 0), ((3, 4, 2, 7), 0), ((3, 1, 5, 8), 0),
+                        ((0, 4, 5, 9), 0), ((6, 7, 8, 9), 1)))
+
+
+class TestCharPolyMultiModular:
+    """char_poly against the exact integer recurrence it replaced."""
+
+    def test_random_graphs_and_complements(self):
+        rng = random.Random(5150)
+        for _ in range(10):
+            g = random_graph(rng.randint(2, 40), rng.random(), rng)
+            for x in (g, complement(g)):
+                assert char_poly(x).coeffs == _faddeev_leverrier_reference(x)
+
+    @pytest.mark.parametrize("system", [magic_square(), PENTAGRAM], ids=["magic", "pentagram"])
+    def test_separation_pairs_and_complements(self, system):
+        for g in _pair(system):
+            for x in (g, complement(g)):
+                assert char_poly(x).coeffs == _faddeev_leverrier_reference(x)
+
+    def test_single_vertex_and_empty_graphs(self):
+        no_vertices = Graph((), np.zeros((0, 0), dtype=bool))
+        for g in (empty(1), empty(7), no_vertices):
+            assert char_poly(g).coeffs == _faddeev_leverrier_reference(g)
+        assert char_poly(no_vertices).coeffs == (1,)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 20, 32, 64, 128])
+    def test_complete_graph_closed_form(self, n):
+        # eigenvalues n - 1 once and -1 n - 1 times; K_128 has 131-bit coefficients
+        expected = [1]
+        for root in [n - 1] + [-1] * (n - 1):  # multiply by (x - root)
+            expected = [-root * a + b for a, b in zip(expected + [0], [0] + expected)]
+        assert char_poly(complete(n)).coeffs == tuple(expected)
 
 
 class TestCospectral:
@@ -243,10 +297,7 @@ class TestPrunedSearch:
         assert phi is not None and is_isomorphism(g, h, phi)
 
     def test_pentagram_pair(self):
-        # Mermin's pentagram: X1 X2 X3 Y1 Y2 Y3 XXX YYX YXY XYY
-        pentagram = LinBCS(10, (((0, 1, 2, 6), 0), ((3, 4, 2, 7), 0), ((3, 1, 5, 8), 0),
-                                ((0, 4, 5, 9), 0), ((6, 7, 8, 9), 1)))
-        g, h = _pair(pentagram)
+        g, h = _pair(PENTAGRAM)
         assert g.n == 40
         assert find_isomorphism(g, h) is None
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from qgiso.bcs import (
 )
 from qgiso.correlations import verify_nonsignalling, verify_perfect_iso_strategy
 from qgiso.games import Rel, rel
-from qgiso.graphs import find_isomorphism
+from qgiso.graphs import ParseError, find_isomorphism
 from qgiso.quantum import (
     BCSQuantumStrategy,
     ProjectivePacking,
@@ -244,6 +245,29 @@ class TestVerifyBcsStrategy:
         report = verify_bcs_strategy(bcs, broken)
         assert not report["ok"] and report["residuals"]["sum"] > 0.5
 
+    @pytest.mark.parametrize("constraint", [0, 5])
+    def test_nan_operator_fails(self, constraint):
+        # before, max(worst, nan) kept worst, so the NaN vanished from every residual
+        bcs = magic_square()
+        strat = mermin_bcs_strategy()
+        family = list(strat.ops[constraint])
+        f, op = family[1]
+        op = op.copy()
+        op[0, 1] = np.nan
+        family[1] = (f, op)
+        ops = strat.ops[:constraint] + (tuple(family),) + strat.ops[constraint + 1:]
+        report = verify_bcs_strategy(bcs, BCSQuantumStrategy(4, ops))
+        assert not report["ok"]
+        assert all(np.isnan(r) for r in report["residuals"].values())
+
+    def test_observable_checks_survive_optimize_flag(self, monkeypatch):
+        # explicit raises, not asserts, so the build-time checks run under python -O
+        obs = magic_square_observables()
+        obs[0], obs[3] = obs[3], obs[0]
+        monkeypatch.setattr("qgiso.quantum.magic_square_observables", lambda: obs)
+        with pytest.raises(AssertionError, match="constraint 0: observables do not commute"):
+            mermin_bcs_strategy()
+
 
 class TestStrategyToCertificate:
     def test_block_structure(self, mermin):
@@ -298,6 +322,15 @@ class TestProjectivePacking:
         report = verify_packing(g, ProjectivePacking(1, blocks))
         assert not report["ok"]
 
+    @pytest.mark.parametrize("vertex", [0, 7])
+    def test_nan_block_fails(self, mermin, vertex):
+        bcs, strat, bg, _, _ = mermin
+        _, packing = strategy_packing(bcs, strat)
+        blocks = packing.blocks.copy()
+        blocks[vertex] = np.nan
+        report = verify_packing(bg.graph, ProjectivePacking(packing.d, blocks))
+        assert not report["ok"] and "non-projector" in report["reason"]
+
     def test_non_integral_trace_rejected(self):
         g = cycle(3)
         blocks = np.zeros((3, 2, 2), dtype=complex)
@@ -345,6 +378,18 @@ class TestJsonRoundTrip:
         bcs, strat, _, _, _ = mermin
         back = strategy_from_json(strategy_to_json(strat), bcs)
         assert verify_bcs_strategy(bcs, back)["ok"]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("constraint", "first", "entry 3: malformed constraint"),
+        ("f", ["x1", 0], "entry 3: malformed constraint"),
+        ("matrix", [[1, 0]], "entry 3: matrix must be rows"),
+    ], ids=["constraint", "assignment", "matrix"])
+    def test_malformed_strategy_entry(self, mermin, field, value, message):
+        bcs, strat, _, _, _ = mermin
+        doc = json.loads(strategy_to_json(strat))
+        doc["entries"][3][field] = value
+        with pytest.raises(ParseError, match=message):
+            strategy_from_json(json.dumps(doc), bcs)
 
 
 class TestRelMismatchOrthogonality:
