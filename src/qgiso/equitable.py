@@ -1,12 +1,14 @@
 """Equitable partitions, color refinement, and fractional isomorphism.
 
-All arithmetic here is exact (naturals and ``fractions.Fraction``); the
-fractional-isomorphism decision certifies its YES answers with a verified
-doubly stochastic matrix.
+All arithmetic here is exact: naturals, ``fractions.Fraction`` witnesses,
+and integer numerators over a common denominator when a witness is checked.
+The fractional-isomorphism decision certifies its YES answers with a
+verified doubly stochastic matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -151,36 +153,37 @@ def common_equitable_partition(g: Graph, h: Graph):
     return cep
 
 
-def fraction_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _int_dtype(bound):
+    """int64 for integers whose magnitudes, and those of all their sums, are
+    at most ``bound`` < 2^62, so a difference of two cannot overflow either;
+    else object, which holds Python ints."""
+    return np.int64 if bound < 2 ** 62 else object
 
 
 def verify_ds_witness(g: Graph, h: Graph, D):
     """Check D is doubly stochastic and intertwines the adjacency matrices.
 
-    D is a list-of-lists of Fractions, |V(G)| x |V(H)|.  Returns (True, None)
-    or (False, description of the first violation).  All checks are exact.
+    D is a list-of-lists of Fractions (or ints), |V(G)| x |V(H)|.  Returns
+    (True, None) or (False, description of the first violation).  All
+    checks are exact, on M = L D, integers over L, the lcm of D's
+    denominators (int64, or Python ints past the ``_int_dtype`` guard):
+    M >= 0, every row and column of M sums to L, and A_G M = M A_H.
     """
     if len(D) != g.n or any(len(row) != h.n for row in D):
         raise GraphError("witness dimensions do not match the graphs")
-    for i, row in enumerate(D):
-        for j, x in enumerate(row):
-            if x < 0:
-                return False, f"negative entry at ({i}, {j})"
-    for i, row in enumerate(D):
-        if sum(row) != 1:
-            return False, f"row {i} sums to {sum(row)}"
-    for j in range(h.n):
-        s = sum(D[i][j] for i in range(g.n))
-        if s != 1:
-            return False, f"column {j} sums to {s}"
-    # exact A_G D = D A_H
-    for i in range(g.n):
-        for j in range(h.n):
-            lhs = sum(D[int(u)][j] for u in g.neighbors(i))
-            rhs = sum(D[i][int(w)] for w in h.neighbors(j))
-            if lhs != rhs:
-                return False, f"A_G D != D A_H at ({i}, {j}): {lhs} vs {rhs}"
+    L = math.lcm(*{x.denominator for row in D for x in row})
+    M = [x.numerator * (L // x.denominator) for row in D for x in row]
+    dtype = _int_dtype(max(L, max(map(abs, M), default=0)) * max(g.n, h.n))
+    M = np.array(M, dtype=dtype).reshape(g.n, h.n)
+    for i, j in np.argwhere(M < 0)[:1]:
+        return False, f"negative entry at ({i}, {j})"
+    for name, sums in (("row", M.sum(axis=1)), ("column", M.sum(axis=0))):
+        for i in np.flatnonzero(sums != L)[:1]:
+            return False, f"{name} {i} sums to {Fraction(int(sums[i]), L)}"
+    lhs, rhs = g.adj.astype(dtype) @ M, M @ h.adj.astype(dtype)
+    for i, j in np.argwhere(lhs != rhs)[:1]:
+        return False, (f"A_G D != D A_H at ({i}, {j}): "
+                       f"{Fraction(int(lhs[i, j]), L)} vs {Fraction(int(rhs[i, j]), L)}")
     return True, None
 
 

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qgiso import graphs as gmod
 from qgiso.equitable import CommonEquitablePartition, verify_common_equitable
+from qgiso.games import iso_game_predicate
 from qgiso.graphs import Graph, from_edges
 
 
@@ -99,6 +101,87 @@ def brute_force_isomorphic(g, h):
         ):
             return True
     return False
+
+
+# --- Fraction-loop oracles for the exact correlation path -----------------
+# The verifiers and the six-loop builder that the integer arrays replaced,
+# kept as the oracle for their verdicts and tables.  They read and make a
+# {key: Fraction} dict.
+
+def oracle_distribution(table, N):
+    for key, v in table.items():
+        if v < 0:
+            return False
+    sums = {}
+    for (x_a, x_b, _, _), v in table.items():
+        sums[(x_a, x_b)] = sums.get((x_a, x_b), Fraction(0)) + v
+    return all(sums.get((x_a, x_b), Fraction(0)) == 1 for x_a in range(N) for x_b in range(N))
+
+
+def oracle_nonsignalling(table, N):
+    marg_a, marg_b = {}, {}
+    for (x_a, x_b, y_a, y_b), v in table.items():
+        marg_a[(x_a, y_a, x_b)] = marg_a.get((x_a, y_a, x_b), Fraction(0)) + v
+        marg_b[(x_b, y_b, x_a)] = marg_b.get((x_b, y_b, x_a), Fraction(0)) + v
+    for marg in (marg_a, marg_b):
+        grouped = {}
+        for (x, y, other), v in marg.items():
+            grouped.setdefault((x, y), {})[other] = v
+        for by_other in grouped.values():
+            vals = [by_other.get(o, Fraction(0)) for o in range(N)]
+            if any(vals[o] != vals[0] for o in range(1, N)):
+                return False
+    return True
+
+
+def oracle_perfect(table, g, h):
+    return all(v == 0 or iso_game_predicate(g, h, *key) for key, v in table.items())
+
+
+def oracle_ns_table(g, h, cep):
+    n = g.n
+    sizes = cep.sizes()
+    cbar = cep.cbar()
+    table = {}
+
+    def put(key, value):
+        old = table.get(key)
+        if old is None:
+            table[key] = value
+        elif old != value:
+            raise AssertionError(f"reflection clauses disagree at {key}")
+
+    for i in range(cep.k):
+        n_i = sizes[i]
+        for j in range(cep.k):
+            for gv in cep.cells_g[i]:
+                for gw in cep.cells_g[j]:
+                    for hv in cep.cells_h[i]:
+                        for hw in cep.cells_h[j]:
+                            if gv != gw and g.adj[gv, gw] and hv != hw and h.adj[hv, hw]:
+                                v = Fraction(1, n_i * cep.c[i][j])
+                            elif (gv != gw and not g.adj[gv, gw]
+                                  and hv != hw and not h.adj[hv, hw]):
+                                v = Fraction(1, n_i * cbar[i][j])
+                            elif gv == gw and hv == hw:
+                                v = Fraction(1, n_i)
+                            else:
+                                continue
+                            tg, tw = gv, gw
+                            th, tw2 = hv + n, hw + n
+                            put((tg, tw, th, tw2), v)
+                            put((tg, tw2, th, tw), v)
+                            put((th, tw, tg, tw2), v)
+                            put((th, tw2, tg, tw), v)
+    return table
+
+
+def oracle_format_exact(inputs, table):
+    lines = [f"corr {len(inputs)} exact", " ".join(inputs)]
+    for (x_a, x_b, y_a, y_b), v in sorted(table.items()):
+        if v != 0:
+            lines.append(f"{x_a} {x_b} {y_a} {y_b} {v.numerator}/{v.denominator}")
+    return "\n".join(lines) + "\n"
 
 
 # --- fractionally isomorphic pair generator --------------------------------

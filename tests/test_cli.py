@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,30 @@ import pytest
 
 import qgiso
 
-from conftest import cycle, two_k3
+from fractions import Fraction
+
+from conftest import (
+    cep_pair,
+    cycle,
+    oracle_distribution,
+    oracle_format_exact,
+    oracle_nonsignalling,
+    oracle_ns_table,
+    oracle_perfect,
+    two_k3,
+)
 from qgiso.cli import main
-from qgiso.graphs import format_graph
+from qgiso.graphs import format_graph, parse_graph
 from qgiso.bcs import bcs_graph, format_bcs, homogenize, magic_square
 from qgiso import quantum as qmod
+from qgiso.correlations import (
+    Correlation,
+    format_correlation,
+    ns_iso,
+    parse_correlation,
+    verify_nonsignalling,
+)
+from qgiso.equitable import common_equitable_partition
 
 
 @pytest.fixture
@@ -163,6 +183,79 @@ def test_ns_verify_malformed_correlation_exits_2(tmp_path, capsys, text, line):
     assert main(["ns", "verify", str(g), str(g), str(corr)]) == 2
     err = capsys.readouterr().err
     assert f"line {line}" in err and "Traceback" not in err
+
+
+def _ns_pairs():
+    yield cycle(6), two_k3()
+    rng = random.Random(6)
+    while True:  # a three-cell pair, as the benchmark's equitable-cell pairs
+        g, h, cep = cep_pair(rng)
+        if cep.k == 3:
+            yield g, h
+            return
+
+
+def test_ns_build_writes_the_six_loop_table(tmp_path):
+    for g, h in _ns_pairs():
+        gf, hf, out = tmp_path / "g.g", tmp_path / "h.g", tmp_path / "out.corr"
+        gf.write_text(format_graph(g))
+        hf.write_text(format_graph(h))
+        assert main(["--out", str(out), "ns", "build", str(gf), str(hf)]) == 0
+        g, h = parse_graph(gf.read_text()), parse_graph(hf.read_text())
+        table = oracle_ns_table(g, h, common_equitable_partition(g, h))
+        tokens = tuple("G:" + l for l in g.labels) + tuple("H:" + l for l in h.labels)
+        assert out.read_text() == oracle_format_exact(tokens, table)
+
+
+def test_ns_verify_exit_codes_on_perturbed_files(tmp_path):
+    """Half an entry moved to another output, or an entry scaled by 3/2, as
+    the benchmark's perturbed files do; the exit code follows the oracles."""
+    for (g, h), kind in zip(_ns_pairs(), ("move", "scale")):
+        gf, hf = tmp_path / "g.g", tmp_path / "h.g"
+        gf.write_text(format_graph(g))
+        hf.write_text(format_graph(h))
+        g, h = parse_graph(gf.read_text()), parse_graph(hf.read_text())
+        _, corr = ns_iso(g, h)
+        table = dict(corr.table)
+        key = sorted(table)[len(table) // 3]
+        if kind == "move":
+            other = key[:2] + ((key[2] + 1) % corr.size, key[3])
+            table[other] = table.get(other, Fraction(0)) + table[key] / 2
+            table[key] /= 2
+        else:
+            table[key] *= Fraction(3, 2)
+        for t, code in ((dict(corr.table), 0), (table, 1)):
+            path = tmp_path / "p.corr"
+            path.write_text(format_correlation(Correlation(corr.inputs, "exact", t)))
+            oracle = (oracle_distribution(t, corr.size) and oracle_nonsignalling(t, corr.size)
+                      and oracle_perfect(t, g, h))
+            assert code == (0 if oracle else 1)
+            assert main(["ns", "verify", str(gf), str(hf), str(path)]) == code
+
+
+@pytest.mark.parametrize("entry", ["0 0 2.0 2 1/2", "0 0 2 two 1/2", "0 0 2 2 nan",
+                                   "0 0 2 2 1/2 7", "0 0 5 2 1/2"])
+def test_ns_verify_malformed_exact_key_exits_2(tmp_path, capsys, entry):
+    g = tmp_path / "k2.g"
+    g.write_text("v a\nv b\ne a b\n")
+    corr = tmp_path / "bad.corr"
+    corr.write_text(f"corr 4 exact\nG:a G:b H:a H:b\n0 0 2 2 1/2\n{entry}\n")
+    assert main(["ns", "verify", str(g), str(g), str(corr)]) == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and "Traceback" not in err
+
+
+def test_ns_verify_exact_file_past_int64(tmp_path):
+    """A parsed file whose common denominator times nnz overflows int64 is
+    checked with Python ints."""
+    p = 2 ** 61 - 1
+    text = ("corr 2 exact\n0 1\n"
+            f"0 0 0 0 1/{p}\n0 0 1 0 {p - 1}/{p}\n0 1 0 0 1/1\n1 0 0 0 1/1\n1 1 0 0 1/1\n")
+    corr = parse_correlation(text)
+    assert corr.table.data.dtype == object
+    ok, violation = verify_nonsignalling(corr)
+    assert not ok and violation[5:] == (Fraction(1, p), Fraction(1))
+    assert format_correlation(corr) == text
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cep_pair, cycle, graph_from_bits, path, star, two_k3
+from conftest import (
+    cep_pair,
+    cycle,
+    graph_from_bits,
+    oracle_distribution,
+    oracle_format_exact,
+    oracle_nonsignalling,
+    oracle_ns_table,
+    oracle_perfect,
+    path,
+    star,
+    two_k3,
+)
 from qgiso.correlations import (
     Correlation,
     build_ns_correlation,
@@ -242,7 +254,7 @@ class TestFloatTableValidation:
         order = [5, 0, 7, 2, 1, 6, 3, 4]
         corr = Correlation(("0", "1"), "float",
                            ([keys[i] for i in order], [values[i] + i for i in order]))
-        assert corr.table.keys.tolist() == [list(k) for k in keys]
+        assert corr.table.coords.tolist() == [list(k) for k in keys]
         for i, k in enumerate(keys):
             assert corr.get(*k) == values[i] + i
         assert corr.get(0, 0, 0, 1) == 0.0 and corr.get(1, 1, 1, 1) == 0.0
@@ -284,7 +296,7 @@ def _dense_verdicts(table, g, h, t):
         (marg_b.max(axis=0) - marg_b.min(axis=0)).max() > t)
     perfect = None
     if g is not None:
-        perfect = not (float(np.where(_dense_winning_mask(g, h), 0.0, table).max()) > t)
+        perfect = not (float(np.abs(np.where(_dense_winning_mask(g, h), 0.0, table)).max()) > t)
     return distribution, nonsignalling, perfect
 
 
@@ -345,3 +357,203 @@ class TestCoordinateVerifiersMatchDense:
         assert verify_nonsignalling(corr)[0] == nonsignalling
         if g is not None:
             assert verify_perfect_iso_strategy(corr, g, g)[0] == perfect
+
+
+class TestExactTableValidation:
+    """Exact tables go through the same key and value checks as float ones."""
+
+    @pytest.mark.parametrize("table", [
+        {(0, 0, 5, -1): Fraction(1)},
+        {(0, 0, 2, 0): Fraction(1)},
+        {(0.5, 0, 0, 0): Fraction(1)},
+        {("0", 0, 0, 0): Fraction(1)},
+        {(0, 0, 0): Fraction(1)},
+    ], ids=["negative", "past-N", "float-key", "string-key", "short-key"])
+    def test_bad_key(self, table):
+        with pytest.raises(GraphError):
+            Correlation(("0", "1"), "exact", table)
+
+    def test_repeated_key(self):
+        keys, values = map(list, zip(*sorted(pr_box().table.items())))
+        with pytest.raises(GraphError, match="repeats"):
+            Correlation(("0", "1"), "exact", (keys + [keys[3]], values + [Fraction(0)]))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1/2", None, 1j])
+    def test_bad_value(self, value):
+        with pytest.raises(GraphError):
+            Correlation(("0", "1"), "exact", {(0, 0, 0, 0): value})
+
+    def test_common_denominator(self):
+        corr = Correlation(("0", "1"), "exact",
+                           {(0, 0, 0, 0): Fraction(1, 6), (1, 0, 1, 1): Fraction(3, 4),
+                            (0, 1, 1, 0): 2, (1, 1, 0, 1): 0.5})
+        assert corr.table.denominator == 12 and corr.table.data.dtype == np.int64
+        assert corr.table.data.tolist() == [2, 24, 9, 6]
+        assert dict(corr.table) == {(0, 0, 0, 0): Fraction(1, 6), (0, 1, 1, 0): 2,
+                                    (1, 0, 1, 1): Fraction(3, 4), (1, 1, 0, 1): Fraction(1, 2)}
+        assert corr.get(1, 1, 0, 1) == Fraction(1, 2) and corr.get(1, 1, 1, 1) == 0
+
+    def test_mapping_view(self):
+        table = pr_box().table
+        assert len(table) == 8 and table[(1, 1, 1, 0)] == Fraction(1, 2)
+        assert (0, 1, 0, 0) in table and (0.5, 0, 0, 0) not in table  # 0.5 would alias
+        assert (0, 0, 0, 1) not in table and (0, 0, 0, 2) not in table
+        with pytest.raises(TypeError):
+            table[(0, 0, 0, 1)] = Fraction(1)
+
+    def test_overflow_guard_falls_back_to_python_ints(self):
+        p, q = 2 ** 61 - 1, 2 ** 31 - 1  # primes, so the lcm is p q > 2^62
+        table = {(0, 0, 0, 0): Fraction(1, p), (0, 0, 1, 0): Fraction(p - 1, p),
+                 (0, 1, 0, 0): Fraction(1, q), (0, 1, 1, 1): Fraction(q - 1, q),
+                 (1, 0, 0, 0): Fraction(1), (1, 1, 0, 0): Fraction(1)}
+        corr = Correlation(("0", "1"), "exact", table)
+        assert corr.table.data.dtype == object and corr.table.denominator == p * q
+        assert dict(corr.table) == table
+        assert verify_distribution(corr) == (True, None)
+        ok, violation = verify_nonsignalling(corr)
+        assert not ok and violation == ("A", 0, 0, 0, 1, Fraction(1, p), Fraction(1, q))
+
+
+def _assert_real_violation(corr, table, g):
+    """Re-check each reported violation against the Fraction table."""
+    N = corr.size
+    ok, why = verify_distribution(corr)
+    if not ok:
+        if why.startswith("negative entry at "):
+            assert table[tuple(int(t) for t in why[19:-1].split(", "))] < 0
+        else:
+            pair, total = why[len("inputs ("):].split(") sum to ")
+            x_a, x_b = (int(t) for t in pair.split(", "))
+            s = sum((v for k, v in table.items() if k[:2] == (x_a, x_b)), Fraction(0))
+            assert s == Fraction(total) and s != 1
+    ok, why = verify_nonsignalling(corr)
+    if not ok:
+        side, x, y, o1, o2, v1, v2 = why
+        def marginal(o):
+            keys = [(x, o, y, z) if side == "A" else (o, x, z, y) for z in range(N)]
+            return sum((table.get(k, Fraction(0)) for k in keys), Fraction(0))
+        assert (marginal(o1), marginal(o2)) == (v1, v2) and v1 != v2
+    if g is not None:
+        ok, why = verify_perfect_iso_strategy(corr, g, g)
+        if not ok:
+            from qgiso.games import iso_game_predicate
+
+            assert why[4] != 0 and table.get(why[:4], Fraction(0)) == why[4]
+            assert not iso_game_predicate(g, g, *why[:4])
+
+
+@st.composite
+def _exact_tables(draw):
+    """A {key: Fraction} table on N <= 4 tokens, built like ``_float_tables``,
+    then perturbed: mass moved, an entry scaled, a negative entry added or
+    an input pair dropped.  With ``huge`` the local rows get denominators
+    near 2^61, so the common denominator overflows int64."""
+    N = draw(st.integers(1, 4))
+    g = None
+    if N % 2 == 0:
+        n = N // 2
+        g = graph_from_bits(n, draw(st.integers(0, 2 ** (n * (n - 1) // 2) - 1)))
+    table = {}
+    if g is not None and draw(st.booleans()):
+        phi = draw(st.permutations(range(n)))
+        for a in range(n):
+            for b in range(n):
+                for key in ((a, b, phi[a] + n, phi[b] + n), (phi[a] + n, phi[b] + n, a, b),
+                            (a, phi[b] + n, phi[a] + n, b), (phi[a] + n, b, a, phi[b] + n)):
+                    table[key] = Fraction(1)
+    else:
+        huge = draw(st.booleans())
+        local = []
+        for _ in range(2):
+            w = [draw(st.lists(st.integers(0, 3), min_size=N, max_size=N)) for _ in range(N)]
+            for row in w:
+                if huge:
+                    row[0] += 2 ** 61 + draw(st.integers(0, 99))
+                elif not any(row):
+                    row[0] = 1
+            local.append([[Fraction(v, sum(row)) for v in row] for row in w])
+        for a, b, y, z in np.ndindex(N, N, N, N):
+            if local[0][a][y] * local[1][b][z]:
+                table[(a, b, y, z)] = local[0][a][y] * local[1][b][z]
+    index = st.tuples(*[st.integers(0, N - 1)] * 4)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["move", "scale", "negative", "drop"]))
+        key = draw(index)
+        if kind == "move" and table.get(key):
+            other = key[:2] + draw(index)[2:]
+            table[other] = table.get(other, Fraction(0)) + table[key] / 2
+            table[key] /= 2
+        elif kind == "scale" and table.get(key):
+            table[key] *= draw(st.sampled_from([Fraction(3, 2), Fraction(1, 3), Fraction(0)]))
+        elif kind == "negative":
+            table[key] = table.get(key, Fraction(0)) - Fraction(1, draw(st.integers(1, 7)))
+        elif kind == "drop":
+            table = {k: v for k, v in table.items() if k[:2] != key[:2]}
+    return table, N, g
+
+
+class TestExactVerifiersMatchFractionLoops:
+    @settings(max_examples=400, deadline=None)
+    @given(case=_exact_tables(), data=st.data())
+    def test_same_verdicts(self, case, data):
+        table, N, g = case
+        items = list(table.items())
+        items = [items[i] for i in data.draw(st.permutations(range(len(items))))]
+        corr = Correlation(tuple(str(i) for i in range(N)), "exact", dict(items))
+        assert dict(corr.table) == table
+        assert verify_distribution(corr)[0] == oracle_distribution(table, N)
+        assert verify_nonsignalling(corr)[0] == oracle_nonsignalling(table, N)
+        if g is not None:
+            assert verify_perfect_iso_strategy(corr, g, g)[0] == oracle_perfect(table, g, g)
+        _assert_real_violation(corr, table, g)
+
+    def test_object_fallback_is_reached(self):
+        w = 2 ** 61
+        local = [[Fraction(w + 1, w + 3), Fraction(2, w + 3)],
+                 [Fraction(w, w + 7), Fraction(7, w + 7)]]
+        table = {(a, b, y, z): local[a][y] * local[b][z] for a, b, y, z in np.ndindex(2, 2, 2, 2)}
+        corr = Correlation(("0", "1"), "exact", table)
+        assert corr.table.data.dtype == object
+        assert verify_distribution(corr)[0] and verify_nonsignalling(corr)[0]
+        table[(1, 1, 0, 0)] += Fraction(1, w + 5)
+        corr = Correlation(("0", "1"), "exact", table)
+        assert not verify_distribution(corr)[0] and not verify_nonsignalling(corr)[0]
+        _assert_real_violation(corr, table, None)
+
+
+def _regular_pairs():
+    from qgiso.graphs import Graph
+
+    def circulant(n, offsets, prefix):
+        adj = np.zeros((n, n), dtype=bool)
+        for a in range(n):
+            for o in offsets:
+                adj[a, (a + o) % n] = adj[(a + o) % n, a] = True
+        return Graph(tuple(f"{prefix}{i}" for i in range(n)), adj)
+
+    yield cycle(6), two_k3()
+    yield circulant(8, (1, 4), "g"), circulant(8, (2, 4), "h")  # 3-regular, 8 vertices
+    yield circulant(10, (1, 2), "g"), circulant(10, (1, 3), "h")
+    yield circulant(12, (1, 6), "g"), circulant(12, (3, 6), "h")
+
+
+class TestBuilderMatchesSixLoops:
+    def _check(self, g, h):
+        cep = common_equitable_partition(g, h)
+        corr = build_ns_correlation(g, h, cep)
+        oracle = oracle_ns_table(g, h, cep)
+        assert corr.table.data.dtype == np.int64
+        assert len(corr.table) == len(oracle) and dict(corr.table) == oracle
+        assert format_correlation(corr) == oracle_format_exact(corr.inputs, oracle)
+        n = g.n
+        assert correlation_to_ds_witness(corr, g, h) == [
+            [oracle.get((a, a, b + n, b + n), 0) for b in range(h.n)] for a in range(n)]
+
+    def test_regular_pairs(self):
+        for g, h in _regular_pairs():
+            self._check(g, h)
+
+    def test_cep_pairs(self, rng):
+        for _ in range(8):
+            g, h, _ = cep_pair(rng)
+            self._check(g, h)

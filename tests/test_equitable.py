@@ -160,3 +160,79 @@ class TestDsWitness:
             D = build_ds_witness(cep)
             ok, violation = verify_ds_witness(g, h, D)
             assert ok, violation
+
+
+def _oracle_verify_ds_witness(g, h, D):
+    """The Fraction-loop check that the integer-array one replaced."""
+    for i, row in enumerate(D):
+        for j, x in enumerate(row):
+            if x < 0:
+                return False, f"negative entry at ({i}, {j})"
+    for i, row in enumerate(D):
+        if sum(row) != 1:
+            return False, f"row {i} sums to {sum(row)}"
+    for j in range(h.n):
+        s = sum(D[i][j] for i in range(g.n))
+        if s != 1:
+            return False, f"column {j} sums to {s}"
+    for i in range(g.n):
+        for j in range(h.n):
+            lhs = sum(D[int(u)][j] for u in g.neighbors(i))
+            rhs = sum(D[i][int(w)] for w in h.neighbors(j))
+            if lhs != rhs:
+                return False, f"A_G D != D A_H at ({i}, {j}): {lhs} vs {rhs}"
+    return True, None
+
+
+def _mutations(D, rng):
+    """D itself, then copies with a negative entry, a broken row, a broken
+    column, and two doubly stochastic matrices that may break the
+    intertwining: D with columns 0 and j swapped, and the identity."""
+    n = len(D)
+    yield D
+    i, j = rng.randrange(n), rng.randrange(n)
+    negative = [row[:] for row in D]
+    negative[i][j] -= Fraction(1, 2 * n)
+    negative[i][(j + 1) % n] += Fraction(1, 2 * n)
+    yield negative
+    row = [r[:] for r in D]
+    row[i][j] += Fraction(1, 3)
+    yield row
+    col = [r[:] for r in D]
+    col[i][j] += Fraction(1, 5)
+    col[i][(j + 1) % n] -= Fraction(1, 5)
+    yield col
+    yield [[r[j]] + r[1:j] + [r[0]] + r[j + 1:] if j else r[:] for r in D]
+    yield [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
+
+
+class TestDsWitnessMatchesFractionLoops:
+    def _pairs(self, rng):
+        yield cycle(6), two_k3()
+        for _ in range(6):
+            g, h, _ = cep_pair(rng)
+            yield g, h
+        yield complete(5), complete(5)
+
+    def test_same_verdicts_on_mutated_witnesses(self, rng):
+        seen = set()
+        for g, h in self._pairs(rng):
+            _, D = fractional_iso(g, h)
+            for M in _mutations(D, rng):
+                got = verify_ds_witness(g, h, M)
+                assert got == _oracle_verify_ds_witness(g, h, M)
+                seen.add(got[1].split()[0] if not got[0] else "ok")
+        assert seen == {"ok", "negative", "row", "column", "A_G"}
+
+    def test_object_fallback(self):
+        # a 2 x 2 exchange of 1/p keeps C6 vs 2K3's witness doubly
+        # stochastic; p is prime, so the lcm 6p times n overflows int64
+        p = 2 ** 61 - 1
+        D = [[Fraction(1, 6)] * 6 for _ in range(6)]
+        for i, j, s in ((0, 0, 1), (0, 1, -1), (1, 0, -1), (1, 1, 1)):
+            D[i][j] += s * Fraction(1, p)
+        g, h = cycle(6), two_k3()
+        got = verify_ds_witness(g, h, D)
+        assert not got[0] and got == _oracle_verify_ds_witness(g, h, D)
+        D[0][0] = -D[0][0]
+        assert verify_ds_witness(g, h, D) == _oracle_verify_ds_witness(g, h, D)

@@ -146,7 +146,7 @@ class TestCertificateCorrelation:
         _, _, bg, bg0, cert = mermin
         corr = certificate_correlation(cert, bg.graph, bg0.graph)
         g, h = bg.graph, bg0.graph
-        positive = corr.table.keys[corr.table.values > 1e-8].tolist()
+        positive = corr.table.coords[corr.table.data > 1e-8].tolist()
         for ga, gb, ha, hb in positive:
             if ga < 24 and gb < 24 and ha >= 24 and hb >= 24 and g.adj[ga, gb]:
                 assert h.adj[ha - 24, hb - 24]
@@ -160,8 +160,8 @@ class TestCertificateCorrelation:
         ext[:n, n:] = cert.blocks
         ext[n:, :n] = cert.blocks.transpose(1, 0, 2, 3)
         dense = (np.einsum("XYij,ABji->XAYB", ext, ext) / d).real
-        assert np.array_equal(corr.table.keys, np.argwhere(dense != 0))
-        assert np.array_equal(corr.table.values, dense[dense != 0])
+        assert np.array_equal(corr.table.coords, np.argwhere(dense != 0))
+        assert np.array_equal(corr.table.data, dense[dense != 0])
 
     def test_pentagram_entries_lie_on_nonzero_blocks(self):
         # Mermin's pentagram: X1 X2 X3 Y1 Y2 Y3 XXX YYX YXY XYY, d = 8
@@ -186,10 +186,10 @@ class TestCertificateCorrelation:
         bg, bg0, cert = strategy_to_certificate(system, strat)
         g, h = bg.graph, bg0.graph
         corr = certificate_correlation(cert, g, h)
-        assert len(corr.table.keys) == 174_080
+        assert len(corr.table.coords) == 174_080
         nonzero = np.any(cert.blocks != 0, axis=(2, 3))
         n = g.n
-        for x_a, x_b, y_a, y_b in corr.table.keys.tolist():
+        for x_a, x_b, y_a, y_b in corr.table.coords.tolist():
             for q, a in ((x_a, y_a), (x_b, y_b)):
                 assert (q < n) != (a < n)
                 assert nonzero[min(q, a), max(q, a) - n]
