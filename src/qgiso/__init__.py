@@ -59,6 +59,7 @@ from .quantum import (
     QuantumIsoCertificate,
     certificate_correlation,
     mermin_bcs_strategy,
+    observable_strategy,
     quantum_reduction_report,
     strategy_packing,
     strategy_to_certificate,

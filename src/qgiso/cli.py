@@ -238,8 +238,7 @@ def cmd_quantum_packing(args):
 
 
 def cmd_quantum_mermin_demo(args):
-    system = bcsmod.magic_square()
-    report = qmod.quantum_reduction_report(system, tol=args.tol)
+    report = qmod.quantum_reduction_report(bcsmod.magic_square(), tol=args.tol)
     payload = {
         "num_vertices": report["num_vertices"],
         "satisfiable": report["satisfiable"],
@@ -258,8 +257,7 @@ def cmd_quantum_mermin_demo(args):
         _emit(args, "quantum mermin-demo", "FAIL", payload)
         return EXIT_REFUTED
     if args.out:
-        bg, bg0, cert = qmod.strategy_to_certificate(system, qmod.mermin_bcs_strategy(args.tol))
-        Path(args.out).write_text(qmod.certificate_to_json(cert, bg.graph, bg0.graph))
+        Path(args.out).write_text(qmod.certificate_to_json(report["witness"], *report["graphs"]))
     _emit(args, "quantum mermin-demo", "QUANTUM ISOMORPHIC, NOT ISOMORPHIC", payload)
     return EXIT_OK
 

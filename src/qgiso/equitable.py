@@ -75,14 +75,20 @@ def _check_counting_identity(p: EquitablePartition):
                 raise AssertionError("partition-number counting identity violated")
 
 
+def _colour_cells(colors):
+    """The vertices of each colour 0..k-1, in one pass."""
+    cells = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    return cells
+
+
 def color_refinement(g: Graph):
     """Coarsest equitable partition of g, by 1-dimensional refinement.
 
     The result is re-verified before returning.
     """
-    colors = _refine(_neighbour_lists(g), [0] * g.n)
-    k = max(colors) + 1
-    cells = [tuple(v for v in range(g.n) if colors[v] == i) for i in range(k)]
+    cells = _colour_cells(_refine(_neighbour_lists(g), [0] * g.n))
     part, violation = verify_equitable(g, cells)
     if violation is not None:
         raise AssertionError("refinement produced a non-equitable partition")
@@ -136,14 +142,9 @@ def common_equitable_partition(g: Graph, h: Graph):
     colors = _refine(_neighbour_lists(union), [0] * union.n, split=off_h)
     if colors is None:
         return None
-    k = max(colors) + 1
-    cells_g, cells_h = [], []
-    for i in range(k):
-        cls = [v for v in range(union.n) if colors[v] == i]
-        part_g = tuple(v for v in cls if v < off_h)
-        part_h = tuple(v - off_h for v in cls if v >= off_h)
-        cells_g.append(part_g)
-        cells_h.append(part_h)
+    cells = _colour_cells(colors)
+    cells_g = [tuple(v for v in cell if v < off_h) for cell in cells]
+    cells_h = [tuple(v - off_h for v in cell if v >= off_h) for cell in cells]
     pg, vio = verify_equitable(g, cells_g)
     if vio is not None:
         raise AssertionError("refinement cells not equitable on the first graph")

@@ -16,13 +16,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
-from .bcs import LinBCS, bcs_graph, homogenize, magic_square, satisfying_assignments, solve_gf2
-from .correlations import Correlation, iso_game_tokens
+from .bcs import (LinBCS, bcs_graph, classical_reduction_report, homogenize, magic_square,
+                  satisfying_assignments)
+from .correlations import Correlation, iso_game_tokens, verify_nonsignalling, verify_perfect_iso_strategy
 from .games import bcs_game_predicate, rel_codes
-from .graphs import Graph, GraphError, ParseError
+from .graphs import Graph, GraphError, ParseError, cospectral_mates
 
 DEFAULT_TOL = 1e-9
 MAX_BLOCK_DIM = 64
@@ -46,6 +49,17 @@ def projector_residuals(a):
     idem = np.linalg.norm(a @ a - a, axis=(-2, -1)).max()
     herm = np.linalg.norm(a - a.conj().swapaxes(-2, -1), axis=(-2, -1)).max()
     return float(idem), float(herm)
+
+
+def _within(tol, *residuals):
+    # np.max keeps a NaN residual, where Python's max() can drop it
+    return float(np.max(residuals)) <= tol
+
+
+def _pair_traces(a, b):
+    """tr(a_i b_j) for every pair from two (k, d, d) operator stacks, as one
+    product of the stacks flattened to d^2 entries: tr(A B) = vec(A) . vec(B^T)."""
+    return a.reshape(len(a), -1) @ b.swapaxes(1, 2).reshape(len(b), -1).T
 
 
 def assemble(blocks):
@@ -79,12 +93,10 @@ def verify_ppm(blocks, tol=DEFAULT_TOL):
         "col_sum": col,
         "unitarity": unit,
     }
-    sums_ok = max(idem, herm, row, col) <= tol
-    unitary_ok = max(idem, herm, unit) <= tol
+    sums_ok = _within(tol, idem, herm, row, col)
+    unitary_ok = _within(tol, idem, herm, unit)
     # the characterizations are equivalent; allow norm-growth slack of n*d
-    consistent = sums_ok == unitary_ok or not (
-        max(idem, herm, row, col) > tol * n * d or unit > tol * n * d
-    )
+    consistent = sums_ok == unitary_ok or _within(tol * n * d, idem, herm, row, col, unit)
     return {"ok": sums_ok and unitary_ok, "consistent": consistent, "residuals": residuals}
 
 
@@ -128,9 +140,9 @@ def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol
     M = E[nz_g, nz_h]
     P = M.conj().swapaxes(-2, -1) @ M
     Q = M @ M.conj().swapaxes(-2, -1)
-    prod_sq = np.einsum("aij,bji->ab", P, Q).real
+    prod_sq = _pair_traces(P, Q).real
     mismatch = rel_codes(g)[np.ix_(nz_g, nz_g)] != rel_codes(h)[np.ix_(nz_h, nz_h)]
-    orth = float(np.sqrt(np.abs(prod_sq[mismatch]).max())) if mismatch.any() else 0.0
+    orth = float(np.sqrt(np.max(np.abs(prod_sq[mismatch]), initial=0.0)))
 
     big = assemble(E)
     ag = np.kron(g.adj.astype(float), np.eye(d))
@@ -146,11 +158,9 @@ def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol
         "intertwining": intertwine,
         "unitarity": r["unitarity"],
     }
-    direct_ok = max(idem, herm, row, col, orth) <= tol
-    intertwine_ok = max(idem, herm, row, col, intertwine) <= tol
-    consistent = direct_ok == intertwine_ok or not (
-        orth > tol * n * d or intertwine > tol * n * d
-    )
+    direct_ok = _within(tol, idem, herm, row, col, orth)
+    intertwine_ok = _within(tol, idem, herm, row, col, intertwine)
+    consistent = direct_ok == intertwine_ok or _within(tol * n * d, orth, intertwine)
     return {
         "ok": direct_ok and intertwine_ok and ppm["ok"],
         "consistent": consistent and ppm["consistent"],
@@ -181,11 +191,10 @@ def certificate_correlation(cert: QuantumIsoCertificate, g: Graph, h: Graph, tol
     n, d = g.n, cert.d
     nz_g, nz_h = np.nonzero(np.any(cert.blocks != 0, axis=(2, 3)))
     blocks = cert.blocks[nz_g, nz_h]
-    k = len(blocks)
-    traces = (blocks.reshape(k, d * d) @ blocks.swapaxes(1, 2).reshape(k, d * d).T) / d
+    traces = _pair_traces(blocks, blocks) / d
     if traces.size and float(np.abs(traces.imag).max()) > tol:
         raise AssertionError("correlation has a non-real entry")
-    x = np.concatenate([nz_g, nz_h + n])  # (question, answer) pair a uses block a % k
+    x = np.concatenate([nz_g, nz_h + n])  # (question, answer) pair a uses block a % K
     y = np.concatenate([nz_h + n, nz_g])
     values = np.tile(traces.real, (2, 2))
     a, b = np.nonzero(values)
@@ -215,11 +224,10 @@ def verify_packing(g: Graph, pack: ProjectivePacking, tol=DEFAULT_TOL):
     idem, herm = projector_residuals(a)
     if not (idem <= tol and herm <= tol):  # also catches a NaN residual
         return {"ok": False, "reason": f"non-projector entry (residuals {idem:.3e}, {herm:.3e})"}
-    orth = 0.0
-    for i in range(g.n):
-        for j in g.neighbors(i):
-            if i < j:
-                orth = max(orth, frob(a[i] @ a[int(j)]))
+    # the edge products themselves, not tr(P_i P_j) = ||P_i P_j||^2, whose
+    # rounding error of ~1e-16 would read as a residual of ~1e-8
+    i, j = np.nonzero(np.triu(g.adj))
+    orth = float(np.max(np.linalg.norm(a[i] @ a[j], axis=(1, 2)), initial=0.0))
     if orth > tol:
         return {"ok": False, "reason": f"adjacent projectors not orthogonal ({orth:.3e})"}
     ranks = []
@@ -263,28 +271,28 @@ def magic_square_observables():
     ]
 
 
-def mermin_bcs_strategy(tol=DEFAULT_TOL):
-    """The dimension-4 perfect strategy for the magic-square system.
+def observable_strategy(bcs: LinBCS, observables):
+    """The perfect strategy of an operator solution: one observable per
+    variable, those of each constraint commuting with product (-1)^b I.
 
-    Measurement operators are joint-eigenspace projectors of the commuting
-    observable triple of each constraint.  The observable table is asserted
-    against all six product identities at build time rather than trusted.
+    Measurement operators are joint-eigenspace projectors of each
+    constraint's observables.  The observables are checked against every
+    condition at build time rather than trusted.
     """
-    bcs = magic_square()
-    obs = magic_square_observables()
-    eye = np.eye(4, dtype=complex)
+    obs = np.asarray(observables, dtype=complex)
+    d = obs.shape[-1]
+    if obs.shape != (bcs.n, d, d):
+        raise GraphError("expected one square observable per variable")
+    eye = np.eye(d, dtype=complex)
     for i, o in enumerate(obs):
         if not (frob(o - o.conj().T) < 1e-12 and frob(o @ o - eye) < 1e-12):
             raise AssertionError(f"observable {i} is not a hermitian involution")
-    for l, (s, b) in enumerate(bcs.constraints):
-        o1, o2, o3 = (obs[i] for i in s)
-        if not (frob(o1 @ o2 - o2 @ o1) < 1e-12 and frob(o2 @ o3 - o3 @ o2) < 1e-12
-                and frob(o1 @ o3 - o3 @ o1) < 1e-12):
-            raise AssertionError(f"constraint {l}: observables do not commute")
-        if not frob(o1 @ o2 @ o3 - (-1.0) ** b * eye) < 1e-12:
-            raise AssertionError(f"constraint {l}: observable product is not (-1)^b I")
     ops = []
-    for s, b in bcs.constraints:
+    for l, (s, b) in enumerate(bcs.constraints):
+        if not all(frob(obs[i] @ obs[j] - obs[j] @ obs[i]) < 1e-12 for i, j in combinations(s, 2)):
+            raise AssertionError(f"constraint {l}: observables do not commute")
+        if not frob(reduce(np.matmul, obs[list(s)]) - (-1.0) ** b * eye) < 1e-12:
+            raise AssertionError(f"constraint {l}: observable product is not (-1)^b I")
         family = []
         for f in satisfying_assignments(s, b):
             proj = eye
@@ -292,11 +300,12 @@ def mermin_bcs_strategy(tol=DEFAULT_TOL):
                 proj = proj @ (eye + (-1.0) ** f[i] * obs[i]) / 2
             family.append((f, proj))
         ops.append(tuple(family))
-    strat = BCSQuantumStrategy(4, tuple(ops))
-    report = verify_bcs_strategy(bcs, strat, tol)
-    if not report["ok"]:
-        raise AssertionError(f"magic-square strategy failed verification: {report}")
-    return strat
+    return BCSQuantumStrategy(d, tuple(ops))
+
+
+def mermin_bcs_strategy():
+    """The dimension-4 perfect strategy for the magic-square system."""
+    return observable_strategy(magic_square(), magic_square_observables())
 
 
 def classical_bcs_strategy(bcs: LinBCS, assignment):
@@ -319,25 +328,20 @@ def verify_bcs_strategy(bcs: LinBCS, strat: BCSQuantumStrategy, tol=DEFAULT_TOL)
         raise GraphError("strategy constraint count does not match the system")
     d = strat.d
     eye = np.eye(d)
-    proj, sums, losing = [0.0], [0.0], [0.0]
+    meta, sums = [], []
     for l, ((s, b), family) in enumerate(zip(bcs.constraints, strat.ops)):
-        expected = satisfying_assignments(s, b)
-        if [f for f, _ in family] != expected:
+        if [f for f, _ in family] != satisfying_assignments(s, b):
             raise GraphError(f"constraint {l}: assignment family mismatch")
-        total = np.zeros((d, d), dtype=complex)
-        for f, op in family:
-            proj.extend(projector_residuals(np.asarray(op)[None, None]))
-            total += op
-        sums.append(frob(total - eye))
-    for l_a, fam_a in enumerate(strat.ops):
-        for l_b, fam_b in enumerate(strat.ops):
-            for f_a, op_a in fam_a:
-                for f_b, op_b in fam_b:
-                    if not bcs_game_predicate(bcs, l_a, l_b, f_a, f_b):
-                        losing.append(abs(np.trace(op_a @ op_b)) / d)
-    # np.max keeps a NaN residual, where Python's max() can drop it
-    residuals = {"projector": float(np.max(proj)), "sum": float(np.max(sums)),
-                 "losing_probability": float(np.max(losing))}
+        meta.extend((l, f) for f, _ in family)
+        sums.append(frob(sum(op for _, op in family) - eye))
+    ops = np.array([op for family in strat.ops for _, op in family], dtype=complex)
+    losing = np.array([[not bcs_game_predicate(bcs, l_a, l_b, f_a, f_b) for l_b, f_b in meta]
+                       for l_a, f_a in meta])
+    residuals = {
+        "projector": float(np.max(projector_residuals(ops))),
+        "sum": float(np.max(sums)),
+        "losing_probability": float(np.max(np.abs(_pair_traces(ops, ops)[losing]), initial=0.0)) / d,
+    }
     return {"ok": all(r <= tol for r in residuals.values()), "residuals": residuals}
 
 
@@ -378,43 +382,41 @@ def strategy_to_certificate(bcs: LinBCS, strat: BCSQuantumStrategy):
 def quantum_reduction_report(bcs: LinBCS, strat=None, tol=DEFAULT_TOL):
     """End-to-end report for the quantum reduction on one system.
 
-    Covers classical satisfiability, the classical isomorphism verdict,
-    cospectrality, certificate residuals, the induced correlation's
-    perfection and non-signalling checks, and the packing value against the
-    constraint count.
+    The classical facts (satisfiability, the isomorphism verdict and both
+    independence numbers, checked to agree) come from
+    ``classical_reduction_report``.  This adds cospectrality, the strategy
+    check, certificate residuals, the induced correlation's perfection and
+    non-signalling checks, and the packing value against the constraint
+    count.  The verified certificate is returned as ``witness``, on the
+    graph pair ``graphs``.
     """
-    from .correlations import verify_nonsignalling, verify_perfect_iso_strategy
-    from .graphs import cospectral_mates, find_isomorphism, independence_number
-
-    assignment = solve_gf2(bcs)
+    classical = classical_reduction_report(bcs)
     if strat is None:
-        if assignment is not None:
-            strat = classical_bcs_strategy(bcs, assignment)
+        if classical["satisfiable"]:
+            strat = classical_bcs_strategy(bcs, classical["assignment"])
         elif bcs == magic_square():
-            strat = mermin_bcs_strategy(tol)
+            strat = mermin_bcs_strategy()
         else:
             raise GraphError(
                 "no strategy available: system is unsatisfiable and not the built-in magic square"
             )
     strat_report = verify_bcs_strategy(bcs, strat, tol)
     bg, bg0, cert = strategy_to_certificate(bcs, strat)
-    cert_report = verify_qiso_certificate(bg.graph, bg0.graph, cert, tol)
-    corr = certificate_correlation(cert, bg.graph, bg0.graph, tol=10 * tol)
+    g, h = bg.graph, bg0.graph
+    cert_report = verify_qiso_certificate(g, h, cert, tol)
+    corr = certificate_correlation(cert, g, h, tol=10 * tol)
     ns_ok, ns_violation = verify_nonsignalling(corr)
-    perfect_ok, losing = verify_perfect_iso_strategy(corr, bg.graph, bg0.graph)
+    perfect_ok, losing = verify_perfect_iso_strategy(corr, g, h)
     _, packing = strategy_packing(bcs, strat)
-    packing_report = verify_packing(bg.graph, packing, tol)
-    spectra = cospectral_mates(bg.graph, bg0.graph)
-    alpha = independence_number(bg.graph)
-    alpha0 = independence_number(bg0.graph)
-    phi = find_isomorphism(bg.graph, bg0.graph)
+    packing_report = verify_packing(g, packing, tol)
+    spectra = cospectral_mates(g, h)
     report = {
-        "satisfiable": assignment is not None,
-        "isomorphic": phi is not None,
-        "num_vertices": bg.graph.n,
+        "satisfiable": classical["satisfiable"],
+        "isomorphic": classical["graphs_isomorphic"],
+        "num_vertices": classical["num_vertices"],
         "m": bcs.m,
-        "alpha": alpha["alpha"],
-        "alpha_homogenized": alpha0["alpha"],
+        "alpha": classical["alpha"],
+        "alpha_homogenized": classical["alpha_homogenized"],
         "cospectral": spectra["cospectral"],
         "complements_cospectral": spectra["complements_cospectral"],
         "strategy": strat_report,
@@ -424,6 +426,8 @@ def quantum_reduction_report(bcs: LinBCS, strat=None, tol=DEFAULT_TOL):
         "packing": packing_report,
         "ok": (strat_report["ok"] and cert_report["ok"] and ns_ok and perfect_ok
                and packing_report["ok"] and packing_report.get("value") == bcs.m),
+        "witness": cert,
+        "graphs": (g, h),
     }
     if not ns_ok:
         report["nonsignalling_violation"] = ns_violation
@@ -434,8 +438,13 @@ def quantum_reduction_report(bcs: LinBCS, strat=None, tol=DEFAULT_TOL):
 
 # --- JSON round trip -------------------------------------------------------
 
-def _matrix_to_json(mat):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, dtype=complex)]
+def _family_to_json(d, entries):
+    """The matrix-family document ``_family_from_json`` reads, from
+    (keys, matrix) pairs."""
+    return json.dumps({"d": d, "entries": [
+        {**keys, "matrix": [[[float(z.real), float(z.imag)] for z in row]
+                            for row in np.asarray(mat, dtype=complex)]}
+        for keys, mat in entries]}, indent=1)
 
 
 def _family_from_json(text, keys):
@@ -476,16 +485,9 @@ def _entry_vertex(graph: Graph, label, i):
 
 
 def certificate_to_json(cert: QuantumIsoCertificate, g: Graph, h: Graph):
-    entries = []
-    for i in range(g.n):
-        for j in range(h.n):
-            if np.any(cert.blocks[i, j]):
-                entries.append({
-                    "g": g.labels[i],
-                    "h": h.labels[j],
-                    "matrix": _matrix_to_json(cert.blocks[i, j]),
-                })
-    return json.dumps({"d": cert.d, "entries": entries}, indent=1)
+    return _family_to_json(cert.d, (
+        ({"g": g.labels[i], "h": h.labels[j]}, cert.blocks[i, j])
+        for i, j in np.argwhere(np.any(cert.blocks, axis=(2, 3)))))
 
 
 def certificate_from_json(text, g: Graph, h: Graph):
@@ -502,12 +504,9 @@ def certificate_from_json(text, g: Graph, h: Graph):
 
 
 def packing_to_json(pack: ProjectivePacking, g: Graph):
-    entries = [
-        {"vertex": g.labels[i], "matrix": _matrix_to_json(pack.blocks[i])}
-        for i in range(g.n)
-        if np.any(pack.blocks[i])
-    ]
-    return json.dumps({"d": pack.d, "entries": entries}, indent=1)
+    return _family_to_json(pack.d, (
+        ({"vertex": g.labels[i]}, pack.blocks[i])
+        for i in np.flatnonzero(np.any(pack.blocks, axis=(1, 2)))))
 
 
 def packing_from_json(text, g: Graph):
@@ -524,15 +523,9 @@ def packing_from_json(text, g: Graph):
 
 
 def strategy_to_json(strat: BCSQuantumStrategy):
-    entries = []
-    for l, family in enumerate(strat.ops):
-        for f, op in family:
-            entries.append({
-                "constraint": l,
-                "f": {f"x{i + 1}": bit for i, bit in sorted(f.items())},
-                "matrix": _matrix_to_json(op),
-            })
-    return json.dumps({"d": strat.d, "entries": entries}, indent=1)
+    return _family_to_json(strat.d, (
+        ({"constraint": l, "f": {f"x{i + 1}": bit for i, bit in sorted(f.items())}}, op)
+        for l, family in enumerate(strat.ops) for f, op in family))
 
 
 def strategy_from_json(text, bcs: LinBCS):

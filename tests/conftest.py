@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qgiso import graphs as gmod
+from qgiso.bcs import LinBCS
 from qgiso.equitable import CommonEquitablePartition, verify_common_equitable
 from qgiso.games import iso_game_predicate
 from qgiso.graphs import Graph, from_edges
@@ -62,6 +63,21 @@ def random_graph(n, p, rng):
         if rng.random() < p:
             bits |= 1 << k
     return graph_from_bits(n, bits)
+
+
+# Mermin's pentagram: X1 X2 X3 Y1 Y2 Y3 XXX YYX YXY XYY
+PENTAGRAM = LinBCS(10, (((0, 1, 2, 6), 0), ((3, 4, 2, 7), 0), ((3, 1, 5, 8), 0),
+                        ((0, 4, 5, 9), 0), ((6, 7, 8, 9), 1)))
+
+
+def pentagram_observables():
+    """Three-qubit observables for the pentagram's ten variables; with them
+    the four lines through single-qubit observables multiply to +I and the
+    line of three-qubit observables to -I."""
+    x, y, i2 = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.eye(2)
+    return [np.kron(np.kron(a, b), c) for a, b, c in (
+        (x, i2, i2), (i2, x, i2), (i2, i2, x), (y, i2, i2), (i2, y, i2), (i2, i2, y),
+        (x, x, x), (y, y, x), (y, x, y), (x, y, y))]
 
 
 def permuted_copy(g, rng):

@@ -120,13 +120,50 @@ def test_quantum_packing(magic_graph_files, tmp_path, capsys):
     assert "6/1" in capsys.readouterr().out
 
 
+MERMIN_DEMO_JSON = """{
+ "command": "quantum mermin-demo",
+ "verdict": "QUANTUM ISOMORPHIC, NOT ISOMORPHIC",
+ "num_vertices": 24,
+ "satisfiable": false,
+ "isomorphic": false,
+ "alpha": 5,
+ "alpha_homogenized": 6,
+ "cospectral": true,
+ "complements_cospectral": true,
+ "certificate_ok": true,
+ "residuals": {
+  "projector": 0.0,
+  "hermitian": 0.0,
+  "row_sum": 0.0,
+  "col_sum": 0.0,
+  "orthogonality": 0.0,
+  "intertwining": 0.0,
+  "unitarity": 0.0
+ },
+ "correlation_nonsignalling": true,
+ "correlation_perfect": true,
+ "packing_value": "6/1"
+}
+"""
+
+
 def test_mermin_demo_json(capsys):
     assert main(["--json", "quantum", "mermin-demo"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    doc = json.loads(out)
     assert doc["command"] == "quantum mermin-demo"
     assert doc["num_vertices"] == 24
     assert doc["isomorphic"] is False
     assert doc["certificate_ok"] is True
+    assert out == MERMIN_DEMO_JSON
+
+
+def test_mermin_demo_out_writes_the_verified_certificate(magic_graph_files, tmp_path):
+    cert_file = tmp_path / "cert.json"
+    assert main(["--out", str(cert_file), "quantum", "mermin-demo"]) == 0
+    report = qmod.quantum_reduction_report(magic_square())
+    assert cert_file.read_text() == qmod.certificate_to_json(report["witness"], *report["graphs"])
+    assert main(["quantum", "certify", *magic_graph_files, str(cert_file)]) == 0
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import cep_pair, complete, cycle, empty, path, random_graph, star, two_k3
+from qgiso.correlations import ns_iso
 from qgiso.equitable import (
     NotAPartitionError,
     build_ds_witness,
@@ -35,6 +36,13 @@ class TestColorRefinement:
     def test_c6_regular(self):
         p = color_refinement(cycle(6))
         assert p.k == 1 and p.c == ((2,),)
+
+    def test_empty_graph_pair(self):
+        e = empty(0)
+        assert color_refinement(e).cells == ()
+        assert common_equitable_partition(e, e).cells_g == ()
+        assert fractional_iso(e, e) is not None
+        assert ns_iso(e, e) is not None
 
     def test_idempotent(self, rng):
         for _ in range(10):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    PENTAGRAM,
     brute_force_alpha,
     brute_force_isomorphic,
     cep_pair,
@@ -18,7 +19,7 @@ from conftest import (
     star,
     two_k3,
 )
-from qgiso.bcs import LinBCS, bcs_graph, homogenize, magic_square
+from qgiso.bcs import bcs_graph, homogenize, magic_square
 from qgiso.graphs import (
     CharPoly,
     Graph,
@@ -151,11 +152,6 @@ def _faddeev_leverrier_reference(g):
         c = -t // k
         coeffs[n - k] = c
     return tuple(coeffs)
-
-
-# Mermin's pentagram: X1 X2 X3 Y1 Y2 Y3 XXX YYX YXY XYY
-PENTAGRAM = LinBCS(10, (((0, 1, 2, 6), 0), ((3, 4, 2, 7), 0), ((3, 1, 5, 8), 0),
-                        ((0, 4, 5, 9), 0), ((6, 7, 8, 9), 1)))
 
 
 class TestCharPolyMultiModular:

@@ -1,17 +1,17 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import complete, cycle, permuted_copy, random_graph
+from conftest import PENTAGRAM, complete, cycle, pentagram_observables, permuted_copy, random_graph
+from qgiso import quantum as qmod
 from qgiso.bcs import (
-    LinBCS,
     bcs_graph,
     homogenize,
     magic_square,
     parse_bcs,
-    satisfying_assignments,
     solve_gf2,
 )
 from qgiso.correlations import verify_nonsignalling, verify_perfect_iso_strategy
@@ -28,6 +28,7 @@ from qgiso.quantum import (
     classical_certificate,
     magic_square_observables,
     mermin_bcs_strategy,
+    observable_strategy,
     packing_from_json,
     packing_to_json,
     quantum_reduction_report,
@@ -90,6 +91,18 @@ class TestVerifyCertificate:
         cert = classical_certificate(g, h, find_isomorphism(g, h))
         cert.blocks[0, (int(np.argmax(cert.blocks[0])) + 1) % g.n] = 1.0
         assert not verify_qiso_certificate(g, h, cert)["ok"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_rejected_whatever_residual_carries_it(self, monkeypatch, mermin):
+        # with the projector residuals forced finite, the NaN of a block shows
+        # only in later residuals; Python's max(0.0, nan) would drop it
+        _, _, bg, bg0, cert = mermin
+        blocks = cert.blocks.copy()
+        blocks[0, 0, 0, 0] = np.nan
+        monkeypatch.setattr(qmod, "projector_residuals", lambda a: (0.0, 0.0))
+        assert not verify_ppm(blocks)["ok"]
+        report = verify_qiso_certificate(bg.graph, bg0.graph, QuantumIsoCertificate(4, blocks))
+        assert not report["ok"] and np.isnan(report["residuals"]["row_sum"])
 
     def test_size_mismatch(self):
         cert = QuantumIsoCertificate(1, np.zeros((3, 3, 1, 1)))
@@ -164,25 +177,9 @@ class TestCertificateCorrelation:
         assert np.array_equal(corr.table.data, dense[dense != 0])
 
     def test_pentagram_entries_lie_on_nonzero_blocks(self):
-        # Mermin's pentagram: X1 X2 X3 Y1 Y2 Y3 XXX YYX YXY XYY, d = 8
-        x, y, i2 = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.eye(2)
-        obs = [np.kron(np.kron(a, b), c) for a, b, c in (
-            (x, i2, i2), (i2, x, i2), (i2, i2, x), (y, i2, i2), (i2, y, i2), (i2, i2, y),
-            (x, x, x), (y, y, x), (y, x, y), (x, y, y))]
-        system = LinBCS(10, (((0, 1, 2, 6), 0), ((3, 4, 2, 7), 0), ((3, 1, 5, 8), 0),
-                             ((0, 4, 5, 9), 0), ((6, 7, 8, 9), 1)))
-        eye = np.eye(8, dtype=complex)
-        ops = []
-        for support, b in system.constraints:
-            family = []
-            for f in satisfying_assignments(support, b):
-                proj = eye
-                for v in support:
-                    proj = proj @ (eye + (-1.0) ** f[v] * obs[v]) / 2
-                family.append((f, proj))
-            ops.append(tuple(family))
-        strat = BCSQuantumStrategy(8, tuple(ops))
-        assert verify_bcs_strategy(system, strat)["ok"]
+        system = PENTAGRAM
+        strat = observable_strategy(system, pentagram_observables())
+        assert strat.d == 8 and verify_bcs_strategy(system, strat)["ok"]
         bg, bg0, cert = strategy_to_certificate(system, strat)
         g, h = bg.graph, bg0.graph
         corr = certificate_correlation(cert, g, h)
@@ -269,6 +266,42 @@ class TestVerifyBcsStrategy:
             mermin_bcs_strategy()
 
 
+def _flip_sign(obs):
+    obs[0] = -obs[0]
+
+
+def _swap_anticommuting(obs):
+    # X1 <-> Z1 on the square, X1 <-> Y1 on the pentagram: either way the
+    # first constraint gains an anticommuting pair
+    obs[0], obs[3] = obs[3], obs[0]
+
+
+class TestObservableStrategy:
+    SYSTEMS = [(magic_square(), magic_square_observables, 4), (PENTAGRAM, pentagram_observables, 8)]
+
+    @pytest.mark.parametrize("system, observables, d", SYSTEMS, ids=["K33", "K5"])
+    def test_perfect_strategy(self, system, observables, d):
+        strat = observable_strategy(system, observables())
+        assert strat.d == d and verify_bcs_strategy(system, strat)["ok"]
+
+    @pytest.mark.parametrize("mutate, message", [
+        (_flip_sign, "constraint 0: observable product is not \\(-1\\)\\^b I"),
+        (_swap_anticommuting, "constraint 0: observables do not commute"),
+    ], ids=["sign-flip", "anticommuting-swap"])
+    @pytest.mark.parametrize("system, observables, d", SYSTEMS, ids=["K33", "K5"])
+    def test_broken_observables_raise(self, system, observables, d, mutate, message):
+        obs = observables()
+        mutate(obs)
+        with pytest.raises(AssertionError, match=message):
+            observable_strategy(system, obs)
+
+    def test_non_involution_raises(self):
+        obs = magic_square_observables()
+        obs[4] = 2 * obs[4]
+        with pytest.raises(AssertionError, match="observable 4 is not a hermitian involution"):
+            observable_strategy(magic_square(), obs)
+
+
 class TestStrategyToCertificate:
     def test_block_structure(self, mermin):
         _, _, bg, bg0, cert = mermin
@@ -315,6 +348,16 @@ class TestProjectivePacking:
         report = verify_packing(bg.graph, packing)
         assert report["ok"] and report["value"] == 6
 
+    def test_rotated_packing_accepted(self, mermin):
+        # a unitary change of basis keeps a packing valid; its residuals must
+        # stay at rounding level, which tr(P_i P_j) = ||P_i P_j||^2 would not
+        bcs, strat, bg, _, _ = mermin
+        _, packing = strategy_packing(bcs, strat)
+        rng = np.random.default_rng(1)
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        report = verify_packing(bg.graph, ProjectivePacking(4, u @ packing.blocks @ u.conj().T))
+        assert report["ok"] and report["residuals"]["orthogonality"] < 1e-14
+
     def test_adjacent_nonorthogonal_rejected(self):
         g = complete(2)
         blocks = np.zeros((2, 1, 1), dtype=complex)
@@ -358,8 +401,42 @@ class TestQuantumReductionReport:
         report = quantum_reduction_report(parse_bcs("x1 = 1\n"))
         assert report["ok"]
 
+    def test_verifies_the_builtin_strategy_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return verify_bcs_strategy(*args, **kwargs)
+
+        monkeypatch.setattr(qmod, "verify_bcs_strategy", counted)
+        assert quantum_reduction_report(magic_square())["ok"]
+        assert len(calls) == 1
+
+    def test_returns_the_verified_certificate(self, mermin):
+        bcs, strat, bg, bg0, cert = mermin
+        report = quantum_reduction_report(bcs, strat)
+        g, h = report["graphs"]
+        assert g.adj.tolist() == bg.graph.adj.tolist() and h.adj.tolist() == bg0.graph.adj.tolist()
+        assert np.array_equal(report["witness"].blocks, cert.blocks)
+        assert verify_qiso_certificate(g, h, report["witness"])["ok"]
+
 
 class TestJsonRoundTrip:
+    def test_encoders_byte_identical_on_magic_square(self, mermin):
+        # digests of the encoders' output before they shared one family encoder
+        bcs, strat, bg, bg0, cert = mermin
+        _, packing = strategy_packing(bcs, strat)
+        digests = {
+            "certificate": certificate_to_json(cert, bg.graph, bg0.graph),
+            "packing": packing_to_json(packing, bg.graph),
+            "strategy": strategy_to_json(strat),
+        }
+        assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in digests.items()} == {
+            "certificate": "76d15d757c63b01289c8d1e6ea90aa2bc915ccc160069bee80ee40be75fb0adf",
+            "packing": "05e1ebfc42186cb141941e00992f3095af5df6132acd2126322bd85c0af9c767",
+            "strategy": "cf8fd3a87ca8dfd69f34d02df6dbf2ec5ae229eb2d8577a716ce731f21207807",
+        }
+
     def test_certificate(self, mermin, tmp_path):
         _, _, bg, bg0, cert = mermin
         text = certificate_to_json(cert, bg.graph, bg0.graph)
