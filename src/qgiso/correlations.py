@@ -136,7 +136,7 @@ class Correlation:
         elif not np.isfinite(values).all():
             raise GraphError("correlation table has a non-finite entry")
         index = np.ravel_multi_index(tuple(keys.T), (N,) * 4)
-        order = np.argsort(index, kind="stable")
+        order = np.argsort(index)
         index = index[order]
         if np.any(index[1:] == index[:-1]):
             raise GraphError("correlation table repeats a key")

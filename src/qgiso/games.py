@@ -72,17 +72,20 @@ def iso_game_predicate(g: Graph, h: Graph, x_a, x_b, y_a, y_b):
 
 def iso_game_wins(g: Graph, h: Graph, x_a, x_b, y_a, y_b):
     """``iso_game_predicate`` over equal-length token arrays, as a bool array."""
-    x_a, x_b, y_a, y_b = (np.asarray(t, dtype=np.int64) for t in (x_a, x_b, y_a, y_b))
-    for t in (x_a, x_b, y_a, y_b):
-        if t.size and (t.min() < 0 or t.max() >= g.n + h.n):
-            raise GraphError("token outside V(G) + V(H)")
+    tokens = np.stack([np.asarray(t, dtype=np.int64) for t in (x_a, x_b, y_a, y_b)])
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= g.n + h.n):
+        raise GraphError("token outside V(G) + V(H)")
     n = g.n
+    x_a, x_b, y_a, y_b = tokens
+    # each answer must come from the other graph; then the smaller token of a
+    # player's (question, answer) pair is its G vertex
     win = ((x_a < n) != (y_a < n)) & ((x_b < n) != (y_b < n))
-    rows = np.flatnonzero(win)  # each answer is from the other graph
-    x_a, x_b, y_a, y_b = x_a[rows], x_b[rows], y_a[rows], y_b[rows]
-    g_a, h_a = np.where(x_a < n, x_a, y_a), np.where(x_a < n, y_a, x_a) - n
-    g_b, h_b = np.where(x_b < n, x_b, y_b), np.where(x_b < n, y_b, x_b) - n
-    win[rows] = rel_codes(g)[g_a, g_b] == rel_codes(h)[h_a, h_b]
+    g_a, h_a = np.minimum(x_a, y_a), np.maximum(x_a, y_a) - n
+    g_b, h_b = np.minimum(x_b, y_b), np.maximum(x_b, y_b) - n
+    # on losing rows the flat indices may leave the matrices: clipped, they
+    # read some entry that ``win`` discards
+    win &= (rel_codes(g).take(g_a * g.n + g_b, mode="clip")
+            == rel_codes(h).take(h_a * h.n + h_b, mode="clip"))
     return win
 
 
@@ -102,3 +105,27 @@ def bcs_game_predicate(bcs, l_a, l_b, f_a, f_b):
     if sum(f_b[i] for i in s_b) % 2 != b_b:
         return False
     return all(f_a[i] == f_b[i] for i in set(s_a) & set(s_b))
+
+
+def bcs_game_wins(bcs, meta):
+    """``bcs_game_predicate`` on every pair of (constraint, assignment)
+    entries of ``meta``, as a V x V bool array.
+
+    Each assignment becomes a row of ones and a row of zeros over the
+    variables it assigns; two assignments disagree on a shared variable
+    exactly when one's ones meet the other's zeros.
+    """
+    ones = np.zeros((len(meta), bcs.n), dtype=np.int64)
+    zeros = np.zeros_like(ones)
+    satisfied = np.zeros(len(meta), dtype=bool)
+    for a, (l, f) in enumerate(meta):
+        s, b = bcs.constraints[l]
+        if set(f) != set(s):
+            raise ValueError("assignment domain does not match the constraint support")
+        if any(f[i] not in (0, 1) for i in s):
+            raise ValueError("assignment values must be bits")
+        bits = np.array([f[i] for i in s])
+        ones[a, list(s)], zeros[a, list(s)] = bits, 1 - bits
+        satisfied[a] = bits.sum() % 2 == b
+    clash = ones @ zeros.T
+    return satisfied[:, None] & satisfied[None, :] & (clash + clash.T == 0)

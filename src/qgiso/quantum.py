@@ -24,7 +24,7 @@ import numpy as np
 from .bcs import (LinBCS, bcs_graph, classical_reduction_report, homogenize, magic_square,
                   satisfying_assignments)
 from .correlations import Correlation, iso_game_tokens, verify_nonsignalling, verify_perfect_iso_strategy
-from .games import bcs_game_predicate, rel_codes
+from .games import bcs_game_wins, rel_codes
 from .graphs import Graph, GraphError, ParseError, cospectral_mates
 
 DEFAULT_TOL = 1e-9
@@ -36,7 +36,7 @@ def frob(a):
 
 
 def _as_blocks(blocks):
-    a = np.asarray(blocks, dtype=complex)
+    a = np.ascontiguousarray(blocks, dtype=complex)
     if a.ndim != 4 or a.shape[2] != a.shape[3]:
         raise GraphError("expected an n x m array of square blocks")
     if a.shape[2] > MAX_BLOCK_DIM:
@@ -46,8 +46,8 @@ def _as_blocks(blocks):
 
 def projector_residuals(a):
     """Max Frobenius residuals (idempotence, hermiticity) over a block array."""
-    idem = np.linalg.norm(a @ a - a, axis=(-2, -1)).max()
-    herm = np.linalg.norm(a - a.conj().swapaxes(-2, -1), axis=(-2, -1)).max()
+    idem = np.linalg.norm(a @ a - a, axis=(-2, -1)).max(initial=0.0)
+    herm = np.linalg.norm(a - a.conj().swapaxes(-2, -1), axis=(-2, -1)).max(initial=0.0)
     return float(idem), float(herm)
 
 
@@ -62,10 +62,27 @@ def _pair_traces(a, b):
     return a.reshape(len(a), -1) @ b.swapaxes(1, 2).reshape(len(b), -1).T
 
 
-def assemble(blocks):
-    """Stack an (n, m, d, d) block array into an (n d, m d) matrix."""
-    n, m, d, _ = blocks.shape
-    return blocks.transpose(0, 2, 1, 3).reshape(n * d, m * d)
+def _nonzero_blocks(a):
+    """Row indices, column indices and the (K, d, d) stack of the blocks of
+    an (n, m, d, d) array with an entry other than 0 (NaN counts)."""
+    rows, cols = np.nonzero(np.any(a != 0, axis=(2, 3)))
+    return rows, cols, a[rows, cols]
+
+
+def _components(rows, cols, n):
+    """Component labels of the rows and columns of an n x n block grid in
+    which each block (rows[k], cols[k]) joins its row and column: the
+    smallest row index of the component, found by propagating minima.  A
+    column with no block gets n; a row with no block keeps its own index."""
+    label = np.arange(n)
+    while True:
+        col_label = np.full(n, n)
+        np.minimum.at(col_label, cols, label[rows])
+        new = label.copy()
+        np.minimum.at(new, rows, col_label[cols])
+        if np.array_equal(new, label):
+            return label, col_label
+        label = new
 
 
 def verify_ppm(blocks, tol=DEFAULT_TOL):
@@ -75,17 +92,31 @@ def verify_ppm(blocks, tol=DEFAULT_TOL):
     summing to the identity; equivalently the assembled matrix is unitary
     with projector blocks.  The two routes must agree, so a disagreement
     beyond tolerance slack is flagged as inconsistent.
+
+    Only the K non-zero blocks are touched; a zero block is an exact
+    projector.  The unitarity residual ||B B^dag - I|| pairs blocks that
+    share a column only: it takes one product per connected component of
+    the block support, and a row with no block adds ||I||^2 = d.
     """
     a = _as_blocks(blocks)
     n, m, d, _ = a.shape
     if n != m:
         raise GraphError("projective permutation matrices must be square block arrays")
     eye = np.eye(d)
-    idem, herm = projector_residuals(a)
-    row = float(np.linalg.norm(a.sum(axis=1) - eye, axis=(-2, -1)).max())
-    col = float(np.linalg.norm(a.sum(axis=0) - eye, axis=(-2, -1)).max())
-    big = assemble(a)
-    unit = float(np.linalg.norm(big @ big.conj().T - np.eye(n * d)))
+    rows, cols, nz = _nonzero_blocks(a)
+    idem, herm = projector_residuals(nz)
+    sums = np.zeros((2, n, d, d), dtype=complex)
+    np.add.at(sums, (0, rows), nz)
+    np.add.at(sums, (1, cols), nz)
+    row, col = np.linalg.norm(sums - eye, axis=(-2, -1)).max(axis=1, initial=0.0).tolist()
+    row_label, col_label = _components(rows, cols, n)
+    occupied = np.bincount(rows, minlength=n) > 0
+    unit_sq = d * np.count_nonzero(~occupied)
+    for c in np.flatnonzero(occupied & (row_label == np.arange(n))):
+        r, k = np.flatnonzero(row_label == c), np.flatnonzero(col_label == c)
+        sub = a[np.ix_(r, k)].transpose(0, 2, 1, 3).reshape(len(r) * d, len(k) * d)
+        unit_sq += np.linalg.norm(sub @ sub.conj().T - np.eye(len(r) * d)) ** 2
+    unit = float(np.sqrt(unit_sq))
     residuals = {
         "projector": idem,
         "hermitian": herm,
@@ -124,7 +155,7 @@ def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol
     """
     if g.n != h.n:
         return {"ok": False, "reason": "vertex counts differ", "residuals": {}}
-    E = cert.blocks
+    E = _as_blocks(cert.blocks)
     if E.shape[:2] != (g.n, h.n):
         raise GraphError("certificate block grid does not match the graphs")
     d = cert.d
@@ -136,18 +167,22 @@ def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol
     # with an all-zero block has product exactly 0, so only non-zero blocks
     # are paired
     n = g.n
-    nz_g, nz_h = np.nonzero(np.any(E != 0, axis=(2, 3)))
-    M = E[nz_g, nz_h]
+    nz_g, nz_h, M = _nonzero_blocks(E)
     P = M.conj().swapaxes(-2, -1) @ M
     Q = M @ M.conj().swapaxes(-2, -1)
     prod_sq = _pair_traces(P, Q).real
     mismatch = rel_codes(g)[np.ix_(nz_g, nz_g)] != rel_codes(h)[np.ix_(nz_h, nz_h)]
     orth = float(np.sqrt(np.max(np.abs(prod_sq[mismatch]), initial=0.0)))
 
-    big = assemble(E)
-    ag = np.kron(g.adj.astype(float), np.eye(d))
-    ah = np.kron(h.adj.astype(float), np.eye(d))
-    intertwine = float(np.linalg.norm(ag @ big - big @ ah))
+    # block (i, j) of (A_G (x) I) E - E (A_H (x) I) is sum_k A_G[i, k] E_kj -
+    # E_ik A_H[k, j]: real n x n products on the block grid, with each
+    # block's real and imaginary parts side by side; the second is batched
+    # over i and reads A_H[k, j] as A_H[j, k]
+    w = 2 * d * d
+    grid = E.view(float).reshape(n, n, w)
+    left = g.adj.astype(float) @ grid.reshape(n, n * w)
+    right = h.adj.astype(float) @ grid
+    intertwine = float(np.linalg.norm(left.reshape(n, n, w) - right))
 
     residuals = {
         "projector": idem,
@@ -189,8 +224,7 @@ def certificate_correlation(cert: QuantumIsoCertificate, g: Graph, h: Graph, tol
     sparse float ``Correlation``.
     """
     n, d = g.n, cert.d
-    nz_g, nz_h = np.nonzero(np.any(cert.blocks != 0, axis=(2, 3)))
-    blocks = cert.blocks[nz_g, nz_h]
+    nz_g, nz_h, blocks = _nonzero_blocks(cert.blocks)
     traces = _pair_traces(blocks, blocks) / d
     if traces.size and float(np.abs(traces.imag).max()) > tol:
         raise AssertionError("correlation has a non-real entry")
@@ -263,7 +297,9 @@ def magic_square_observables():
     is +I for the five homogeneous constraints and -I for the inhomogeneous
     one, matching the right-hand sides of the magic-square system.
     """
-    k = np.kron
+    def k(a, b):  # the two-qubit operator a (x) b
+        return np.einsum("ij,kl->ikjl", a, b).reshape(4, 4)
+
     return [
         k(_X, _I2), k(_I2, _X), k(_X, _X),
         k(_I2, _Z), k(_Z, _I2), k(_Z, _Z),
@@ -335,8 +371,7 @@ def verify_bcs_strategy(bcs: LinBCS, strat: BCSQuantumStrategy, tol=DEFAULT_TOL)
         meta.extend((l, f) for f, _ in family)
         sums.append(frob(sum(op for _, op in family) - eye))
     ops = np.array([op for family in strat.ops for _, op in family], dtype=complex)
-    losing = np.array([[not bcs_game_predicate(bcs, l_a, l_b, f_a, f_b) for l_b, f_b in meta]
-                       for l_a, f_a in meta])
+    losing = ~bcs_game_wins(bcs, meta)
     residuals = {
         "projector": float(np.max(projector_residuals(ops))),
         "sum": float(np.max(sums)),
@@ -355,27 +390,37 @@ def strategy_packing(bcs: LinBCS, strat: BCSQuantumStrategy):
     return bg, ProjectivePacking(strat.d, np.array(blocks))
 
 
+def _assignment_codes(support, assignments):
+    """Each assignment's bits over the support read as one binary number,
+    the first variable's bit the highest."""
+    bits = np.array([[f[i] for i in support] for f in assignments], dtype=np.int64)
+    return bits @ (1 << np.arange(len(support))[::-1])
+
+
 def strategy_to_certificate(bcs: LinBCS, strat: BCSQuantumStrategy):
     """Certificate for the pair (G of the system, G of its homogenization).
 
     Block ((l, f), (k, g)) is the strategy operator for f xor g when l = k
-    (f xor g satisfies the original constraint), zero otherwise.
+    (f xor g satisfies the original constraint), zero otherwise.  Each
+    constraint's grid of blocks is one lookup of the xor codes in its
+    family's operator stack.
     """
     bg = bcs_graph(bcs)
     bg0 = bcs_graph(homogenize(bcs))
     if bg.graph.n != bg0.graph.n:
         raise GraphError("graph and homogenized graph have different sizes")
     d = strat.d
-    lookup = []
-    for family in strat.ops:
-        lookup.append({tuple(sorted(f.items())): op for f, op in family})
     blocks = np.zeros((bg.graph.n, bg0.graph.n, d, d), dtype=complex)
-    for a, (l, f) in enumerate(bg.vertex_meta):
-        for b, (k, fz) in enumerate(bg0.vertex_meta):
-            if l != k:
-                continue
-            xor = {i: f[i] ^ fz[i] for i in f}
-            blocks[a, b] = lookup[l][tuple(sorted(xor.items()))]
+    owner, owner0 = (np.array([l for l, _ in meta]) for meta in (bg.vertex_meta, bg0.vertex_meta))
+    for l, ((s, b), family) in enumerate(zip(bcs.constraints, strat.ops)):
+        if [f for f, _ in family] != satisfying_assignments(s, b):
+            raise GraphError(f"constraint {l}: assignment family mismatch")
+        rows, cols = np.flatnonzero(owner == l), np.flatnonzero(owner0 == l)
+        xor = (_assignment_codes(s, [bg.vertex_meta[v][1] for v in rows])[:, None]
+               ^ _assignment_codes(s, [bg0.vertex_meta[v][1] for v in cols]))
+        # the family lists the assignments of parity b in lexicographic
+        # order: one per setting of all bits but the last, so code c is at c >> 1
+        blocks[np.ix_(rows, cols)] = np.array([op for _, op in family], dtype=complex)[xor >> 1]
     return bg, bg0, QuantumIsoCertificate(d, blocks)
 
 
@@ -486,8 +531,8 @@ def _entry_vertex(graph: Graph, label, i):
 
 def certificate_to_json(cert: QuantumIsoCertificate, g: Graph, h: Graph):
     return _family_to_json(cert.d, (
-        ({"g": g.labels[i], "h": h.labels[j]}, cert.blocks[i, j])
-        for i, j in np.argwhere(np.any(cert.blocks, axis=(2, 3)))))
+        ({"g": g.labels[i], "h": h.labels[j]}, block)
+        for i, j, block in zip(*_nonzero_blocks(cert.blocks))))
 
 
 def certificate_from_json(text, g: Graph, h: Graph):

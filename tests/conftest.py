@@ -9,7 +9,7 @@ import pytest
 from qgiso import graphs as gmod
 from qgiso.bcs import LinBCS
 from qgiso.equitable import CommonEquitablePartition, verify_common_equitable
-from qgiso.games import iso_game_predicate
+from qgiso.games import iso_game_predicate, rel_codes
 from qgiso.graphs import Graph, from_edges
 
 
@@ -198,6 +198,70 @@ def oracle_format_exact(inputs, table):
         if v != 0:
             lines.append(f"{x_a} {x_b} {y_a} {y_b} {v.numerator}/{v.denominator}")
     return "\n".join(lines) + "\n"
+
+
+# --- dense oracles for the certificate checks ------------------------------
+# The projective-permutation-matrix and certificate checks on the assembled
+# (n d) x (n d) matrix, with Kronecker-lifted adjacency matrices, that the
+# blockwise checks replaced; kept as the oracle for their residuals and
+# verdicts.
+
+def oracle_projector_residuals(a):
+    idem = np.linalg.norm(a @ a - a, axis=(-2, -1)).max()
+    herm = np.linalg.norm(a - a.conj().swapaxes(-2, -1), axis=(-2, -1)).max()
+    return float(idem), float(herm)
+
+
+def oracle_within(tol, *residuals):
+    return float(np.max(residuals)) <= tol
+
+
+def assemble(blocks):
+    """Stack an (n, m, d, d) block array into an (n d, m d) matrix."""
+    n, m, d, _ = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(n * d, m * d)
+
+
+def oracle_ppm(blocks, tol=1e-9):
+    a = np.asarray(blocks, dtype=complex)
+    n, m, d, _ = a.shape
+    eye = np.eye(d)
+    idem, herm = oracle_projector_residuals(a)
+    row = float(np.linalg.norm(a.sum(axis=1) - eye, axis=(-2, -1)).max())
+    col = float(np.linalg.norm(a.sum(axis=0) - eye, axis=(-2, -1)).max())
+    big = assemble(a)
+    unit = float(np.linalg.norm(big @ big.conj().T - np.eye(n * d)))
+    residuals = {"projector": idem, "hermitian": herm, "row_sum": row, "col_sum": col,
+                 "unitarity": unit}
+    sums_ok = oracle_within(tol, idem, herm, row, col)
+    unitary_ok = oracle_within(tol, idem, herm, unit)
+    consistent = sums_ok == unitary_ok or oracle_within(tol * n * d, idem, herm, row, col, unit)
+    return {"ok": sums_ok and unitary_ok, "consistent": consistent, "residuals": residuals}
+
+
+def oracle_qiso_certificate(g, h, cert, tol=1e-9):
+    E, d, n = np.asarray(cert.blocks, dtype=complex), cert.d, g.n
+    ppm = oracle_ppm(E, tol)
+    r = ppm["residuals"]
+    idem, herm, row, col = r["projector"], r["hermitian"], r["row_sum"], r["col_sum"]
+    nz_g, nz_h = np.nonzero(np.any(E != 0, axis=(2, 3)))
+    M = E[nz_g, nz_h]
+    P = M.conj().swapaxes(-2, -1) @ M
+    Q = M @ M.conj().swapaxes(-2, -1)
+    prod_sq = (P.reshape(len(P), -1) @ Q.swapaxes(1, 2).reshape(len(Q), -1).T).real
+    mismatch = rel_codes(g)[np.ix_(nz_g, nz_g)] != rel_codes(h)[np.ix_(nz_h, nz_h)]
+    orth = float(np.sqrt(np.max(np.abs(prod_sq[mismatch]), initial=0.0)))
+    big = assemble(E)
+    ag = np.kron(g.adj.astype(float), np.eye(d))
+    ah = np.kron(h.adj.astype(float), np.eye(d))
+    intertwine = float(np.linalg.norm(ag @ big - big @ ah))
+    residuals = {"projector": idem, "hermitian": herm, "row_sum": row, "col_sum": col,
+                 "orthogonality": orth, "intertwining": intertwine, "unitarity": r["unitarity"]}
+    direct_ok = oracle_within(tol, idem, herm, row, col, orth)
+    intertwine_ok = oracle_within(tol, idem, herm, row, col, intertwine)
+    consistent = direct_ok == intertwine_ok or oracle_within(tol * n * d, orth, intertwine)
+    return {"ok": direct_ok and intertwine_ok and ppm["ok"],
+            "consistent": consistent and ppm["consistent"], "residuals": residuals}
 
 
 # --- fractionally isomorphic pair generator --------------------------------

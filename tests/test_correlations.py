@@ -262,6 +262,22 @@ class TestFloatTableValidation:
             corr.get(0, 0, 0, 2)
 
 
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_shuffled_keys_give_the_sorted_table(self, mode):
+        keys = np.indices((6,) * 4).reshape(4, -1).T[::3]
+        numerators = np.arange(1, len(keys) + 1)
+        inputs = tuple(map(str, range(6)))
+
+        def table(rows):
+            if mode == "exact":
+                return Correlation(inputs, "exact", (keys[rows], numerators[rows], 7)).table
+            return Correlation(inputs, "float", (keys[rows], numerators[rows] / 7)).table
+
+        ordered = table(slice(None))
+        shuffled = table(np.random.default_rng(11).permutation(len(keys)))
+        for field in ("coords", "data", "index"):
+            assert np.array_equal(getattr(shuffled, field), getattr(ordered, field))
+
 # The dense float verifiers that the coordinate-list ones replaced, kept as
 # the oracle for their verdicts.
 

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import complete, cycle, empty, path, permuted_copy, random_graph
+from conftest import PENTAGRAM, complete, cycle, empty, path, permuted_copy, random_graph
 from qgiso.games import (
     Rel,
     bcs_game_predicate,
+    bcs_game_wins,
     iso_game_predicate,
     iso_game_wins,
     rel,
     split_token,
 )
-from qgiso.bcs import magic_square, satisfying_assignments
+from qgiso.bcs import LinBCS, magic_square, satisfying_assignments
 from qgiso.graphs import GraphError, complement, disjoint_union, find_isomorphism
 
 
@@ -136,3 +137,27 @@ class TestBcsGamePredicate:
         bcs = magic_square()
         with pytest.raises(ValueError):
             bcs_game_predicate(bcs, 0, 0, {0: 0}, {0: 0})
+
+
+def _random_system(rng, n=7, m=5):
+    return LinBCS(n, tuple((tuple(rng.sample(range(n), rng.randint(1, 4))), rng.randint(0, 1))
+                           for _ in range(m)))
+
+
+class TestBcsGameWins:
+    @pytest.mark.parametrize("system", ["magic square", "pentagram", "random"])
+    def test_matches_scalar_predicate_on_every_pair(self, system, rng):
+        bcs = {"magic square": magic_square, "pentagram": lambda: PENTAGRAM,
+               "random": lambda: _random_system(rng)}[system]()
+        # every assignment of every support, so unsatisfying ones take part too
+        meta = [(l, f) for l, (s, _) in enumerate(bcs.constraints)
+                for b in (0, 1) for f in satisfying_assignments(s, b)]
+        wins = bcs_game_wins(bcs, meta)
+        expected = [[bcs_game_predicate(bcs, l_a, l_b, f_a, f_b) for l_b, f_b in meta]
+                    for l_a, f_a in meta]
+        assert wins.tolist() == expected
+
+    @pytest.mark.parametrize("f", [{0: 0}, {0: 0, 1: 0, 2: 0, 3: 0}, {0: 2, 1: 0, 2: 0}])
+    def test_malformed_assignment(self, f):
+        with pytest.raises(ValueError):
+            bcs_game_wins(magic_square(), [(0, {0: 0, 1: 0, 2: 0}), (0, f)])

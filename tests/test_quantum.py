@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import PENTAGRAM, complete, cycle, pentagram_observables, permuted_copy, random_graph
+from conftest import (PENTAGRAM, complete, cycle, oracle_ppm, oracle_qiso_certificate,
+                      pentagram_observables, permuted_copy, random_graph)
 from qgiso import quantum as qmod
 from qgiso.bcs import (
     bcs_graph,
@@ -16,7 +17,7 @@ from qgiso.bcs import (
 )
 from qgiso.correlations import verify_nonsignalling, verify_perfect_iso_strategy
 from qgiso.games import Rel, rel
-from qgiso.graphs import ParseError, find_isomorphism
+from qgiso.graphs import GraphError, ParseError, find_isomorphism
 from qgiso.quantum import (
     BCSQuantumStrategy,
     ProjectivePacking,
@@ -51,6 +52,13 @@ def mermin():
     return bcs, strat, bg, bg0, cert
 
 
+@pytest.fixture(scope="module")
+def pentagram():
+    strat = observable_strategy(PENTAGRAM, pentagram_observables())
+    bg, bg0, cert = strategy_to_certificate(PENTAGRAM, strat)
+    return PENTAGRAM, strat, bg, bg0, cert
+
+
 class TestVerifyPpm:
     def test_permutation_matrix_d1(self):
         perm = np.zeros((3, 3, 1, 1))
@@ -73,6 +81,72 @@ class TestVerifyPpm:
         blocks = np.zeros((1, 1, 2, 2), dtype=complex)
         blocks[0, 0] = [[0.5, 0], [0, 0.5]]
         assert not verify_ppm(blocks)["ok"]
+
+    def test_non_square_grid_raises(self):
+        with pytest.raises(GraphError, match="square"):
+            verify_ppm(np.zeros((2, 3, 1, 1)))
+
+
+def _assert_matches_oracle(report, oracle):
+    assert (report["ok"], report["consistent"]) == (oracle["ok"], oracle["consistent"])
+    assert report["residuals"].keys() == oracle["residuals"].keys()
+    for key, expected in oracle["residuals"].items():
+        got = report["residuals"][key]
+        if expected == 0.0 or not np.isfinite(expected):
+            assert got == expected or np.isnan(got) and np.isnan(expected), key
+        else:
+            assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected)), key
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBlockwiseChecksMatchDenseOracle:
+    """The blockwise checks against the (n d) x (n d) dense ones they
+    replaced, on valid, perturbed and non-finite certificates."""
+
+    @staticmethod
+    def check(g, h, d, blocks):
+        cert = QuantumIsoCertificate(d, blocks)
+        _assert_matches_oracle(verify_qiso_certificate(g, h, cert),
+                               oracle_qiso_certificate(g, h, cert))
+        _assert_matches_oracle(verify_ppm(blocks), oracle_ppm(blocks))
+
+    @staticmethod
+    def variants(blocks, trials, seed):
+        """The blocks, then single-entry perturbations (the first on a zero
+        block), non-finite entries on a non-zero and on a zero block, and a
+        block row of zeros."""
+        rng = np.random.default_rng(seed)
+        yield blocks
+        zero_block = tuple(np.argwhere(~np.any(blocks, axis=(2, 3)))[0])
+        for t in range(trials):
+            out = blocks.copy()
+            idx = tuple(int(rng.integers(0, s)) for s in blocks.shape)
+            if t == 0:
+                idx = zero_block + idx[2:]
+            out[idx] += rng.uniform(1e-3, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            yield out
+        for value in (np.nan, np.inf, complex(-np.inf, 1.0)):
+            for block in ((0, 0), zero_block):
+                out = blocks.copy()
+                out[block][0, 0] = value
+                yield out
+        out = blocks.copy()
+        out[3] = 0
+        yield out
+
+    @pytest.mark.parametrize("system, trials", [("mermin", 40), ("pentagram", 12)])
+    def test_bcs_certificates(self, request, system, trials):
+        _, _, bg, bg0, cert = request.getfixturevalue(system)
+        for blocks in self.variants(cert.blocks, trials, seed=8):
+            self.check(bg.graph, bg0.graph, cert.d, blocks)
+
+    def test_classical_certificates(self, rng):
+        for _ in range(10):
+            g = random_graph(7, 0.4, rng)
+            h = permuted_copy(g, rng)
+            cert = classical_certificate(g, h, find_isomorphism(g, h))
+            for blocks in self.variants(cert.blocks, 5, seed=rng.randrange(1 << 30)):
+                self.check(g, h, 1, blocks)
 
 
 class TestVerifyCertificate:
@@ -315,6 +389,27 @@ class TestStrategyToCertificate:
         _, _, _, _, cert = mermin
         assert np.allclose(cert.blocks.sum(axis=1), np.eye(4))
         assert np.allclose(cert.blocks.sum(axis=0), np.eye(4))
+
+    @pytest.mark.parametrize("system", ["mermin", "pentagram"])
+    def test_matches_pairwise_lookup(self, request, system):
+        bcs, strat, bg, bg0, cert = request.getfixturevalue(system)
+        lookup = [{tuple(sorted(f.items())): op for f, op in family} for family in strat.ops]
+        expected = np.zeros_like(cert.blocks)
+        for a, (l, f) in enumerate(bg.vertex_meta):
+            for b, (k, fz) in enumerate(bg0.vertex_meta):
+                if l == k:
+                    expected[a, b] = lookup[l][tuple(sorted((i, f[i] ^ fz[i]) for i in f))]
+        assert np.array_equal(cert.blocks, expected)
+        nonzero = np.count_nonzero(np.any(cert.blocks, axis=(2, 3)))
+        assert nonzero == {"mermin": 96, "pentagram": 320}[system]
+
+    @pytest.mark.parametrize("family", [lambda fam: fam[1:], lambda fam: fam[::-1],
+                                        lambda fam: (({0: 2, 1: 0, 2: 0}, fam[0][1]),) + fam[1:]])
+    def test_malformed_family_raises(self, mermin, family):
+        bcs, strat, _, _, _ = mermin
+        ops = (family(strat.ops[0]),) + strat.ops[1:]
+        with pytest.raises(GraphError, match="constraint 0: assignment family mismatch"):
+            strategy_to_certificate(bcs, BCSQuantumStrategy(strat.d, ops))
 
     def test_d1_case_matches_explicit_isomorphism(self):
         bcs = parse_bcs("x1 + x2 = 1\nx2 + x3 = 0\n")
