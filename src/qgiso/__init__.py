@@ -16,6 +16,8 @@ from .bcs import (
     magic_square,
     parse_bcs,
     solve_gf2,
+    solve_or_refute,
+    verify_refutation,
 )
 from .correlations import (
     Correlation,

@@ -1,9 +1,11 @@
 """Linear binary constraint systems over GF(2) and their graphs.
 
-Includes the built-in magic-square system, Gaussian elimination over GF(2),
-homogenization, the constraint/assignment graph construction, and the
-three-way classical reduction check (satisfiable vs graphs isomorphic vs
-independence number hitting the constraint count).
+Includes the built-in magic-square system, Gaussian elimination over GF(2)
+that returns a satisfying assignment or a refutation, homogenization, the
+constraint/assignment graph construction, and the classical reduction
+report.  The report decides G_F ~ G_F0 by the reduction's own witnesses, a
+verified shift map or a checked refutation, with no isomorphism search, and
+checks the verdict against satisfiability and the independence number.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from itertools import product
 
 import numpy as np
 
-from .graphs import Graph, GraphError, find_isomorphism, from_edges, independence_number, is_isomorphism
+from .games import bcs_game_wins
+from .graphs import Graph, VertexMap, from_edges, independence_number, is_isomorphism
 
 MAX_SUPPORT = 20
 
@@ -102,36 +105,48 @@ def magic_square():
     return LinBCS(9, tuple(rows + cols))
 
 
-def solve_gf2(bcs: LinBCS):
-    """Gaussian elimination over GF(2); returns a verified satisfying
-    assignment (tuple of bits) or None."""
+def solve_or_refute(bcs: LinBCS):
+    """One Gaussian elimination over GF(2) of [A | b | I].
+
+    The identity block records which constraints each reduced row sums, so
+    the pass ends with either ``(assignment, None)``, a verified satisfying
+    assignment, or ``(None, y)``: a refutation, one bit per constraint, with
+    y^T A = 0 and y^T b = 1 (``verify_refutation`` checks it).
+    """
     m, n = bcs.m, bcs.n
-    A = np.zeros((m, n + 1), dtype=np.uint8)
+    M = np.zeros((m, n + 1 + m), dtype=np.uint8)
     for r, (s, b) in enumerate(bcs.constraints):
-        A[r, list(s)] = 1
-        A[r, n] = b
+        M[r, list(s)] = 1
+        M[r, n] = b
+    M[:, n + 1:] = np.eye(m, dtype=np.uint8)
     row = 0
     pivots = []
     for col in range(n):
-        pivot = next((r for r in range(row, m) if A[r, col]), None)
+        pivot = next((r for r in range(row, m) if M[r, col]), None)
         if pivot is None:
             continue
-        A[[row, pivot]] = A[[pivot, row]]
+        M[[row, pivot]] = M[[pivot, row]]
         for r in range(m):
-            if r != row and A[r, col]:
-                A[r] ^= A[row]
+            if r != row and M[r, col]:
+                M[r] ^= M[row]
         pivots.append(col)
         row += 1
     for r in range(row, m):
-        if A[r, n]:
-            return None
+        if M[r, n]:
+            return None, tuple(int(v) for v in M[r, n + 1:])
     x = [0] * n
     for r, col in enumerate(pivots):
-        x[col] = int(A[r, n])
+        x[col] = int(M[r, n])
     assignment = tuple(x)
     if not bcs.satisfies(assignment):
         raise AssertionError("elimination produced a non-satisfying assignment")
-    return assignment
+    return assignment, None
+
+
+def solve_gf2(bcs: LinBCS):
+    """Gaussian elimination over GF(2); returns a verified satisfying
+    assignment (tuple of bits) or None."""
+    return solve_or_refute(bcs)[0]
 
 
 def homogenize(bcs: LinBCS):
@@ -180,22 +195,98 @@ def bcs_graph(bcs: LinBCS):
     return BCSGraph(from_edges(labels, edges), tuple(meta))
 
 
-def classical_reduction_report(bcs: LinBCS):
-    """Independently compute the three equivalent facets of the classical
-    reduction and assert they agree.
+def verify_refutation(bcs: LinBCS, y, bg: BCSGraph, bg0: BCSGraph):
+    """Check that ``y`` proves alpha(G_F) < m <= alpha(G_F0), so that G_F and
+    G_F0 are not isomorphic.  Returns ``(True, None)`` or ``(False,
+    reason)``; a malformed ``y`` is rejected, not raised on.
 
-    Returns a dict with the verdicts, alpha values, witnesses, and (when
-    satisfiable) the explicit verified isomorphism (l, f) -> (l, f xor F|_S).
+    Independent of the elimination and of ``bcs_graph``:
+    - y^T A = 0 and y^T b = 1 mod 2, recomputed from ``bcs.constraints``,
+      so no assignment satisfies F;
+    - off the diagonal, G_F's adjacency is ``~bcs_game_wins``, every vertex
+      satisfies its constraint, and the m constraint classes are cliques
+      that partition V(G_F).  An independent set of size m would take one
+      vertex per class, pairwise consistent: a satisfying assignment.  So
+      alpha(G_F) < m;
+    - the zero-assignment vertices of G_F0 are m independent vertices, so
+      alpha(G_F0) >= m.
     """
-    assignment = solve_gf2(bcs)
+    m = bcs.m
+    try:
+        y = list(y)
+    except TypeError:
+        return False, "refutation is not a sequence"
+    if len(y) != m or not all(isinstance(v, (int, np.integer, np.bool_)) and v in (0, 1) for v in y):
+        return False, f"refutation is not a sequence of {m} bits"
+    picked = [c for c, bit in zip(bcs.constraints, y) if bit]
+    parity = np.zeros(bcs.n, dtype=np.int64)
+    for s, _ in picked:
+        parity[list(s)] += 1
+    if (parity % 2).any():
+        return False, "y^T A is not 0 mod 2"
+    if sum(b for _, b in picked) % 2 != 1:
+        return False, "y^T b is not 1 mod 2"
+    for name, graph in (("G_F", bg), ("G_F0", bg0)):
+        if len(graph.vertex_meta) != graph.graph.n:
+            return False, f"{name} has {graph.graph.n} vertices but {len(graph.vertex_meta)} metadata entries"
+    owner = [l for l, _ in bg.vertex_meta]
+    if any(l not in range(m) for l in owner):
+        return False, "a G_F vertex names no constraint"
+    try:
+        wins = bcs_game_wins(bcs, bg.vertex_meta)
+    except ValueError as exc:
+        return False, f"G_F vertex: {exc}"
+    if not wins.diagonal().all():
+        return False, "a G_F vertex violates its constraint"
+    off = ~np.eye(len(owner), dtype=bool)
+    if not np.array_equal(bg.graph.adj[off], ~wins[off]):
+        return False, "G_F adjacency is not the inconsistency relation"
+    owner = np.array(owner, dtype=np.int64)
+    if not (bg.graph.adj | ~off | (owner[:, None] != owner[None, :])).all():
+        return False, "a constraint class of G_F is not a clique"
+    zeros = [v for v, (_, f) in enumerate(bg0.vertex_meta) if not any(f.values())]
+    if len(zeros) != m or bg0.graph.adj[np.ix_(zeros, zeros)].any():
+        return False, f"the zero-assignment vertices of G_F0 are not {m} independent vertices"
+    return True, None
+
+
+def classical_reduction_report(bcs: LinBCS):
+    """The three equivalent facets of the classical reduction, decided
+    independently and asserted to agree:
+
+    - F satisfiable, by one GF(2) elimination;
+    - G_F isomorphic to G_F0: YES by the shift map (l, f) -> (l, f xor x|_S)
+      of the satisfying assignment x, checked by ``is_isomorphism``; NO by
+      the elimination's refutation y, checked by ``verify_refutation``;
+    - alpha(G_F) = m, by branch and bound.
+
+    Returns a dict with the verdicts, alpha values and witnesses: the shift
+    map as ``isomorphism`` (None when unsatisfiable), y as ``refutation``
+    (None when satisfiable), and the pair (G_F, G_F0) as ``bcs_graphs``.
+    """
+    assignment, refutation = solve_or_refute(bcs)
     bg = bcs_graph(bcs)
     bg0 = bcs_graph(homogenize(bcs))
-    phi = find_isomorphism(bg.graph, bg0.graph)
+    phi = None
+    if assignment is not None:
+        index = {label: i for i, label in enumerate(bg0.graph.labels)}
+        image = []
+        for l, f in bg.vertex_meta:
+            s = bcs.constraints[l][0]
+            image.append(index[vertex_label(l, s, {i: f[i] ^ assignment[i] for i in s})])
+        phi = VertexMap(tuple(image))
+        if not is_isomorphism(bg.graph, bg0.graph, phi):
+            raise AssertionError("explicit shift map is not an isomorphism")
+    else:
+        ok, why = verify_refutation(bcs, refutation, bg, bg0)
+        if not ok:
+            raise AssertionError(f"refutation rejected: {why}")
     alpha = independence_number(bg.graph)
     alpha0 = independence_number(bg0.graph)
     report = {
         "satisfiable": assignment is not None,
         "assignment": assignment,
+        "refutation": refutation,
         "graphs_isomorphic": phi is not None,
         "isomorphism": phi,
         "alpha": alpha["alpha"],
@@ -204,22 +295,9 @@ def classical_reduction_report(bcs: LinBCS):
         "alpha_equals_m": alpha["alpha"] == bcs.m,
         "m": bcs.m,
         "num_vertices": bg.graph.n,
+        "bcs_graphs": (bg, bg0),
     }
     facets = {report["satisfiable"], report["graphs_isomorphic"], report["alpha_equals_m"]}
     if len(facets) != 1:
         raise AssertionError(f"classical reduction facets disagree: {report}")
-    if assignment is not None:
-        # explicit isomorphism from the satisfying assignment
-        index = {bg0.graph.labels[i]: i for i in range(bg0.graph.n)}
-        image = []
-        for l, f in bg.vertex_meta:
-            s = bcs.constraints[l][0]
-            shifted = {i: f[i] ^ assignment[i] for i in s}
-            image.append(index[vertex_label(l, s, shifted)])
-        from .graphs import VertexMap
-
-        explicit = VertexMap(tuple(image))
-        if not is_isomorphism(bg.graph, bg0.graph, explicit):
-            raise AssertionError("explicit shift map is not an isomorphism")
-        report["explicit_isomorphism"] = explicit
     return report

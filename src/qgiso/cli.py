@@ -177,14 +177,17 @@ def cmd_bcs_report(args):
     system = _read_bcs(args.bcs)
     report = bcsmod.classical_reduction_report(system)
     verdict = "SATISFIABLE" if report["satisfiable"] else "UNSATISFIABLE"
-    _emit(args, "bcs report", verdict, {
+    payload = {
         "satisfiable": report["satisfiable"],
         "graphs_isomorphic": report["graphs_isomorphic"],
         "alpha": report["alpha"],
         "alpha_equals_m": report["alpha_equals_m"],
         "m": report["m"],
         "num_vertices": report["num_vertices"],
-    })
+    }
+    if not report["satisfiable"]:
+        payload["witnesses"] = {"refutation": list(report["refutation"])}
+    _emit(args, "bcs report", verdict, payload)
     return EXIT_OK if report["satisfiable"] else EXIT_REFUTED
 
 

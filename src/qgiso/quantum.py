@@ -383,11 +383,15 @@ def verify_bcs_strategy(bcs: LinBCS, strat: BCSQuantumStrategy, tol=DEFAULT_TOL)
 def strategy_packing(bcs: LinBCS, strat: BCSQuantumStrategy):
     """Projective packing of the BCS graph induced by a perfect strategy."""
     bg = bcs_graph(bcs)
+    return bg, _strategy_packing(strat, bg)
+
+
+def _strategy_packing(strat, bg):
     blocks = []
     for l, f in bg.vertex_meta:
         match = [op for fa, op in strat.ops[l] if fa == f]
         blocks.append(match[0])
-    return bg, ProjectivePacking(strat.d, np.array(blocks))
+    return ProjectivePacking(strat.d, np.array(blocks))
 
 
 def _assignment_codes(support, assignments):
@@ -405,8 +409,11 @@ def strategy_to_certificate(bcs: LinBCS, strat: BCSQuantumStrategy):
     constraint's grid of blocks is one lookup of the xor codes in its
     family's operator stack.
     """
-    bg = bcs_graph(bcs)
-    bg0 = bcs_graph(homogenize(bcs))
+    bg, bg0 = bcs_graph(bcs), bcs_graph(homogenize(bcs))
+    return bg, bg0, _strategy_certificate(bcs, strat, bg, bg0)
+
+
+def _strategy_certificate(bcs, strat, bg, bg0):
     if bg.graph.n != bg0.graph.n:
         raise GraphError("graph and homogenized graph have different sizes")
     d = strat.d
@@ -421,18 +428,18 @@ def strategy_to_certificate(bcs: LinBCS, strat: BCSQuantumStrategy):
         # the family lists the assignments of parity b in lexicographic
         # order: one per setting of all bits but the last, so code c is at c >> 1
         blocks[np.ix_(rows, cols)] = np.array([op for _, op in family], dtype=complex)[xor >> 1]
-    return bg, bg0, QuantumIsoCertificate(d, blocks)
+    return QuantumIsoCertificate(d, blocks)
 
 
 def quantum_reduction_report(bcs: LinBCS, strat=None, tol=DEFAULT_TOL):
     """End-to-end report for the quantum reduction on one system.
 
     The classical facts (satisfiability, the isomorphism verdict and both
-    independence numbers, checked to agree) come from
-    ``classical_reduction_report``.  This adds cospectrality, the strategy
-    check, certificate residuals, the induced correlation's perfection and
-    non-signalling checks, and the packing value against the constraint
-    count.  The verified certificate is returned as ``witness``, on the
+    independence numbers, checked to agree) and the graphs G_F and G_F0
+    come from ``classical_reduction_report``.  This adds cospectrality, the
+    strategy check, certificate residuals, the induced correlation's
+    perfection and non-signalling checks, and the packing value against the
+    constraint count.  The verified certificate is returned as ``witness``, on the
     graph pair ``graphs``.
     """
     classical = classical_reduction_report(bcs)
@@ -446,14 +453,14 @@ def quantum_reduction_report(bcs: LinBCS, strat=None, tol=DEFAULT_TOL):
                 "no strategy available: system is unsatisfiable and not the built-in magic square"
             )
     strat_report = verify_bcs_strategy(bcs, strat, tol)
-    bg, bg0, cert = strategy_to_certificate(bcs, strat)
+    bg, bg0 = classical["bcs_graphs"]
+    cert = _strategy_certificate(bcs, strat, bg, bg0)
     g, h = bg.graph, bg0.graph
     cert_report = verify_qiso_certificate(g, h, cert, tol)
     corr = certificate_correlation(cert, g, h, tol=10 * tol)
     ns_ok, ns_violation = verify_nonsignalling(corr)
     perfect_ok, losing = verify_perfect_iso_strategy(corr, g, h)
-    _, packing = strategy_packing(bcs, strat)
-    packing_report = verify_packing(g, packing, tol)
+    packing_report = verify_packing(g, _strategy_packing(strat, bg), tol)
     spectra = cospectral_mates(g, h)
     report = {
         "satisfiable": classical["satisfiable"],

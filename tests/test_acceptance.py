@@ -104,7 +104,9 @@ def test_3_satisfiability_three_way_agreement(report, rng):
             for _ in range(m)
         )
         r = classical_reduction_report(LinBCS(n, cons))
-        if r["satisfiable"] == r["graphs_isomorphic"] == r["alpha_equals_m"]:
+        bg, bg0 = r["bcs_graphs"]
+        searched = find_isomorphism(bg.graph, bg0.graph) is not None
+        if r["satisfiable"] == r["graphs_isomorphic"] == r["alpha_equals_m"] == searched:
             agreements += 1
     report(f"3 (three-way agreement on {agreements}/{total} random systems)", agreements == total)
 

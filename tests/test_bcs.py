@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
+from conftest import PENTAGRAM
 from qgiso.bcs import (
     BCSError,
+    BCSGraph,
     LinBCS,
     bcs_graph,
     classical_reduction_report,
@@ -11,8 +14,10 @@ from qgiso.bcs import (
     parse_bcs,
     satisfying_assignments,
     solve_gf2,
+    solve_or_refute,
+    verify_refutation,
 )
-from qgiso.graphs import independence_number
+from qgiso.graphs import Graph, find_isomorphism, independence_number, is_isomorphism
 
 
 class TestParse:
@@ -83,6 +88,8 @@ class TestSolveGf2:
                 for a in range(1 << n)
             )
             assert (solve_gf2(bcs) is not None) == brute
+            assignment, y = solve_or_refute(bcs)
+            assert assignment == solve_gf2(bcs) and (y is None) == brute
 
 
 class TestHomogenize:
@@ -176,7 +183,16 @@ class TestClassicalReductionReport:
     def test_homogenized_magic_square(self):
         report = classical_reduction_report(homogenize(magic_square()))
         assert report["satisfiable"] and report["graphs_isomorphic"] and report["alpha_equals_m"]
-        assert "explicit_isomorphism" in report
+        bg, bg0 = report["bcs_graphs"]
+        assert is_isomorphism(bg.graph, bg0.graph, report["isomorphism"])
+        assert report["refutation"] is None
+
+    @pytest.mark.parametrize("system", [magic_square(), PENTAGRAM, homogenize(PENTAGRAM)],
+                             ids=["magic square", "pentagram", "homogenized pentagram"])
+    def test_verdict_matches_search(self, system):
+        report = classical_reduction_report(system)
+        bg, bg0 = report["bcs_graphs"]
+        assert report["graphs_isomorphic"] == (find_isomorphism(bg.graph, bg0.graph) is not None)
 
     def test_trivial_system(self):
         report = classical_reduction_report(parse_bcs("x1 = 1\n"))
@@ -190,3 +206,82 @@ class TestClassicalReductionReport:
                 == report["graphs_isomorphic"]
                 == report["alpha_equals_m"]
             )
+            bg, bg0 = report["bcs_graphs"]
+            assert report["graphs_isomorphic"] == (find_isomorphism(bg.graph, bg0.graph) is not None)
+
+
+def _with_edge_flipped(bg, a, b):
+    adj = bg.graph.adj.copy()
+    adj[a, b] = adj[b, a] = not adj[a, b]
+    return BCSGraph(Graph(bg.graph.labels, adj), bg.vertex_meta)
+
+
+class TestVerifyRefutation:
+    @pytest.fixture(params=["magic square", "pentagram"])
+    def refuted(self, request):
+        system = magic_square() if request.param == "magic square" else PENTAGRAM
+        return system, bcs_graph(system), bcs_graph(homogenize(system))
+
+    def test_all_ones_is_the_refutation(self, refuted):
+        # every variable lies in exactly two constraints: the left kernel is
+        # spanned by the all-ones vector
+        system, bg, bg0 = refuted
+        assert solve_or_refute(system) == (None, (1,) * system.m)
+        assert verify_refutation(system, (1,) * system.m, bg, bg0) == (True, None)
+
+    def test_single_bit_flips_rejected(self, refuted):
+        system, bg, bg0 = refuted
+        for i in range(system.m):
+            y = [1] * system.m
+            y[i] = 0
+            ok, why = verify_refutation(system, y, bg, bg0)
+            assert not ok and why
+
+    @pytest.mark.parametrize("y", [(1,) * 5, (1,) * 7, (), (1, 1, 1, 1, 1, 2), (1, 1, 1, 1, 1, -1),
+                                   (1, 1, 1, 1, 1, 0.5), (1, 1, 1, 1, 1, "1"), (1, 1, 1, 1, 1, None),
+                                   None, 1, "111111", np.ones((6, 1), dtype=int)],
+                             ids=repr)
+    def test_malformed_y_rejected_without_raising(self, y):
+        bcs = magic_square()
+        ok, why = verify_refutation(bcs, y, bcs_graph(bcs), bcs_graph(homogenize(bcs)))
+        assert not ok and why
+
+    def test_edge_removed_or_added_rejected(self, refuted):
+        system, bg, bg0 = refuted
+        y = (1,) * system.m
+        adj = bg.graph.adj
+        edge = tuple(np.argwhere(np.triu(adj))[0])
+        non_edge = tuple(np.argwhere(np.triu(~adj, 1))[0])
+        for a, b in (edge, non_edge):
+            ok, why = verify_refutation(system, y, _with_edge_flipped(bg, a, b), bg0)
+            assert not ok and "adjacency" in why
+
+    def test_zero_assignment_clique_rejected(self):
+        system = magic_square()
+        bg, bg0 = bcs_graph(system), bcs_graph(homogenize(system))
+        zeros = [v for v, (_, f) in enumerate(bg0.vertex_meta) if not any(f.values())]
+        ok, why = verify_refutation(system, (1,) * 6, bg, _with_edge_flipped(bg0, *zeros[:2]))
+        assert not ok and "G_F0" in why
+
+    @pytest.mark.parametrize("vertex", [(6, {0: 0, 1: 0, 2: 0}), (0, {0: 0, 1: 0, 2: 2}),
+                                        (0, {0: 0, 1: 0}), (0, {0: 1, 1: 0, 2: 0})],
+                             ids=["no such constraint", "non-bit value", "wrong domain",
+                                  "violates its constraint"])
+    def test_malformed_vertex_rejected_without_raising(self, vertex):
+        system = magic_square()
+        bg, bg0 = bcs_graph(system), bcs_graph(homogenize(system))
+        bad = BCSGraph(bg.graph, (vertex,) + bg.vertex_meta[1:])
+        ok, why = verify_refutation(system, (1,) * 6, bad, bg0)
+        assert not ok and "G_F vertex" in why
+
+    def test_random_corpus(self, rng):
+        refuted = 0
+        for _ in range(30):
+            system = _random_bcs(rng)
+            report = classical_reduction_report(system)
+            if report["satisfiable"]:
+                assert report["refutation"] is None
+            else:
+                refuted += 1
+                assert verify_refutation(system, report["refutation"], *report["bcs_graphs"]) == (True, None)
+        assert refuted

@@ -96,6 +96,22 @@ def test_bcs_roundtrip(tmp_path, capsys):
     assert "alpha: 5" in out
 
 
+def test_bcs_report_json_carries_the_refutation(tmp_path, capsys):
+    unsat, sat = tmp_path / "ms.bcs", tmp_path / "ms0.bcs"
+    unsat.write_text(format_bcs(magic_square()))
+    sat.write_text(format_bcs(homogenize(magic_square())))
+    assert main(["--json", "bcs", "report", str(unsat)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "UNSATISFIABLE" and doc["graphs_isomorphic"] is False
+    assert doc["witnesses"] == {"refutation": [1, 1, 1, 1, 1, 1]}
+    assert main(["--json", "bcs", "report", str(sat)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "SATISFIABLE" and "witnesses" not in doc
+    # the quantum report builds on the classical one; its output is unchanged
+    assert main(["--json", "quantum", "mermin-demo"]) == 0
+    assert capsys.readouterr().out == MERMIN_DEMO_JSON
+
+
 def test_bcs_to_graph(tmp_path):
     bcs_file = tmp_path / "ms.bcs"
     main(["--out", str(bcs_file), "bcs", "magic-square"])

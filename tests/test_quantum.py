@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (PENTAGRAM, complete, cycle, oracle_ppm, oracle_qiso_certificate,
                       pentagram_observables, permuted_copy, random_graph)
+from qgiso import bcs as bcsmod
 from qgiso import quantum as qmod
 from qgiso.bcs import (
     bcs_graph,
@@ -514,6 +515,26 @@ class TestQuantumReductionReport:
         assert g.adj.tolist() == bg.graph.adj.tolist() and h.adj.tolist() == bg0.graph.adj.tolist()
         assert np.array_equal(report["witness"].blocks, cert.blocks)
         assert verify_qiso_certificate(g, h, report["witness"])["ok"]
+
+    def test_pentagram_certificate_and_residuals(self, pentagram):
+        bcs, strat, _, _, cert = pentagram
+        report = quantum_reduction_report(bcs, strat)
+        assert report["ok"] and not report["isomorphic"]
+        assert np.array_equal(report["witness"].blocks, cert.blocks)
+        assert set(report["certificate"]["residuals"].values()) == {0.0}
+
+    def test_builds_each_bcs_graph_once(self, monkeypatch):
+        calls = []
+        original = bcsmod.bcs_graph
+
+        def counted(system):
+            calls.append(system)
+            return original(system)
+
+        monkeypatch.setattr(bcsmod, "bcs_graph", counted)
+        monkeypatch.setattr(qmod, "bcs_graph", counted)
+        assert quantum_reduction_report(magic_square())["ok"]
+        assert calls == [magic_square(), homogenize(magic_square())]
 
 
 class TestJsonRoundTrip:
