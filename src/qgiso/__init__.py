@@ -66,6 +66,7 @@ from .quantum import (
     strategy_packing,
     strategy_to_certificate,
     verify_bcs_strategy,
+    verify_certificate_correlation,
     verify_packing,
     verify_ppm,
     verify_qiso_certificate,

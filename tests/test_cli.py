@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -126,6 +127,18 @@ def test_quantum_certify(magic_graph_files, tmp_path):
     cert_file.write_text(qmod.certificate_to_json(cert, bg.graph, bg0.graph))
     assert main(["quantum", "certify", *magic_graph_files, str(cert_file)]) == 0
     assert main(["quantum", "correlation", *magic_graph_files, str(cert_file)]) == 0
+
+
+def test_quantum_correlation_file_is_pinned(magic_graph_files, tmp_path):
+    # the exported table keeps its bytes now that the report checks the
+    # correlation without building it
+    bg, bg0, cert = qmod.strategy_to_certificate(magic_square(), qmod.mermin_bcs_strategy())
+    cert_file, out = tmp_path / "cert.json", tmp_path / "corr.txt"
+    cert_file.write_text(qmod.certificate_to_json(cert, bg.graph, bg0.graph))
+    argv = ["--out", str(out), "quantum", "correlation", *magic_graph_files, str(cert_file)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "c062f34441af341239226afe5e545bd98732e03a96e7125ec72d20faf796f5e5")
 
 
 def test_quantum_packing(magic_graph_files, tmp_path, capsys):

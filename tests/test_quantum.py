@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +17,9 @@ from qgiso.bcs import (
     parse_bcs,
     solve_gf2,
 )
-from qgiso.correlations import verify_nonsignalling, verify_perfect_iso_strategy
+from qgiso.correlations import Correlation, verify_nonsignalling, verify_perfect_iso_strategy
 from qgiso.games import Rel, rel
-from qgiso.graphs import GraphError, ParseError, find_isomorphism
+from qgiso.graphs import GraphError, ParseError, find_isomorphism, from_edges
 from qgiso.quantum import (
     BCSQuantumStrategy,
     ProjectivePacking,
@@ -39,6 +40,7 @@ from qgiso.quantum import (
     strategy_to_certificate,
     strategy_to_json,
     verify_bcs_strategy,
+    verify_certificate_correlation,
     verify_packing,
     verify_ppm,
     verify_qiso_certificate,
@@ -267,6 +269,154 @@ class TestCertificateCorrelation:
                 assert nonzero[min(q, a), max(q, a) - n]
         assert verify_perfect_iso_strategy(corr, g, h)[0]
         assert verify_nonsignalling(corr)[0]
+
+
+def _outcome(check, *args):
+    """The value a check returns, or the type and message of what it raises."""
+    try:
+        return check(*args)
+    except (AssertionError, GraphError) as exc:
+        return type(exc), str(exc)
+
+
+def _table_marginal(corr, side, x, y, x_other):
+    """One player's marginal p(y | x, x_other) summed from the table's entries."""
+    keys, data = corr.table.coords, corr.table.data
+    own, answer, other = (0, 2, 1) if side == "A" else (1, 3, 0)
+    hit = (keys[:, own] == x) & (keys[:, answer] == y) & (keys[:, other] == x_other)
+    return float(data[hit].sum())
+
+
+def assert_matches_table(cert, g, h, tol=1e-9):
+    """verify_certificate_correlation against the generic verifiers on
+    certificate_correlation's table: the same verdicts, and each violation
+    one the table confirms."""
+    result = _outcome(verify_certificate_correlation, cert, g, h, tol)
+    corr = _outcome(certificate_correlation, cert, g, h, tol)
+    if not isinstance(corr, Correlation):
+        assert result == corr
+        return result
+    (ns_ok, ns_violation), (perfect_ok, losing) = result
+    oracle_ns, oracle_perfect = verify_nonsignalling(corr), verify_perfect_iso_strategy(corr, g, h)
+    assert (ns_ok, perfect_ok) == (oracle_ns[0], oracle_perfect[0])
+    if not ns_ok:
+        side, x, y, lo, hi, v_lo, v_hi = ns_violation
+        assert side == oracle_ns[1][0]
+        assert abs(_table_marginal(corr, side, x, y, lo) - v_lo) <= 1e-12
+        assert abs(_table_marginal(corr, side, x, y, hi) - v_hi) <= 1e-12
+        # the row of largest spread, up to rounding of the sums
+        worst = oracle_ns[1][6] - oracle_ns[1][5]
+        assert worst - 1e-12 <= v_hi - v_lo and v_hi - v_lo > tol
+    if not perfect_ok:
+        assert losing[:4] == oracle_perfect[1][:4]
+        assert abs(corr.get(*losing[:4]) - losing[4]) <= 1e-12 and abs(losing[4]) > tol
+    return result
+
+
+def _hermitian(rng, d, size):
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return size * (x + x.conj().T) / 2
+
+
+class TestVerifyCertificateCorrelation:
+    @pytest.mark.parametrize("fixture", ["mermin", "pentagram"])
+    def test_built_certificates_pass(self, request, fixture):
+        _, _, bg, bg0, cert = request.getfixturevalue(fixture)
+        result = assert_matches_table(cert, bg.graph, bg0.graph, tol=1e-8)
+        assert result == ((True, None), (True, None))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_classical_certificates(self, seed):
+        rng = random.Random(seed)
+        g = random_graph(7, 0.5, rng)
+        h = permuted_copy(g, rng)
+        phi = find_isomorphism(g, h)
+        assert assert_matches_table(classical_certificate(g, h, phi), g, h) == (
+            (True, None), (True, None))
+        # a bijection that is not an isomorphism: deterministic, so non-signalling,
+        # but losing with probability 1 on many tied tuples
+        wrong = classical_certificate(g, h, lambda v: phi((v + 1) % g.n))
+        (ns_ok, _), (perfect_ok, losing) = assert_matches_table(wrong, g, h)
+        assert ns_ok and not perfect_ok and losing[4] == 1.0
+
+    def test_all_zero_certificate_and_empty_graphs(self):
+        zero = QuantumIsoCertificate(2, np.zeros((5, 5, 2, 2)))
+        assert assert_matches_table(zero, cycle(5), cycle(5)) == ((True, None), (True, None))
+        none = from_edges([], [])
+        empty_cert = QuantumIsoCertificate(1, np.zeros((0, 0, 1, 1)))
+        assert assert_matches_table(empty_cert, none, none) == ((True, None), (True, None))
+
+    @pytest.mark.parametrize("size", [1e-9, 1e-7, 1e-5, 1e-3, 1e-1, 1.0])
+    @pytest.mark.parametrize("fixture", ["mermin", "pentagram"])
+    def test_hermitian_perturbations(self, request, fixture, size):
+        _, _, bg, bg0, cert = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(int(-np.log10(size)) + 17 * len(fixture))
+        for _ in range(4):
+            blocks = cert.blocks.copy()
+            nz = np.argwhere(np.any(blocks != 0, axis=(2, 3)))
+            zero = np.argwhere(~np.any(blocks != 0, axis=(2, 3)))
+            for i, j in rng.permutation(np.concatenate([nz[:2], zero[:1]]))[:rng.integers(1, 4)]:
+                blocks[i, j] += _hermitian(rng, cert.d, size)
+            assert_matches_table(QuantumIsoCertificate(cert.d, blocks), bg.graph, bg0.graph)
+
+    @pytest.mark.parametrize("fixture", ["mermin", "pentagram"])
+    def test_zeroed_block_and_swapped_rows(self, request, fixture):
+        _, _, bg, bg0, cert = request.getfixturevalue(fixture)
+        i, j = np.argwhere(np.any(cert.blocks != 0, axis=(2, 3)))[5]
+        zeroed = cert.blocks.copy()
+        zeroed[i, j] = 0
+        (ns_ok, _), _ = assert_matches_table(QuantumIsoCertificate(cert.d, zeroed),
+                                             bg.graph, bg0.graph)
+        assert not ns_ok
+        swapped = cert.blocks.copy()
+        swapped[[0, 7]] = swapped[[7, 0]]
+        assert_matches_table(QuantumIsoCertificate(cert.d, swapped), bg.graph, bg0.graph)
+
+    def test_bob_side_on_an_asymmetric_trace_matrix(self, monkeypatch, mermin):
+        # tr(AB) = tr(BA) makes T symmetric for every certificate, so only a
+        # patched T, fed to both paths, reaches Bob's side alone: raising row
+        # 3 by the same amount everywhere shifts Alice's marginals of that
+        # row evenly (every question has four blocks), but moves Bob's at
+        # the two questions of block 3 only
+        _, _, bg, bg0, cert = mermin
+        traces = qmod._certificate_traces
+
+        def skewed(*args):
+            nz_g, nz_h, T = traces(*args)
+            T = T.copy()
+            T[3] += 0.01
+            return nz_g, nz_h, T
+
+        monkeypatch.setattr(qmod, "_certificate_traces", skewed)
+        (ns_ok, violation), _ = assert_matches_table(cert, bg.graph, bg0.graph)
+        assert not ns_ok and violation[0] == "B"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf + 1j, 1e-3j])
+    @pytest.mark.parametrize("on_zero_block", [False, True])
+    def test_bad_entries_raise_as_the_table_does(self, mermin, value, on_zero_block):
+        _, _, bg, bg0, cert = mermin
+        i, j = np.argwhere(np.any(cert.blocks != 0, axis=(2, 3)) != on_zero_block)[0]
+        blocks = cert.blocks.copy()
+        blocks[i, j, 1, 1] += value
+        result = assert_matches_table(QuantumIsoCertificate(cert.d, blocks), bg.graph, bg0.graph)
+        assert result[0] in (AssertionError, GraphError)
+
+    @pytest.mark.parametrize("n", [20, 25])
+    def test_certificate_on_the_wrong_graphs(self, mermin, n):
+        cert = mermin[4]
+        for check in (certificate_correlation, verify_certificate_correlation):
+            with pytest.raises(GraphError, match="certificate block grid does not match"):
+                check(cert, cycle(n), cycle(n))
+
+    def test_report_builds_no_table(self, monkeypatch, mermin, pentagram):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report built the correlation table")
+
+        monkeypatch.setattr(qmod, "certificate_correlation", refuse)
+        for bcs, strat, *_ in (mermin, pentagram):
+            report = quantum_reduction_report(bcs, strat)
+            assert report["ok"]
+            assert report["correlation_nonsignalling"] and report["correlation_perfect"]
 
 
 class TestMerminStrategy:
