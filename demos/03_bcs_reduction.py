@@ -16,13 +16,13 @@ from qgiso import (
     homogenize,
     magic_square,
     parse_bcs,
-    solve_gf2,
+    solve_or_refute,
 )
 
 ms = magic_square()
 print(format_bcs(ms))
-print("GF(2) elimination:", solve_gf2(ms))
-print("homogenization:   ", solve_gf2(homogenize(ms)))
+print("GF(2) elimination:", solve_or_refute(ms)[0])
+print("homogenization:   ", solve_or_refute(homogenize(ms))[0])
 
 bg = bcs_graph(ms)
 print("G_F: vertices =", bg.graph.n, " edges =", bg.graph.num_edges())

@@ -10,15 +10,13 @@ machine precision.
 """
 
 from qgiso import (
-    certificate_correlation,
     magic_square,
     mermin_bcs_strategy,
     quantum_reduction_report,
     strategy_packing,
     strategy_to_certificate,
-    verify_nonsignalling,
+    verify_certificate_correlation,
     verify_packing,
-    verify_perfect_iso_strategy,
     verify_qiso_certificate,
 )
 
@@ -36,12 +34,10 @@ print("certificate ok:", report["ok"])
 for name, value in report["residuals"].items():
     print(f"  {name:14s} {value:.3e}")
 
-corr = certificate_correlation(cert, g, h)
-print("induced correlation: non-signalling =", verify_nonsignalling(corr)[0],
-      " perfect =", verify_perfect_iso_strategy(corr, g, h)[0])
+(ns_ok, _), (perfect_ok, _) = verify_certificate_correlation(cert, g, h)
+print("induced correlation: non-signalling =", ns_ok, " perfect =", perfect_ok)
 
-bg_pack, packing = strategy_packing(ms, strategy)
-pack_report = verify_packing(bg_pack.graph, packing)
+pack_report = verify_packing(g, strategy_packing(strategy, bg))
 print("projective packing value:", pack_report["value"], "(= m, despite alpha = 5)")
 
 full = quantum_reduction_report(ms)

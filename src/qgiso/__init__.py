@@ -15,7 +15,6 @@ from .bcs import (
     homogenize,
     magic_square,
     parse_bcs,
-    solve_gf2,
     solve_or_refute,
     verify_refutation,
 )
@@ -40,7 +39,6 @@ from .equitable import (
     verify_ds_witness,
     verify_equitable,
 )
-from .games import Rel, bcs_game_predicate, iso_game_predicate, rel
 from .graphs import (
     CharPoly,
     Graph,

@@ -19,6 +19,7 @@ from .games import bcs_game_wins
 from .graphs import Graph, VertexMap, from_edges, independence_number, is_isomorphism
 
 MAX_SUPPORT = 20
+MAX_VARIABLES = 4096
 
 
 class BCSError(ValueError):
@@ -58,7 +59,8 @@ class LinBCS:
 def parse_bcs(text):
     """Parse 'x<i> + x<j> + ... = <0|1>' lines ('#' comments allowed).
 
-    Variables are numbered by their suffix: x1 is index 0.
+    Variables are numbered by their suffix: x1 is index 0.  Elimination
+    takes time linear in the largest index, which is capped at MAX_VARIABLES.
     """
     constraints = []
     max_var = 0
@@ -77,6 +79,8 @@ def parse_bcs(text):
             term = term.strip()
             if not term.startswith("x") or not term[1:].isdigit() or int(term[1:]) < 1:
                 raise BCSError(f"line {lineno}: malformed variable {term!r}")
+            if int(term[1:]) > MAX_VARIABLES:
+                raise BCSError(f"line {lineno}: variable {term} exceeds cap x{MAX_VARIABLES}")
             support.append(int(term[1:]) - 1)
         if not support:
             raise BCSError(f"line {lineno}: empty support")
@@ -141,12 +145,6 @@ def solve_or_refute(bcs: LinBCS):
     if not bcs.satisfies(assignment):
         raise AssertionError("elimination produced a non-satisfying assignment")
     return assignment, None
-
-
-def solve_gf2(bcs: LinBCS):
-    """Gaussian elimination over GF(2); returns a verified satisfying
-    assignment (tuple of bits) or None."""
-    return solve_or_refute(bcs)[0]
 
 
 def homogenize(bcs: LinBCS):

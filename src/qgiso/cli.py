@@ -151,7 +151,7 @@ def _read_bcs(path):
 
 def cmd_bcs_check(args):
     system = _read_bcs(args.bcs)
-    assignment = bcsmod.solve_gf2(system)
+    assignment, _ = bcsmod.solve_or_refute(system)
     if assignment is None:
         _emit(args, "bcs check", "UNSATISFIABLE", {})
         return EXIT_REFUTED
@@ -216,10 +216,10 @@ def cmd_quantum_correlation(args):
     if not report["ok"]:
         _emit(args, "quantum correlation", "FAIL", {"residuals": report["residuals"]})
         return EXIT_REFUTED
-    corr = qmod.certificate_correlation(cert, g, h, tol=args.tol)
-    _write_out(args, corrmod.format_correlation(corr))
-    ns_ok, _ = corrmod.verify_nonsignalling(corr)
-    perfect_ok, _ = corrmod.verify_perfect_iso_strategy(corr, g, h)
+    if args.out:  # the table is built only to be written
+        corr = qmod.certificate_correlation(cert, g, h, tol=args.tol)
+        _write_out(args, corrmod.format_correlation(corr))
+    (ns_ok, _), (perfect_ok, _) = qmod.verify_certificate_correlation(cert, g, h, tol=args.tol)
     ok = ns_ok and perfect_ok
     _emit(args, "quantum correlation", "PASS" if ok else "FAIL", {
         "nonsignalling": ns_ok, "perfect": perfect_ok,

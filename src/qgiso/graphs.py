@@ -63,9 +63,6 @@ class Graph:
     def num_edges(self):
         return int(np.count_nonzero(self.adj)) // 2
 
-    def degree(self, v):
-        return int(np.count_nonzero(self.adj[v]))
-
     def neighbors(self, v):
         return np.flatnonzero(self.adj[v])
 
@@ -335,7 +332,7 @@ class VertexMap:
 
 
 def is_isomorphism(g: Graph, h: Graph, phi: VertexMap):
-    """Check rel-preservation of phi exhaustively (the map validator)."""
+    """Check exhaustively that phi preserves the vertex relation (the map validator)."""
     if g.n != h.n or sorted(phi.image) != list(range(g.n)):
         return False
     img = np.array(phi.image)

@@ -3,14 +3,14 @@
 Covers projective permutation matrices, the projector certificate for the
 isomorphism game (both the sum/orthogonality form and the block-matrix
 intertwining form), the induced correlation on the maximally entangled
-state, projective packings, the dimension-4 operator solution of the
-magic-square system, and the reduction from a perfect BCS strategy to an
+state, projective packings, and the reduction from a perfect BCS strategy,
+built from an operator solution by ``observable_strategy``, to an
 isomorphism certificate.
 
-The induced correlation is checked on the K x K matrix of traces of the
-certificate's K non-zero blocks (``verify_certificate_correlation``);
-``certificate_correlation`` builds it as a coordinate table, for export
-and as the reference the check is tested against.
+The report and ``qiso quantum correlation`` check the induced correlation
+on the K x K trace matrix of the certificate's K non-zero blocks
+(``verify_certificate_correlation``); ``certificate_correlation`` builds
+it as a coordinate table only for export and as the test reference.
 
 All residuals are Frobenius norms; the default acceptance tolerance is
 1e-9 while the built-in constructions land near machine epsilon.
@@ -416,19 +416,6 @@ def mermin_bcs_strategy():
     return observable_strategy(magic_square(), magic_square_observables())
 
 
-def classical_bcs_strategy(bcs: LinBCS, assignment):
-    """d = 1 strategy from a classical satisfying assignment."""
-    ops = []
-    for s, b in bcs.constraints:
-        family = []
-        target = {i: assignment[i] for i in s}
-        for f in satisfying_assignments(s, b):
-            val = 1.0 if f == target else 0.0
-            family.append((f, np.array([[val]], dtype=complex)))
-        ops.append(tuple(family))
-    return BCSQuantumStrategy(1, tuple(ops))
-
-
 def verify_bcs_strategy(bcs: LinBCS, strat: BCSQuantumStrategy, tol=DEFAULT_TOL):
     """Check measurement structure and that the induced correlation
     tr(E_(l,f) E_(k,f'))/d vanishes on every losing tuple of the BCS game."""
@@ -452,13 +439,9 @@ def verify_bcs_strategy(bcs: LinBCS, strat: BCSQuantumStrategy, tol=DEFAULT_TOL)
     return {"ok": all(r <= tol for r in residuals.values()), "residuals": residuals}
 
 
-def strategy_packing(bcs: LinBCS, strat: BCSQuantumStrategy):
-    """Projective packing of the BCS graph induced by a perfect strategy."""
-    bg = bcs_graph(bcs)
-    return bg, _strategy_packing(strat, bg)
-
-
-def _strategy_packing(strat, bg):
+def strategy_packing(strat: BCSQuantumStrategy, bg):
+    """Projective packing of the BCS graph ``bg`` induced by a perfect
+    strategy: each vertex (l, f) gets the operator of f in constraint l."""
     blocks = []
     for l, f in bg.vertex_meta:
         match = [op for fa, op in strat.ops[l] if fa == f]
@@ -517,7 +500,9 @@ def quantum_reduction_report(bcs: LinBCS, strat=None, tol=DEFAULT_TOL):
     classical = classical_reduction_report(bcs)
     if strat is None:
         if classical["satisfiable"]:
-            strat = classical_bcs_strategy(bcs, classical["assignment"])
+            # the d = 1 operator solution: x_i as the 1 x 1 observable (-1)^(x_i)
+            signs = (-1.0) ** np.array(classical["assignment"])
+            strat = observable_strategy(bcs, signs.reshape(-1, 1, 1))
         elif bcs == magic_square():
             strat = mermin_bcs_strategy()
         else:
@@ -531,7 +516,7 @@ def quantum_reduction_report(bcs: LinBCS, strat=None, tol=DEFAULT_TOL):
     cert_report = verify_qiso_certificate(g, h, cert, tol)
     (ns_ok, ns_violation), (perfect_ok, losing) = verify_certificate_correlation(
         cert, g, h, 10 * tol)
-    packing_report = verify_packing(g, _strategy_packing(strat, bg), tol)
+    packing_report = verify_packing(g, strategy_packing(strat, bg), tol)
     spectra = cospectral_mates(g, h)
     report = {
         "satisfiable": classical["satisfiable"],
@@ -590,7 +575,7 @@ def _family_from_json(text, keys):
             raise ParseError(f"entry {i}: needs the keys {', '.join(keys)} and matrix")
         try:
             mat = np.array([[complex(re, im) for re, im in row] for row in entry["matrix"]])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError(f"entry {i}: matrix must be rows of [re, im] number pairs") from None
         if mat.shape != (d, d):
             raise ParseError(f"entry {i}: matrix shape {mat.shape} does not match dimension {d}")
@@ -600,30 +585,33 @@ def _family_from_json(text, keys):
     return d, parsed
 
 
-def _entry_vertex(graph: Graph, label, i):
-    try:
-        return graph.index(label)
-    except GraphError as exc:
-        raise ParseError(f"entry {i}: {exc}") from None
-
-
 def certificate_to_json(cert: QuantumIsoCertificate, g: Graph, h: Graph):
     return _family_to_json(cert.d, (
         ({"g": g.labels[i], "h": h.labels[j]}, block)
         for i, j, block in zip(*_nonzero_blocks(cert.blocks))))
 
 
-def certificate_from_json(text, g: Graph, h: Graph):
-    d, entries = _family_from_json(text, ("g", "h"))
-    blocks = np.zeros((g.n, h.n, d, d), dtype=complex)
+def _blocks_from_json(text, graphs, keys, what):
+    """Dimension and block array of a matrix-family document whose entries
+    name a vertex of each graph under the matching key; an unknown label or
+    a repeated ``what`` raises ParseError naming the entry."""
+    d, entries = _family_from_json(text, keys)
+    blocks = np.zeros((*(graph.n for graph in graphs), d, d), dtype=complex)
     seen = set()
     for i, entry, mat in entries:
-        pair = _entry_vertex(g, entry["g"], i), _entry_vertex(h, entry["h"], i)
-        if pair in seen:
-            raise ParseError(f"entry {i}: repeated vertex pair")
-        seen.add(pair)
-        blocks[pair] = mat
-    return QuantumIsoCertificate(d, blocks)
+        try:
+            index = tuple(graph.index(entry[key]) for graph, key in zip(graphs, keys))
+        except GraphError as exc:
+            raise ParseError(f"entry {i}: {exc}") from None
+        if index in seen:
+            raise ParseError(f"entry {i}: repeated {what}")
+        seen.add(index)
+        blocks[index] = mat
+    return d, blocks
+
+
+def certificate_from_json(text, g: Graph, h: Graph):
+    return QuantumIsoCertificate(*_blocks_from_json(text, (g, h), ("g", "h"), "vertex pair"))
 
 
 def packing_to_json(pack: ProjectivePacking, g: Graph):
@@ -633,16 +621,7 @@ def packing_to_json(pack: ProjectivePacking, g: Graph):
 
 
 def packing_from_json(text, g: Graph):
-    d, entries = _family_from_json(text, ("vertex",))
-    blocks = np.zeros((g.n, d, d), dtype=complex)
-    seen = set()
-    for i, entry, mat in entries:
-        v = _entry_vertex(g, entry["vertex"], i)
-        if v in seen:
-            raise ParseError(f"entry {i}: repeated vertex")
-        seen.add(v)
-        blocks[v] = mat
-    return ProjectivePacking(d, blocks)
+    return ProjectivePacking(*_blocks_from_json(text, (g,), ("vertex",), "vertex"))
 
 
 def strategy_to_json(strat: BCSQuantumStrategy):

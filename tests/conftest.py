@@ -1,16 +1,18 @@
 import itertools
 import math
 import random
+from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qgiso import graphs as gmod
-from qgiso.bcs import LinBCS
+from qgiso.bcs import LinBCS, satisfying_assignments
 from qgiso.equitable import CommonEquitablePartition, verify_common_equitable
-from qgiso.games import iso_game_predicate, rel_codes
-from qgiso.graphs import Graph, from_edges
+from qgiso.games import rel_codes
+from qgiso.graphs import Graph, GraphError, from_edges
+from qgiso.quantum import BCSQuantumStrategy
 
 
 def cycle(n, prefix="v"):
@@ -117,6 +119,94 @@ def brute_force_isomorphic(g, h):
         ):
             return True
     return False
+
+
+# --- scalar game oracles ----------------------------------------------------
+# One question tuple at a time: the rules that ``games.rel_codes``,
+# ``iso_game_wins`` and ``bcs_game_wins`` apply to whole arrays, kept as
+# their oracle.
+
+class Rel(Enum):
+    EQUAL = "equal"
+    ADJACENT = "adjacent"
+    DISTINCT_NONADJACENT = "distinct-nonadjacent"
+
+
+def rel(g: Graph, x, y):
+    """Relationship of two vertices of the same graph."""
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise GraphError(f"vertex index out of range: {x}, {y}")
+    if x == y:
+        return Rel.EQUAL
+    if g.adj[x, y]:
+        return Rel.ADJACENT
+    return Rel.DISTINCT_NONADJACENT
+
+
+def split_token(g: Graph, h: Graph, token):
+    """Classify a token of the combined input set V(G) + V(H).
+
+    Tokens 0..|V(G)|-1 are G vertices; the rest are H vertices (offset by
+    |V(G)|).  Returns ("G", index) or ("H", index).
+    """
+    if 0 <= token < g.n:
+        return "G", token
+    if g.n <= token < g.n + h.n:
+        return "H", token - g.n
+    raise GraphError(f"token {token} outside V(G) + V(H)")
+
+
+def iso_game_predicate(g: Graph, h: Graph, x_a, x_b, y_a, y_b):
+    """True iff (y_a, y_b) is a winning answer to questions (x_a, x_b).
+
+    The players must answer from the graph their question was not from, and
+    the relationship of the two G-vertices involved must equal that of the
+    two H-vertices.
+    """
+    sx_a, ix_a = split_token(g, h, x_a)
+    sx_b, ix_b = split_token(g, h, x_b)
+    sy_a, iy_a = split_token(g, h, y_a)
+    sy_b, iy_b = split_token(g, h, y_b)
+    if sy_a == sx_a or sy_b == sx_b:
+        return False
+    g_a, h_a = (ix_a, iy_a) if sx_a == "G" else (iy_a, ix_a)
+    g_b, h_b = (ix_b, iy_b) if sx_b == "G" else (iy_b, ix_b)
+    return rel(g, g_a, g_b) == rel(h, h_a, h_b)
+
+
+def bcs_game_predicate(bcs, l_a, l_b, f_a, f_b):
+    """True iff both assignments satisfy their constraints and agree on the
+    shared variables.
+
+    ``f_a`` and ``f_b`` map variable indices of the respective supports to
+    bits; their domains must equal the supports exactly.
+    """
+    s_a, b_a = bcs.constraints[l_a]
+    s_b, b_b = bcs.constraints[l_b]
+    if set(f_a) != set(s_a) or set(f_b) != set(s_b):
+        raise ValueError("assignment domain does not match the constraint support")
+    if sum(f_a[i] for i in s_a) % 2 != b_a:
+        return False
+    if sum(f_b[i] for i in s_b) % 2 != b_b:
+        return False
+    return all(f_a[i] == f_b[i] for i in set(s_a) & set(s_b))
+
+
+# --- d = 1 strategy oracle ---------------------------------------------------
+# The loop that built a satisfiable system's strategy before the report
+# used ``observable_strategy`` on the 1 x 1 observables (-1)^(x_i).
+
+def classical_bcs_strategy(bcs, assignment):
+    """d = 1 strategy from a classical satisfying assignment."""
+    ops = []
+    for s, b in bcs.constraints:
+        family = []
+        target = {i: assignment[i] for i in s}
+        for f in satisfying_assignments(s, b):
+            val = 1.0 if f == target else 0.0
+            family.append((f, np.array([[val]], dtype=complex)))
+        ops.append(tuple(family))
+    return BCSQuantumStrategy(1, tuple(ops))
 
 
 # --- Fraction-loop oracles for the exact correlation path -----------------

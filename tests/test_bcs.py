@@ -3,6 +3,7 @@ import pytest
 
 from conftest import PENTAGRAM
 from qgiso.bcs import (
+    MAX_VARIABLES,
     BCSError,
     BCSGraph,
     LinBCS,
@@ -13,7 +14,6 @@ from qgiso.bcs import (
     magic_square,
     parse_bcs,
     satisfying_assignments,
-    solve_gf2,
     solve_or_refute,
     verify_refutation,
 )
@@ -45,6 +45,12 @@ class TestParse:
         bcs = parse_bcs("# header\nx1 + x3 = 0  # trailing\n")
         assert bcs.n == 3 and bcs.constraints == (((0, 2), 0),)
 
+    def test_variable_cap(self):
+        # elimination loops over every variable index in Python
+        assert parse_bcs(f"x1 + x{MAX_VARIABLES} = 1\n").n == MAX_VARIABLES
+        with pytest.raises(BCSError, match=f"line 2: variable x{MAX_VARIABLES + 1} exceeds cap"):
+            parse_bcs(f"x1 = 1\nx1 + x{MAX_VARIABLES + 1} = 0\n")
+
 
 class TestMagicSquare:
     def test_first_constraint(self):
@@ -63,14 +69,14 @@ class TestMagicSquare:
 
 class TestSolveGf2:
     def test_magic_square_unsatisfiable(self):
-        assert solve_gf2(magic_square()) is None
+        assert solve_or_refute(magic_square())[0] is None
 
     def test_homogenized_magic_square(self):
-        assignment = solve_gf2(homogenize(magic_square()))
+        assignment = solve_or_refute(homogenize(magic_square()))[0]
         assert assignment == (0,) * 9
 
     def test_single_variable(self):
-        assert solve_gf2(parse_bcs("x1 = 1\n")) == (1,)
+        assert solve_or_refute(parse_bcs("x1 = 1\n"))[0] == (1,)
 
     def test_random_consistency(self, rng):
         # brute force over all assignments must agree with elimination
@@ -87,9 +93,9 @@ class TestSolveGf2:
                 bcs.satisfies(tuple((a >> i) & 1 for i in range(n)))
                 for a in range(1 << n)
             )
-            assert (solve_gf2(bcs) is not None) == brute
+            assert (solve_or_refute(bcs)[0] is not None) == brute
             assignment, y = solve_or_refute(bcs)
-            assert assignment == solve_gf2(bcs) and (y is None) == brute
+            assert assignment == solve_or_refute(bcs)[0] and (y is None) == brute
 
 
 class TestHomogenize:

@@ -25,7 +25,7 @@ from conftest import (
 )
 from qgiso.cli import main
 from qgiso.graphs import format_graph, parse_graph
-from qgiso.bcs import bcs_graph, format_bcs, homogenize, magic_square
+from qgiso.bcs import MAX_VARIABLES, bcs_graph, format_bcs, homogenize, magic_square
 from qgiso import quantum as qmod
 from qgiso.correlations import (
     Correlation,
@@ -113,6 +113,15 @@ def test_bcs_report_json_carries_the_refutation(tmp_path, capsys):
     assert capsys.readouterr().out == MERMIN_DEMO_JSON
 
 
+@pytest.mark.parametrize("index, code", [(MAX_VARIABLES, 1), (MAX_VARIABLES + 1, 2)])
+def test_bcs_check_variable_cap(tmp_path, capsys, index, code):
+    bcs_file = tmp_path / "wide.bcs"
+    bcs_file.write_text(f"x1 + x{index} = 1\nx1 + x{index} = 0\n")
+    assert main(["bcs", "check", str(bcs_file)]) == code
+    err = capsys.readouterr().err
+    assert ("line 1" in err) == (code == 2) and "Traceback" not in err
+
+
 def test_bcs_to_graph(tmp_path):
     bcs_file = tmp_path / "ms.bcs"
     main(["--out", str(bcs_file), "bcs", "magic-square"])
@@ -141,8 +150,24 @@ def test_quantum_correlation_file_is_pinned(magic_graph_files, tmp_path):
         "c062f34441af341239226afe5e545bd98732e03a96e7125ec72d20faf796f5e5")
 
 
+def test_quantum_correlation_builds_no_table_without_out(magic_graph_files, tmp_path, capsys,
+                                                         monkeypatch):
+    bg, bg0, cert = qmod.strategy_to_certificate(magic_square(), qmod.mermin_bcs_strategy())
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(qmod.certificate_to_json(cert, bg.graph, bg0.graph))
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("certificate_correlation called without --out")
+
+    monkeypatch.setattr(qmod, "certificate_correlation", no_table)
+    assert main(["quantum", "correlation", *magic_graph_files, str(cert_file)]) == 0
+    assert capsys.readouterr().out == (
+        "quantum correlation: PASS\n  nonsignalling: True\n  perfect: True\n")
+
+
 def test_quantum_packing(magic_graph_files, tmp_path, capsys):
-    bg, packing = qmod.strategy_packing(magic_square(), qmod.mermin_bcs_strategy())
+    bg = bcs_graph(magic_square())
+    packing = qmod.strategy_packing(qmod.mermin_bcs_strategy(), bg)
     pack_file = tmp_path / "pack.json"
     pack_file.write_text(qmod.packing_to_json(packing, bg.graph))
     assert main(["quantum", "packing", magic_graph_files[0], str(pack_file)]) == 0
@@ -328,7 +353,7 @@ def test_ns_verify_exact_file_past_int64(tmp_path):
 def witness_docs():
     bcs, strat = magic_square(), qmod.mermin_bcs_strategy()
     bg, bg0, cert = qmod.strategy_to_certificate(bcs, strat)
-    _, packing = qmod.strategy_packing(bcs, strat)
+    packing = qmod.strategy_packing(strat, bg)
     return {"certify": qmod.certificate_to_json(cert, bg.graph, bg0.graph),
             "packing": qmod.packing_to_json(packing, bg.graph)}
 
@@ -357,6 +382,20 @@ def test_quantum_malformed_witness_exits_2(magic_graph_files, witness_docs, tmp_
     assert main(["--json", "quantum", command, *graphs, str(path)]) == 2
     captured = capsys.readouterr()
     assert named in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["certify", "correlation", "packing"])
+def test_quantum_entry_past_float_range_exits_2(magic_graph_files, witness_docs, tmp_path, capsys,
+                                                command):
+    doc = json.loads(witness_docs["packing" if command == "packing" else "certify"])
+    _set_entry(doc, [10 ** 400, 0])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    graphs = magic_graph_files[:1] if command == "packing" else magic_graph_files
+    assert main(["quantum", command, *graphs, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "entry 2" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
 
 

@@ -452,7 +452,7 @@ def _assert_real_violation(corr, table, g):
     if g is not None:
         ok, why = verify_perfect_iso_strategy(corr, g, g)
         if not ok:
-            from qgiso.games import iso_game_predicate
+            from conftest import iso_game_predicate
 
             assert why[4] != 0 and table.get(why[:4], Fraction(0)) == why[4]
             assert not iso_game_predicate(g, g, *why[:4])

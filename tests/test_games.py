@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import PENTAGRAM, complete, cycle, empty, path, permuted_copy, random_graph
-from qgiso.games import (
-    Rel,
-    bcs_game_predicate,
-    bcs_game_wins,
-    iso_game_predicate,
-    iso_game_wins,
-    rel,
-    split_token,
-)
+from conftest import (PENTAGRAM, Rel, bcs_game_predicate, complete, cycle, empty,
+                      iso_game_predicate, path, permuted_copy, random_graph, rel, split_token)
+from qgiso.games import bcs_game_wins, iso_game_wins
 from qgiso.bcs import LinBCS, magic_square, satisfying_assignments
 from qgiso.graphs import GraphError, complement, disjoint_union, find_isomorphism
 

@@ -6,19 +6,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (PENTAGRAM, complete, cycle, oracle_ppm, oracle_qiso_certificate,
-                      pentagram_observables, permuted_copy, random_graph)
+from conftest import (PENTAGRAM, classical_bcs_strategy, complete, cycle, oracle_ppm,
+                      oracle_qiso_certificate, pentagram_observables, permuted_copy,
+                      random_graph, rel)
 from qgiso import bcs as bcsmod
 from qgiso import quantum as qmod
 from qgiso.bcs import (
+    LinBCS,
     bcs_graph,
     homogenize,
     magic_square,
     parse_bcs,
-    solve_gf2,
+    solve_or_refute,
 )
 from qgiso.correlations import Correlation, verify_nonsignalling, verify_perfect_iso_strategy
-from qgiso.games import Rel, rel
 from qgiso.graphs import GraphError, ParseError, find_isomorphism, from_edges
 from qgiso.quantum import (
     BCSQuantumStrategy,
@@ -27,7 +28,6 @@ from qgiso.quantum import (
     certificate_correlation,
     certificate_from_json,
     certificate_to_json,
-    classical_bcs_strategy,
     classical_certificate,
     magic_square_observables,
     mermin_bcs_strategy,
@@ -451,7 +451,7 @@ class TestMerminStrategy:
 class TestVerifyBcsStrategy:
     def test_d1_strategy_from_classical_assignment(self):
         bcs = homogenize(magic_square())
-        strat = classical_bcs_strategy(bcs, solve_gf2(bcs))
+        strat = classical_bcs_strategy(bcs, solve_or_refute(bcs)[0])
         assert verify_bcs_strategy(bcs, strat)["ok"]
 
     def test_identity_projector_breaks_sum(self):
@@ -564,7 +564,7 @@ class TestStrategyToCertificate:
 
     def test_d1_case_matches_explicit_isomorphism(self):
         bcs = parse_bcs("x1 + x2 = 1\nx2 + x3 = 0\n")
-        assignment = solve_gf2(bcs)
+        assignment = solve_or_refute(bcs)[0]
         strat = classical_bcs_strategy(bcs, assignment)
         bg, bg0, cert = strategy_to_certificate(bcs, strat)
         report = verify_qiso_certificate(bg.graph, bg0.graph, cert)
@@ -590,7 +590,7 @@ class TestProjectivePacking:
 
     def test_mermin_packing_value_m(self, mermin):
         bcs, strat, bg, _, _ = mermin
-        _, packing = strategy_packing(bcs, strat)
+        packing = strategy_packing(strat, bg)
         report = verify_packing(bg.graph, packing)
         assert report["ok"] and report["value"] == 6
 
@@ -598,7 +598,7 @@ class TestProjectivePacking:
         # a unitary change of basis keeps a packing valid; its residuals must
         # stay at rounding level, which tr(P_i P_j) = ||P_i P_j||^2 would not
         bcs, strat, bg, _, _ = mermin
-        _, packing = strategy_packing(bcs, strat)
+        packing = strategy_packing(strat, bg)
         rng = np.random.default_rng(1)
         u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         report = verify_packing(bg.graph, ProjectivePacking(4, u @ packing.blocks @ u.conj().T))
@@ -614,7 +614,7 @@ class TestProjectivePacking:
     @pytest.mark.parametrize("vertex", [0, 7])
     def test_nan_block_fails(self, mermin, vertex):
         bcs, strat, bg, _, _ = mermin
-        _, packing = strategy_packing(bcs, strat)
+        packing = strategy_packing(strat, bg)
         blocks = packing.blocks.copy()
         blocks[vertex] = np.nan
         report = verify_packing(bg.graph, ProjectivePacking(packing.d, blocks))
@@ -658,6 +658,37 @@ class TestQuantumReductionReport:
         assert quantum_reduction_report(magic_square())["ok"]
         assert len(calls) == 1
 
+    def test_d1_strategy_matches_the_assignment_loop(self, monkeypatch):
+        # a satisfiable system's strategy, captured where the report verifies
+        # it, against the loop that built it before the report used
+        # observable_strategy
+        class Built(Exception):
+            pass
+
+        def capture(bcs, strat, *args):
+            raise Built(strat)
+
+        monkeypatch.setattr(qmod, "verify_bcs_strategy", capture)
+        rng = random.Random(120)
+        satisfiable = 0
+        for _ in range(200):
+            n, m = rng.randint(2, 6), rng.randint(1, 5)
+            bcs = LinBCS(n, tuple((rng.sample(range(n), rng.randint(1, min(3, n))), rng.randint(0, 1))
+                                  for _ in range(m)))
+            assignment, _ = solve_or_refute(bcs)
+            if assignment is None:
+                continue
+            satisfiable += 1
+            with pytest.raises(Built) as built:
+                quantum_reduction_report(bcs)
+            strat, oracle = built.value.args[0], classical_bcs_strategy(bcs, assignment)
+            assert strat.d == 1 and len(strat.ops) == len(oracle.ops)
+            for family, expected in zip(strat.ops, oracle.ops):
+                assert [f for f, _ in family] == [f for f, _ in expected]
+                assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(family, expected))
+            assert strategy_to_json(strat) == strategy_to_json(oracle)
+        assert satisfiable > 100
+
     def test_returns_the_verified_certificate(self, mermin):
         bcs, strat, bg, bg0, cert = mermin
         report = quantum_reduction_report(bcs, strat)
@@ -691,7 +722,7 @@ class TestJsonRoundTrip:
     def test_encoders_byte_identical_on_magic_square(self, mermin):
         # digests of the encoders' output before they shared one family encoder
         bcs, strat, bg, bg0, cert = mermin
-        _, packing = strategy_packing(bcs, strat)
+        packing = strategy_packing(strat, bg)
         digests = {
             "certificate": certificate_to_json(cert, bg.graph, bg0.graph),
             "packing": packing_to_json(packing, bg.graph),
@@ -713,7 +744,7 @@ class TestJsonRoundTrip:
 
     def test_packing(self, mermin):
         bcs, strat, bg, _, _ = mermin
-        _, packing = strategy_packing(bcs, strat)
+        packing = strategy_packing(strat, bg)
         back = packing_from_json(packing_to_json(packing, bg.graph), bg.graph)
         assert verify_packing(bg.graph, back)["value"] == 6
 
