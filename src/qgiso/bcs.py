@@ -77,7 +77,7 @@ def parse_bcs(text):
         support = []
         for term in lhs.split("+"):
             term = term.strip()
-            if not term.startswith("x") or not term[1:].isdigit() or int(term[1:]) < 1:
+            if not term.startswith("x") or not term[1:].isdecimal() or int(term[1:]) < 1:
                 raise BCSError(f"line {lineno}: malformed variable {term!r}")
             if int(term[1:]) > MAX_VARIABLES:
                 raise BCSError(f"line {lineno}: variable {term} exceeds cap x{MAX_VARIABLES}")

@@ -333,7 +333,7 @@ def parse_correlation(text, tol=DEFAULT_TOL):
     if not lines:
         raise ParseError("empty correlation file")
     head_no, head = lines[0][0], lines[0][1].split()
-    if (len(head) != 3 or head[0] != "corr" or not head[1].isdigit()
+    if (len(head) != 3 or head[0] != "corr" or not head[1].isdecimal()
             or head[2] not in ("exact", "float")):
         raise ParseError("correlation file must start with 'corr <N> exact|float'", head_no)
     N, mode = int(head[1]), head[2]

@@ -1,9 +1,11 @@
 """Graph values, exact combinatorial oracles, and integer characteristic polynomials.
 
-Everything in this module is exact: adjacency is boolean, characteristic
-polynomials are integer polynomials computed modulo primes and lifted
-with a proven coefficient bound, and the isomorphism /
-independence oracles are complete searches (with pruning), not heuristics.
+Everything in this module is exact: adjacency is boolean, the isomorphism /
+independence oracles are complete searches (with pruning), not heuristics,
+and characteristic polynomials are integer polynomials.  One Faddeev-LeVerrier
+loop runs modulo primes on a stack of every (graph, prime) pair, keeps
+signed residues, and lifts under the smaller of a Hadamard and an energy
+bound (Maclaurin; Koolen and Moulton 2001) on the coefficients.
 """
 
 from __future__ import annotations
@@ -241,12 +243,13 @@ def _prime(bits, i):
     return p
 
 
-def _mod(x, p):
-    """x mod p for float arrays of non-negative integers, exact while
-    x + p < 2**53: the rounded quotient is at most one too large, never too
-    small, so floor(x / p) * p <= x + p and one correction suffices."""
-    r = x - np.floor(x / p) * p
-    return np.where(r < 0, r + p, r)
+def _coefficient_bound(g):
+    """A proven bound on every |c_k| of det(xI - A), as char_poly states it."""
+    n, two_m, delta = g.n, int(g.adj.sum()), int(g.adj.sum(axis=1).max(initial=0))
+    u = two_m + math.isqrt((n - 1) * two_m * (n * n - two_m)) + 1  # n E < u when 2m >= n
+    return max(math.comb(n, k) * min(math.isqrt(min(delta, k) ** k) + 1,
+                                     -(-u ** k // n ** (2 * k)) if two_m >= n else math.inf)
+               for k in range(n + 1))
 
 
 def char_poly(g: Graph):
@@ -254,60 +257,67 @@ def char_poly(g: Graph):
     lifted to the integers by the Chinese remainder theorem.
 
     Per prime p the recurrence M_k = A M_(k-1) + c_(k-1) I, with
-    c_k = -tr(A M_k) / k, runs on float64 arrays with one matrix product
-    per step, all primes at once; the division by k is a multiplication
-    by k^-1 mod p, which exists because p > n.  The arithmetic is exact
-    because every value is an integer below 2**53: A M_(k-1) is reduced
-    into [0, p), so M_k is below 2p, A is 0/1, and every partial sum of
-    A @ M_k, in any summation order, plus p for its reduction, is below
-    2 n p.  Primes below 2**(52 - bit_length(n)) keep 2 n p below 2**53.
+    c_k = -tr(A M_k) / k, takes one float64 matrix product per step, for
+    every (graph, prime) pair of a ``_char_polys`` batch at once; dividing
+    by k is multiplying by k^-1 mod p, as p > n.  Every value is an exact
+    integer below 2**53, as p < 2**(52 - bit_length(n)) makes n p < 2**52.
+    The signed step x - rint(x * (1/p)) * p reduces A M_k: its quotient is
+    within n 2**-51 of x / p, so residues are within p/2 + 2 of zero.  With
+    c_(k-1) in [0, p) added on the diagonal, |M_k| < 3p/2 + 2; A is 0/1, so
+    partial sums of A @ M_k stay below n (3p/2 + 2) < 2**53, traces below n p.
 
-    Each coefficient is (-1)^k times the sum of the C(n, k) principal
-    k x k minors.  By Hadamard's inequality a minor is at most
-    min(Delta, k)^(k/2), Delta the maximum degree, since each of its rows
-    holds at most min(Delta, k) ones.  Enough primes are taken that their
-    product exceeds twice that bound, so the symmetric lift is the exact
-    coefficient; one more prime confirms the lift, and a mismatch raises.
+    c_k is (-1)^k e_k(eigenvalues), so |c_k| is at most the smaller of
+    C(n, k) min(Delta, k)^(k/2), Delta the maximum degree, by Hadamard's
+    inequality on the principal k x k minors, and C(n, k) (E/n)^k, by
+    Maclaurin's inequality on the |eigenvalues|, whose sum E is the energy;
+    when 2m >= n, n E <= 2m + sqrt((n - 1) 2m (n^2 - 2m)) (Koolen and
+    Moulton, *Maximal energy graphs*, Adv. Appl. Math. 26, 2001).  Both are
+    exact integers.  The primes' product exceeds twice the batch's largest
+    bound, so each symmetric lift is exact; one more prime confirms it, and a
+    mismatch raises.
     """
-    n = g.n
-    delta = int(g.adj.sum(axis=1).max()) if n else 0
-    bound = max(math.comb(n, k) * (math.isqrt(min(delta, k) ** k) + 1) for k in range(n + 1))
-    bits = 52 - n.bit_length()
-    primes, modulus = [], 1
-    while modulus <= 2 * bound:
-        primes.append(_prime(bits, len(primes)))
-        modulus *= primes[-1]
-    primes.append(_prime(bits, len(primes)))  # the check prime
+    return _char_polys([g])[0]
 
-    p = np.array(primes, dtype=float)[:, None, None]
-    A = g.adj.astype(float)
-    diag = np.arange(n)
-    residues = np.zeros((len(primes), n + 1))  # residues[:, n - k] holds c_k mod p
-    residues[:, n] = 1
-    M = np.zeros((len(primes), n, n))
-    for k in range(1, n + 1):
-        M[:, diag, diag] += residues[:, n - k + 1, None]  # M_k = A M_(k-1) + c_(k-1) I
-        M = _mod(A @ M, p)  # A M_k
-        residues[:, n - k] = [-int(t) * pow(k, -1, q) % q
-                              for t, q in zip(M.trace(axis1=1, axis2=2), primes)]
-    residues = residues.astype(np.int64).tolist()
 
-    lifted, modulus = [0] * (n + 1), 1
-    for q, res in zip(primes[:-1], residues):
-        inv = pow(modulus, -1, q)
-        lifted = [x + modulus * ((r - x) * inv % q) for x, r in zip(lifted, res)]
-        modulus *= q
-    coeffs = [x - modulus if 2 * x > modulus else x for x in lifted]
-    q = primes[-1]
-    if any((x - r) % q for x, r in zip(coeffs, residues[-1])):
-        raise AssertionError("characteristic polynomial lift disagrees with the check prime")
-    return CharPoly(coeffs)
+def _char_polys(graphs):
+    """char_poly of each graph: one loop per order, on its (graph, prime) stack."""
+    polys = [None] * len(graphs)
+    for n in {g.n for g in graphs}:
+        batch = [i for i, g in enumerate(graphs) if g.n == n]
+        bound = max(_coefficient_bound(graphs[i]) for i in batch)
+        primes = []
+        while math.prod(primes) <= 2 * bound:
+            primes.append(_prime(52 - n.bit_length(), len(primes)))
+        primes.append(_prime(52 - n.bit_length(), len(primes)))  # the check prime
+        p = np.array(primes, dtype=float)[:, None, None, None]
+        A = np.stack([graphs[i].adj for i in batch]).astype(float)
+        residues = np.ones((len(batch), len(primes), n + 1))  # [..., n - k]: c_k mod p; c_0 = 1
+        buf = np.zeros((2, len(primes), len(batch), n, n))  # M_k and A M_k take turns
+        diag = np.einsum("bpgii->bgpi", buf)  # writable views of their diagonals
+        for k in range(1, n + 1):
+            M, AM = buf[k % 2], buf[1 - k % 2]
+            diag[k % 2] += residues[..., n - k + 1, None]  # M_k = A M_(k-1) + c_(k-1) I
+            np.matmul(A, M, out=AM)
+            AM -= np.multiply(np.rint(np.multiply(AM, 1 / p, out=M), out=M), p, out=M)
+            inv = [pow(k, -1, q) for q in primes]
+            residues[..., n - k] = [[-int(t) * v % q for t, v, q in zip(row, inv, primes)]
+                                    for row in diag[1 - k % 2].sum(axis=2).tolist()]
+        for i, res in zip(batch, residues.astype(np.int64).tolist()):
+            lifted, modulus = [0] * (n + 1), 1
+            for q, r in zip(primes[:-1], res):
+                inv = pow(modulus, -1, q)
+                lifted = [x + modulus * ((y - x) * inv % q) for x, y in zip(lifted, r)]
+                modulus *= q
+            coeffs = [x - modulus if 2 * x > modulus else x for x in lifted]
+            if any((x - r) % primes[-1] for x, r in zip(coeffs, res[-1])):
+                raise AssertionError("characteristic polynomial lift disagrees with the check prime")
+            polys[i] = CharPoly(coeffs)
+    return polys
 
 
 def cospectral_mates(g: Graph, h: Graph):
     """Exact cospectrality report for the pair and for their complements."""
-    pg, ph = char_poly(g), char_poly(h)
-    pgc, phc = char_poly(complement(g)), char_poly(complement(h))
+    pg, ph, pgc, phc = _char_polys([g, h, complement(g), complement(h)])
     return {
         "cospectral": pg == ph,
         "complements_cospectral": pgc == phc,

@@ -75,6 +75,15 @@ def test_graph_cospectral_refuted(graph_files):
     assert main(["graph", "cospectral", *graph_files]) == 1
 
 
+def test_graph_cospectral_of_different_orders(tmp_path, capsys):
+    c5, c6 = tmp_path / "c5.g", tmp_path / "c6.g"
+    c5.write_text(format_graph(cycle(5)))
+    c6.write_text(format_graph(cycle(6)))
+    assert main(["graph", "cospectral", str(c5), str(c6)]) == 1
+    captured = capsys.readouterr()
+    assert "NOT COSPECTRAL MATES" in captured.out and "Traceback" not in captured.err
+
+
 def test_graph_alpha(graph_files, capsys):
     assert main(["graph", "alpha", graph_files[0]]) == 0
     assert "graph alpha: 3" in capsys.readouterr().out
@@ -120,6 +129,15 @@ def test_bcs_check_variable_cap(tmp_path, capsys, index, code):
     assert main(["bcs", "check", str(bcs_file)]) == code
     err = capsys.readouterr().err
     assert ("line 1" in err) == (code == 2) and "Traceback" not in err
+
+
+def test_bcs_check_unicode_digit_exits_2(tmp_path, capsys):
+    # str.isdigit accepts the superscript, int does not
+    bcs_file = tmp_path / "super.bcs"
+    bcs_file.write_text("x1 + x\u00b2 = 1\n")
+    assert main(["bcs", "check", str(bcs_file)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "Traceback" not in err
 
 
 def test_bcs_to_graph(tmp_path):
@@ -274,6 +292,16 @@ def test_ns_verify_malformed_correlation_exits_2(tmp_path, capsys, text, line):
     assert main(["ns", "verify", str(g), str(g), str(corr)]) == 2
     err = capsys.readouterr().err
     assert f"line {line}" in err and "Traceback" not in err
+
+
+def test_ns_verify_unicode_digit_header_exits_2(tmp_path, capsys):
+    g = tmp_path / "k2.g"
+    g.write_text("v a\nv b\ne a b\n")
+    corr = tmp_path / "super.corr"
+    corr.write_text("corr \u00b2 exact\nG:a G:b H:a H:b\n0 0 2 2 1\n")
+    assert main(["ns", "verify", str(g), str(g), str(corr)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "Traceback" not in err
 
 
 def _ns_pairs():

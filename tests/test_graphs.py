@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -37,7 +38,8 @@ from qgiso.graphs import (
     is_isomorphism,
     parse_graph,
 )
-from qgiso.graphs import _Automorphisms, _neighbour_lists, _refine
+from qgiso import graphs as gmod
+from qgiso.graphs import _Automorphisms, _char_polys, _coefficient_bound, _neighbour_lists, _refine
 
 
 class TestParse:
@@ -194,6 +196,102 @@ class TestCospectral:
     def test_c6_vs_2k3(self):
         r = cospectral_mates(cycle(6), two_k3())
         assert not r["cospectral"]
+
+
+def _no_vertices():
+    return Graph((), np.zeros((0, 0), dtype=bool))
+
+
+def _complete_char_poly(n):
+    """(x - (n - 1)) (x + 1)^(n - 1), expanded by binomials."""
+    return tuple((math.comb(n - 1, k - 1) if k else 0) - (n - 1) * math.comb(n - 1, k)
+                 for k in range(n + 1))
+
+
+def _complete_bipartite(a, b):
+    left, right = [f"l{i}" for i in range(a)], [f"r{j}" for j in range(b)]
+    return from_edges(left + right, list(itertools.product(left, right)))
+
+
+def _hadamard_bound(g):
+    """The coefficient bound char_poly used before the energy bound."""
+    n = g.n
+    delta = int(g.adj.sum(axis=1).max()) if n else 0
+    return max(math.comb(n, k) * (math.isqrt(min(delta, k) ** k) + 1) for k in range(n + 1))
+
+
+class TestCharPolysBatch:
+    """The batched kernel against one call per graph and the reference recurrence."""
+
+    def test_mixed_orders_match_one_call_per_graph(self):
+        rng = random.Random(1313)
+        corpus = [random_graph(rng.randint(1, 30), rng.random(), rng) for _ in range(12)]
+        corpus += [complement(g) for g in corpus[:4]] + [_no_vertices(), empty(7), complete(9)]
+        rng.shuffle(corpus)
+        batch = _char_polys(corpus)
+        assert batch == [char_poly(g) for g in corpus]
+        assert [p.coeffs for p in batch] == [_faddeev_leverrier_reference(g) for g in corpus]
+
+    def test_zero_vertex_graph(self):
+        polys = _char_polys([_no_vertices(), cycle(4), _no_vertices()])
+        assert polys[0].coeffs == polys[2].coeffs == (1,)
+        assert polys[1].coeffs == _faddeev_leverrier_reference(cycle(4))
+
+    def test_cospectral_mates_of_different_orders(self):
+        r = cospectral_mates(cycle(5), cycle(6))
+        assert not r["cospectral"] and not r["complements_cospectral"]
+        assert r["char_poly_g"] == char_poly(cycle(5)) and r["char_poly_h"] == char_poly(cycle(6))
+
+    @pytest.mark.parametrize("n", [63, 127])
+    def test_complete_graph_closed_form_at_prime_size_boundaries(self, n):
+        # 63 and 64, 127 and 128 take primes of different sizes
+        assert char_poly(complete(n)).coeffs == _complete_char_poly(n)
+
+    def test_k128_lifts_with_six_primes(self, monkeypatch):
+        asked = []
+        prime = gmod._prime
+
+        def recording_prime(bits, i):
+            asked.append(i)
+            return prime(bits, i)
+        monkeypatch.setattr(gmod, "_prime", recording_prime)
+        assert char_poly(complete(128)).coeffs == _complete_char_poly(128)
+        assert max(asked) + 1 == 6  # five lift primes and the check prime
+
+
+class TestCoefficientBound:
+    """The bound covers every coefficient and never exceeds the Hadamard bound."""
+
+    @staticmethod
+    def _graphs():
+        for n in (1, 2, 63, 64, 127, 128):
+            yield complete(n)
+        for a, b in ((1, 1), (3, 5), (10, 10), (2, 30)):
+            yield _complete_bipartite(a, b)
+        for leaves in (1, 5, 30):
+            yield star(leaves)
+        rng = random.Random(2001)
+        for _ in range(8):
+            yield random_graph(rng.randint(2, 50), rng.random(), rng)
+        yield from _pair(PENTAGRAM)
+
+    def test_between_coefficients_and_hadamard(self):
+        for g in self._graphs():
+            top = max(abs(c) for c in char_poly(g).coeffs)
+            assert top <= _coefficient_bound(g) <= _hadamard_bound(g)
+
+    def test_sparse_graph_keeps_the_hadamard_bound(self):
+        # one edge and ten isolated vertices: 2m < n, so the energy bound does not apply
+        g = from_edges([f"v{i}" for i in range(12)], [("v0", "v1")])
+        assert _coefficient_bound(g) == _hadamard_bound(g)
+        assert max(abs(c) for c in char_poly(g).coeffs) <= _coefficient_bound(g)
+
+    def test_bit_lengths(self):
+        assert _coefficient_bound(complete(128)).bit_length() <= 200
+        assert _hadamard_bound(complete(128)).bit_length() == 456
+        g, h = _pair(PENTAGRAM)
+        for x in (g, h, complement(g), complement(h)):
+            assert _coefficient_bound(x).bit_length() <= 87
 
 
 class TestFindIsomorphism:
