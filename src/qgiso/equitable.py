@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, GraphError, _neighbour_lists, _refine, disjoint_union
+from .graphs import Graph, GraphError, ParseError, _neighbour_lists, _refine, disjoint_union
 
 
 @dataclass(frozen=True)
@@ -228,14 +228,24 @@ def format_ds_witness(D):
 
 
 def parse_ds_witness(text):
+    """Read ``format_ds_witness``'s text: the header 'ds <rows> <cols>'
+    with decimal sizes, then rows * cols p/q entries in row-major order.
+    A malformed header or entry raises ParseError naming it."""
     tokens = text.split()
-    if len(tokens) < 3 or tokens[0] != "ds":
-        raise GraphError("witness file must start with 'ds <rows> <cols>'")
+    head = tokens[:3]
+    if len(head) < 3 or head[0] != "ds" or not (head[1].isdecimal() and head[2].isdecimal()):
+        raise ParseError(f"witness file must start with 'ds <rows> <cols>', not {' '.join(head)!r}")
     rows, cols = int(tokens[1]), int(tokens[2])
     entries = tokens[3:]
     if len(entries) != rows * cols:
-        raise GraphError(f"expected {rows * cols} entries, found {len(entries)}")
+        raise ParseError(f"expected {rows * cols} entries, found {len(entries)}")
     D = []
     for i in range(rows):
-        D.append([Fraction(entries[i * cols + j]) for j in range(cols)])
+        row = []
+        for j, entry in enumerate(entries[i * cols:(i + 1) * cols]):
+            try:
+                row.append(Fraction(entry))
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"entry ({i}, {j}) {entry!r} is not a fraction p/q") from None
+        D.append(row)
     return D

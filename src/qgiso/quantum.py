@@ -7,10 +7,15 @@ state, projective packings, and the reduction from a perfect BCS strategy,
 built from an operator solution by ``observable_strategy``, to an
 isomorphism certificate.
 
-The report and ``qiso quantum correlation`` check the induced correlation
-on the K x K trace matrix of the certificate's K non-zero blocks
-(``verify_certificate_correlation``); ``certificate_correlation`` builds
-it as a coordinate table only for export and as the test reference.
+A BCS certificate repeats each strategy operator: of its K non-zero
+blocks only U are distinct (K / U = 4 on the magic square, 8 on the
+pentagram).  ``verify_qiso_certificate`` and ``verify_certificate_correlation``
+therefore take their pair products over the U distinct blocks, equal by
+every byte, and go back to the K blocks only where a block's position
+matters.  The report and ``qiso quantum correlation`` check the induced
+correlation on the U x U trace matrix (``verify_certificate_correlation``);
+``certificate_correlation`` builds it from the K blocks as a coordinate
+table only for export and as the test reference.
 
 All residuals are Frobenius norms; the default acceptance tolerance is
 1e-9 while the built-in constructions land near machine epsilon.
@@ -75,11 +80,38 @@ def _nonzero_blocks(a):
     return rows, cols, a[rows, cols]
 
 
+def _distinct_blocks(a):
+    """``_nonzero_blocks`` of an (n, m, d, d) array, then the (U, d, d) stack
+    of the distinct blocks among the K, each the first of its class, and
+    each block's index into it.  Blocks are equal when every byte is: 0.0
+    and -0.0, NaNs with other payloads and blocks one ulp apart stay apart.
+    """
+    rows, cols, nz = _nonzero_blocks(a)
+    k, d = len(nz), a.shape[-1]
+    keys = nz.reshape(k, d * d).view(f"V{nz.itemsize * d * d}").ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return rows, cols, nz, nz[first], inverse
+
+
 def _rel_mismatch(g, h, nz_g, nz_h):
     """K x K mask of the block pairs (a, b) whose G vertices nz_g[a], nz_g[b]
     relate otherwise than their H vertices nz_h[a], nz_h[b]."""
     # rows then columns: a tenth of the time of one np.ix_ gather at K = 320
     return rel_codes(g)[nz_g][:, nz_g] != rel_codes(h)[nz_h][:, nz_h]
+
+
+def _class_mismatch(g, h, nz_g, nz_h, inverse, u):
+    """U x U mask of the class pairs (inverse[a], inverse[b]) of the block
+    pairs (a, b) of ``_rel_mismatch``: that mask OR-reduced over the u
+    classes of ``_distinct_blocks``, rows then columns."""
+    order = np.argsort(inverse, kind="stable")
+    starts = np.searchsorted(inverse[order], np.arange(u))
+
+    def or_rows(mask):  # on the rows packed to bits: an eighth of a bool reduceat
+        packed = np.bitwise_or.reduceat(np.packbits(mask[order], axis=1), starts, axis=0)
+        return np.unpackbits(packed, axis=1, count=mask.shape[1]).view(bool)
+
+    return or_rows(or_rows(_rel_mismatch(g, h, nz_g, nz_h)).T).T
 
 
 def _components(rows, cols, n):
@@ -107,17 +139,23 @@ def verify_ppm(blocks, tol=DEFAULT_TOL):
     beyond tolerance slack is flagged as inconsistent.
 
     Only the K non-zero blocks are touched; a zero block is an exact
-    projector.  The unitarity residual ||B B^dag - I|| pairs blocks that
-    share a column only: it takes one product per connected component of
-    the block support, and a row with no block adds ||I||^2 = d.
+    projector, and the projector residuals are taken once per distinct
+    block.  The unitarity residual ||B B^dag - I|| pairs blocks that share
+    a column only: it takes one product per connected component of the
+    block support, and a row with no block adds ||I||^2 = d.
     """
     a = _as_blocks(blocks)
-    n, m, d, _ = a.shape
-    if n != m:
+    if a.shape[0] != a.shape[1]:
         raise GraphError("projective permutation matrices must be square block arrays")
+    return _ppm_report(a, _distinct_blocks(a), tol)
+
+
+def _ppm_report(a, blocks, tol):
+    """``verify_ppm`` on a square block array and its ``_distinct_blocks``."""
+    n, _, d, _ = a.shape
     eye = np.eye(d)
-    rows, cols, nz = _nonzero_blocks(a)
-    idem, herm = projector_residuals(nz)
+    rows, cols, nz, distinct, _ = blocks
+    idem, herm = projector_residuals(distinct)
     sums = np.zeros((2, n, d, d), dtype=complex)
     np.add.at(sums, (0, rows), nz)
     np.add.at(sums, (1, cols), nz)
@@ -172,19 +210,20 @@ def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol
     if E.shape[:2] != (g.n, h.n):
         raise GraphError("certificate block grid does not match the graphs")
     d = cert.d
-    ppm = verify_ppm(E, tol)
+    blocks = _distinct_blocks(E)
+    ppm = _ppm_report(E, blocks, tol)
     r = ppm["residuals"]
     idem, herm, row, col = r["projector"], r["hermitian"], r["row_sum"], r["col_sum"]
 
     # pairwise product norms via ||A B||^2 = tr((A^dag A)(B B^dag)); a pair
     # with an all-zero block has product exactly 0, so only non-zero blocks
-    # are paired
+    # are paired, and a pair of blocks only through their classes
     n = g.n
-    nz_g, nz_h, M = _nonzero_blocks(E)
+    nz_g, nz_h, _, M, inverse = blocks
     P = M.conj().swapaxes(-2, -1) @ M
     Q = M @ M.conj().swapaxes(-2, -1)
     prod_sq = _pair_traces(P, Q).real
-    mismatch = _rel_mismatch(g, h, nz_g, nz_h)
+    mismatch = _class_mismatch(g, h, nz_g, nz_h, inverse, len(M))
     orth = float(np.sqrt(np.max(np.abs(prod_sq[mismatch]), initial=0.0)))
 
     # block (i, j) of (A_G (x) I) E - E (A_H (x) I) is sum_k A_G[i, k] E_kj -
@@ -193,9 +232,9 @@ def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol
     # over i and reads A_H[k, j] as A_H[j, k]
     w = 2 * d * d
     grid = E.view(float).reshape(n, n, w)
-    left = g.adj.astype(float) @ grid.reshape(n, n * w)
-    right = h.adj.astype(float) @ grid
-    intertwine = float(np.linalg.norm(left.reshape(n, n, w) - right))
+    diff = (g.adj.astype(float) @ grid.reshape(n, n * w)).reshape(n, n, w)
+    diff -= h.adj.astype(float) @ grid
+    intertwine = float(np.linalg.norm(diff))
 
     residuals = {
         "projector": idem,
@@ -224,18 +263,22 @@ def classical_certificate(g: Graph, h: Graph, phi):
     return QuantumIsoCertificate(1, blocks)
 
 
-def _certificate_traces(cert: QuantumIsoCertificate, g: Graph, h: Graph, tol):
-    """The G and H indices of the certificate's K non-zero blocks and the real
-    K x K matrix T[a, b] = tr(E_a E_b) / d of their pair traces.  Raises if
-    the block grid is not V(G) x V(H) or a trace has an imaginary part above
-    tol."""
+def _certificate_blocks(cert: QuantumIsoCertificate, g: Graph, h: Graph):
+    """The certificate's block array, once its grid is checked to be V(G) x V(H)."""
     if cert.blocks.shape[:2] != (g.n, h.n):
         raise GraphError("certificate block grid does not match the graphs")
-    nz_g, nz_h, blocks = _nonzero_blocks(cert.blocks)
-    traces = _pair_traces(blocks, blocks) / cert.d
+    return cert.blocks
+
+
+def _trace_matrix(blocks, d, tol):
+    """The real matrix T[a, b] = tr(E_a E_b) / d of the pair traces of a
+    (k, d, d) stack of blocks.  Raises if a trace has an imaginary part
+    above tol."""
+    traces = _pair_traces(blocks, blocks)
+    traces /= d
     if traces.size and float(np.abs(traces.imag).max()) > tol:
         raise AssertionError("correlation has a non-real entry")
-    return nz_g, nz_h, traces.real
+    return traces.real
 
 
 def certificate_correlation(cert: QuantumIsoCertificate, g: Graph, h: Graph, tol=DEFAULT_TOL):
@@ -253,7 +296,8 @@ def certificate_correlation(cert: QuantumIsoCertificate, g: Graph, h: Graph, tol
     one as its reference.
     """
     n = g.n
-    nz_g, nz_h, traces = _certificate_traces(cert, g, h, tol)
+    nz_g, nz_h, blocks = _nonzero_blocks(_certificate_blocks(cert, g, h))
+    traces = _trace_matrix(blocks, cert.d, tol)
     x = np.concatenate([nz_g, nz_h + n])  # (question, answer) pair a uses block a % K
     y = np.concatenate([nz_h + n, nz_g])
     values = np.tile(traces, (2, 2))
@@ -265,37 +309,49 @@ def certificate_correlation(cert: QuantumIsoCertificate, g: Graph, h: Graph, tol
 def verify_certificate_correlation(cert: QuantumIsoCertificate, g: Graph, h: Graph,
                                    tol=DEFAULT_TOL):
     """Non-signalling and perfection of the correlation the certificate
-    induces, decided on the K x K trace matrix T of its non-zero blocks.
+    induces, decided on the trace matrix T of its U distinct non-zero blocks.
 
     Returns ((ok, violation), (ok, losing tuple)): what ``verify_nonsignalling``
     and ``verify_perfect_iso_strategy`` return on
     ``certificate_correlation(cert, g, h, tol)``, with a violation or losing
     tuple that names an entry of that table.  Block k = (g_k, h_k) answers
-    the pairs (g_k, n + h_k) and (n + h_k, g_k), both with row k of T.  With
-    C the K x N matrix with ones at columns g_k and n + h_k, Alice's marginal
-    over Bob's question is T C and Bob's is T^T C; a side signals when one
-    of its rows is not constant.  A tuple loses when its G vertices relate
-    otherwise than its H vertices, whichever graph each question came from,
-    so one K x K mask covers all four orientations.
+    the pairs (g_k, n + h_k) and (n + h_k, g_k), both with row c_k of T,
+    where c_k is the class of its block.  With C the U x N matrix that
+    counts, per class, the blocks at each of the columns g_k and n + h_k,
+    Alice's marginals over Bob's question are the rows of T C and Bob's
+    those of T^T C, taken by class; a side signals when one of its rows is
+    not constant.  A tuple loses when its G vertices relate otherwise than
+    its H vertices, whichever graph each question came from, so one mask
+    over the class pairs covers all four orientations; only a failing
+    check goes back to the K blocks, to name its worst tuple.
     """
-    nz_g, nz_h, T = _certificate_traces(cert, g, h, tol)
+    nz_g, nz_h, nz, distinct, inverse = _distinct_blocks(_certificate_blocks(cert, g, h))
+    T = _trace_matrix(distinct, cert.d, tol)
     # the table path rejects these too: a NaN compares as no violation
     if not np.isfinite(T).all():
         raise GraphError("correlation table has a non-finite entry")
-    n, K = g.n, len(T)
-    if K == 0:
+    n, u = g.n, len(T)
+    if u == 0:
         return (True, None), (True, None)
-    C = np.zeros((K, n + h.n))
-    C[np.arange(K), nz_g] = C[np.arange(K), nz_h + n] = 1
+    N = n + h.n
+    C = np.bincount(np.concatenate([inverse * N + nz_g, inverse * N + n + nz_h]),
+                    minlength=u * N).reshape(u, N).astype(float)
     ns = True, None
     for side, marg in (("A", T @ C), ("B", T.T @ C)):
-        spread = np.ptp(marg, axis=1)
+        spread = np.ptp(marg, axis=1)[inverse]
         k = int(spread.argmax())
         if spread[k] > tol:
-            lo, hi = int(marg[k].argmin()), int(marg[k].argmax())
+            row = marg[inverse[k]]
+            lo, hi = int(row.argmin()), int(row.argmax())
             ns = False, (side, int(nz_g[k]), int(nz_h[k]) + n, lo, hi,
-                         float(marg[k, lo]), float(marg[k, hi]))
+                         float(row[lo]), float(row[hi]))
             break
+    if not np.abs(T)[_class_mismatch(g, h, nz_g, nz_h, inverse, u)].max(initial=0.0) > tol:
+        return ns, (True, None)
+    # a failing check names its tuple from the K x K traces, as the table
+    # does: T[a, b] and T[b, a] may differ in the last bit, and a U x U
+    # product, rounding otherwise, could name the other pair of a near tie
+    T = _trace_matrix(nz, cert.d, tol)
     losing = np.where(_rel_mismatch(g, h, nz_g, nz_h), np.abs(T), 0.0)
     worst = losing.max()
     if not worst > tol:

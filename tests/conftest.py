@@ -338,7 +338,7 @@ def oracle_qiso_certificate(g, h, cert, tol=1e-9):
     M = E[nz_g, nz_h]
     P = M.conj().swapaxes(-2, -1) @ M
     Q = M @ M.conj().swapaxes(-2, -1)
-    prod_sq = (P.reshape(len(P), -1) @ Q.swapaxes(1, 2).reshape(len(Q), -1).T).real
+    prod_sq = (P.reshape(len(P), d * d) @ Q.swapaxes(1, 2).reshape(len(Q), d * d).T).real
     mismatch = rel_codes(g)[np.ix_(nz_g, nz_g)] != rel_codes(h)[np.ix_(nz_h, nz_h)]
     orth = float(np.sqrt(np.max(np.abs(prod_sq[mismatch]), initial=0.0)))
     big = assemble(E)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from qgiso.equitable import (
     verify_ds_witness,
     verify_equitable,
 )
-from qgiso.graphs import find_isomorphism, from_edges
+from qgiso.graphs import ParseError, find_isomorphism, from_edges
 
 
 class TestColorRefinement:
@@ -161,6 +162,15 @@ class TestDsWitness:
     def test_round_trip(self):
         _, D = fractional_iso(cycle(6), two_k3())
         assert parse_ds_witness(format_ds_witness(D)) == D
+
+    @pytest.mark.parametrize("text, named", [
+        ("ds x 2\n1 0\n", "'ds x 2'"),
+        ("ds 2 2\n1 0\n1/0 1\n", "entry (1, 0) '1/0'"),
+        ("ds -1 -1\n1\n", "'ds -1 -1'"),
+    ], ids=["non-decimal size", "zero denominator", "negative sizes"])
+    def test_malformed_text_raises_naming_the_header_or_entry(self, text, named):
+        with pytest.raises(ParseError, match=re.escape(named)):
+            parse_ds_witness(text)
 
     def test_built_witness_always_verifies(self, rng):
         for _ in range(5):

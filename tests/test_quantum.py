@@ -374,20 +374,20 @@ class TestVerifyCertificateCorrelation:
 
     def test_bob_side_on_an_asymmetric_trace_matrix(self, monkeypatch, mermin):
         # tr(AB) = tr(BA) makes T symmetric for every certificate, so only a
-        # patched T, fed to both paths, reaches Bob's side alone: raising row
-        # 3 by the same amount everywhere shifts Alice's marginals of that
-        # row evenly (every question has four blocks), but moves Bob's at
-        # the two questions of block 3 only
+        # patched T, fed to both paths, reaches Bob's side alone: raising the
+        # rows of every block equal to block 3 by the same amount everywhere
+        # shifts Alice's marginals of those rows evenly (every question has
+        # four blocks), but moves Bob's at the questions of those blocks only
         _, _, bg, bg0, cert = mermin
-        traces = qmod._certificate_traces
+        traces = qmod._trace_matrix
+        block3 = cert.blocks[tuple(np.argwhere(np.any(cert.blocks != 0, axis=(2, 3)))[3])]
 
-        def skewed(*args):
-            nz_g, nz_h, T = traces(*args)
-            T = T.copy()
-            T[3] += 0.01
-            return nz_g, nz_h, T
+        def skewed(blocks, *args):
+            T = traces(blocks, *args).copy()
+            T[np.all(blocks == block3, axis=(1, 2))] += 0.01
+            return T
 
-        monkeypatch.setattr(qmod, "_certificate_traces", skewed)
+        monkeypatch.setattr(qmod, "_trace_matrix", skewed)
         (ns_ok, violation), _ = assert_matches_table(cert, bg.graph, bg0.graph)
         assert not ns_ok and violation[0] == "B"
 
@@ -417,6 +417,97 @@ class TestVerifyCertificateCorrelation:
             report = quantum_reduction_report(bcs, strat)
             assert report["ok"]
             assert report["correlation_nonsignalling"] and report["correlation_perfect"]
+
+
+def _trace_rows(monkeypatch, g, h, cert):
+    """The row counts of the trace products that verify_qiso_certificate and
+    verify_certificate_correlation take on the certificate."""
+    rows = []
+    pair_traces = qmod._pair_traces
+
+    def recording(a, b):
+        rows.append((len(a), len(b)))
+        return pair_traces(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(qmod, "_pair_traces", recording)
+        verify_qiso_certificate(g, h, cert)
+        _outcome(verify_certificate_correlation, cert, g, h)
+    return rows
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestDistinctBlocks:
+    """Both certificate checks take their pair products over the distinct
+    non-zero blocks only, blocks being equal when every byte is; each case
+    is checked against the dense oracles and the table path."""
+
+    @pytest.mark.parametrize("fixture, distinct", [("mermin", 24), ("pentagram", 40)])
+    def test_trace_products_have_one_row_per_distinct_block(self, monkeypatch, request,
+                                                            fixture, distinct):
+        _, _, bg, bg0, cert = request.getfixturevalue(fixture)
+        assert _trace_rows(monkeypatch, bg.graph, bg0.graph, cert) == [(distinct, distinct)] * 2
+
+    @staticmethod
+    def check(monkeypatch, g, h, d, blocks, distinct):
+        """Both checks against their references; returns the trace rows."""
+        TestBlockwiseChecksMatchDenseOracle.check(g, h, d, blocks)
+        cert = QuantumIsoCertificate(d, blocks)
+        assert_matches_table(cert, g, h)
+        rows = _trace_rows(monkeypatch, g, h, cert)
+        assert rows[:2] == [(distinct, distinct)] * 2
+        return rows
+
+    @staticmethod
+    def copies(cert):
+        """The first two non-zero blocks of the certificate with the same bytes."""
+        nz = [tuple(ij) for ij in np.argwhere(np.any(cert.blocks != 0, axis=(2, 3)))]
+        return next((a, b) for i, a in enumerate(nz) for b in nz[i + 1:]
+                    if cert.blocks[a].tobytes() == cert.blocks[b].tobytes())
+
+    def test_a_copy_moved_by_one_ulp_is_a_class_of_its_own(self, monkeypatch, mermin):
+        _, _, bg, bg0, cert = mermin
+        _, b = self.copies(cert)
+        blocks = cert.blocks.copy()
+        r, c = np.argwhere(blocks[b].real != 0)[0]
+        blocks[b][r, c] = complex(np.nextafter(blocks[b][r, c].real, np.inf), blocks[b][r, c].imag)
+        self.check(monkeypatch, bg.graph, bg0.graph, cert.d, blocks, 25)
+
+    def test_negative_zero_is_not_zero(self, monkeypatch, mermin):
+        _, _, bg, bg0, cert = mermin
+        _, b = self.copies(cert)
+        blocks = cert.blocks.copy()
+        parts = blocks[b].view(float)  # real and imaginary parts side by side
+        r, c = np.argwhere(parts == 0)[0]
+        parts[r, c] = -parts[r, c]
+        self.check(monkeypatch, bg.graph, bg0.graph, cert.d, blocks, 25)
+
+    def test_two_identical_nan_blocks_share_a_class(self, monkeypatch, mermin):
+        _, _, bg, bg0, cert = mermin
+        blocks = cert.blocks.copy()
+        for block in self.copies(cert):
+            blocks[block][0, 0] = np.nan
+        self.check(monkeypatch, bg.graph, bg0.graph, cert.d, blocks, 25)
+
+    def test_classical_certificate_has_one_class(self, monkeypatch, rng):
+        g = random_graph(7, 0.5, rng)
+        h = permuted_copy(g, rng)
+        phi = find_isomorphism(g, h)
+        assert self.check(monkeypatch, g, h, 1, classical_certificate(g, h, phi).blocks, 1) == [
+            (1, 1)] * 2
+        # a failing correlation check names its losing tuple from the K x K traces
+        wrong = classical_certificate(g, h, lambda v: phi((v + 1) % g.n))
+        assert self.check(monkeypatch, g, h, 1, wrong.blocks, 1) == [(1, 1), (1, 1), (7, 7)]
+
+    def test_all_zero_certificate_has_no_class(self, monkeypatch):
+        self.check(monkeypatch, cycle(5), cycle(5), 2, np.zeros((5, 5, 2, 2), dtype=complex), 0)
+
+    def test_all_distinct_certificate(self, monkeypatch, mermin):
+        _, _, bg, bg0, cert = mermin
+        blocks = cert.blocks.copy()
+        for k, (i, j) in enumerate(np.argwhere(np.any(blocks != 0, axis=(2, 3)))):
+            blocks[i, j] *= 1 + k * 2.0 ** -50
+        self.check(monkeypatch, bg.graph, bg0.graph, cert.d, blocks, 96)
 
 
 class TestMerminStrategy:
