@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .games import bcs_game_wins
-from .graphs import Graph, VertexMap, from_edges, independence_number, is_isomorphism
+from .graphs import Graph, VertexMap, independence_number, is_isomorphism
 
 MAX_SUPPORT = 20
 MAX_VARIABLES = 4096
@@ -177,20 +177,20 @@ class BCSGraph:
 
 
 def bcs_graph(bcs: LinBCS):
-    meta = []
-    labels = []
+    """Two vertices are adjacent when they set some variable differently:
+    built one variable at a time, its 0-setters against its 1-setters."""
+    meta, labels = [], []
+    setters = [([], []) for _ in range(bcs.n)]  # per variable: the vertices setting it to 0, to 1
     for l, (s, b) in enumerate(bcs.constraints):
         for f in satisfying_assignments(s, b):
+            for i in s:
+                setters[i][f[i]].append(len(meta))
             meta.append((l, f))
             labels.append(vertex_label(l, s, f))
-    edges = []
-    for a in range(len(meta)):
-        la, fa = meta[a]
-        for b_ in range(a + 1, len(meta)):
-            lb, fb = meta[b_]
-            if any(fa[i] != fb[i] for i in fa.keys() & fb.keys()):
-                edges.append((labels[a], labels[b_]))
-    return BCSGraph(from_edges(labels, edges), tuple(meta))
+    adj = np.zeros((len(meta), len(meta)), dtype=bool)
+    for zeros, ones in setters:
+        adj[np.ix_(zeros, ones)] = adj[np.ix_(ones, zeros)] = True
+    return BCSGraph(Graph(tuple(labels), adj), tuple(meta))
 
 
 def verify_refutation(bcs: LinBCS, y, bg: BCSGraph, bg0: BCSGraph):

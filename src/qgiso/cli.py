@@ -58,8 +58,16 @@ def _emit(args, command, verdict, payload):
             print(f"  {k}: {_jsonable(v)}")
 
 
+def _read(path):
+    """A file's text, decoded as UTF-8; other bytes raise ParseError naming the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise gmod.ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _read_graph(path):
-    return gmod.parse_graph(Path(path).read_text())
+    return gmod.parse_graph(_read(path))
 
 
 def _write_out(args, text):
@@ -130,7 +138,7 @@ def cmd_ns_build(args):
 
 def cmd_ns_verify(args):
     g, h = _read_graph(args.g), _read_graph(args.h)
-    corr = corrmod.parse_correlation(Path(args.correlation).read_text(), tol=args.tol)
+    corr = corrmod.parse_correlation(_read(args.correlation), tol=args.tol)
     checks = {}
     ok, why = corrmod.verify_distribution(corr)
     checks["distribution"] = ok if ok else str(why)
@@ -146,7 +154,7 @@ def cmd_ns_verify(args):
 
 
 def _read_bcs(path):
-    return bcsmod.parse_bcs(Path(path).read_text())
+    return bcsmod.parse_bcs(_read(path))
 
 
 def cmd_bcs_check(args):
@@ -201,7 +209,7 @@ def cmd_bcs_magic_square(args):
 
 def cmd_quantum_certify(args):
     g, h = _read_graph(args.g), _read_graph(args.h)
-    cert = qmod.certificate_from_json(Path(args.certificate).read_text(), g, h)
+    cert = qmod.certificate_from_json(_read(args.certificate), g, h)
     report = qmod.verify_qiso_certificate(g, h, cert, tol=args.tol)
     _emit(args, "quantum certify", "PASS" if report["ok"] else "FAIL", {
         "residuals": report.get("residuals", {}),
@@ -211,7 +219,7 @@ def cmd_quantum_certify(args):
 
 def cmd_quantum_correlation(args):
     g, h = _read_graph(args.g), _read_graph(args.h)
-    cert = qmod.certificate_from_json(Path(args.certificate).read_text(), g, h)
+    cert = qmod.certificate_from_json(_read(args.certificate), g, h)
     report = qmod.verify_qiso_certificate(g, h, cert, tol=args.tol)
     if not report["ok"]:
         _emit(args, "quantum correlation", "FAIL", {"residuals": report["residuals"]})
@@ -229,7 +237,7 @@ def cmd_quantum_correlation(args):
 
 def cmd_quantum_packing(args):
     g = _read_graph(args.g)
-    pack = qmod.packing_from_json(Path(args.packing).read_text(), g)
+    pack = qmod.packing_from_json(_read(args.packing), g)
     report = qmod.verify_packing(g, pack, tol=args.tol)
     if not report["ok"]:
         _emit(args, "quantum packing", "FAIL", {"reason": report.get("reason", "")})

@@ -17,8 +17,9 @@ correlation on the U x U trace matrix (``verify_certificate_correlation``);
 ``certificate_correlation`` builds it from the K blocks as a coordinate
 table only for export and as the test reference.
 
-All residuals are Frobenius norms; the default acceptance tolerance is
-1e-9 while the built-in constructions land near machine epsilon.
+All residuals are Frobenius norms, orthogonality that of each mismatched
+product itself (its square as a trace would read rounding of 1e-16 as 1e-8);
+the default tolerance is 1e-9, and the built-in constructions land near 1e-16.
 """
 
 from __future__ import annotations
@@ -39,10 +40,7 @@ from .graphs import Graph, GraphError, ParseError, cospectral_mates
 
 DEFAULT_TOL = 1e-9
 MAX_BLOCK_DIM = 64
-
-
-def frob(a):
-    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
+PRODUCT_CHUNK_BYTES = 1 << 18  # operand bytes per chunk of _product_norm
 
 
 def _as_blocks(blocks):
@@ -64,6 +62,23 @@ def projector_residuals(a):
 def _within(tol, *residuals):
     # np.max keeps a NaN residual, where Python's max() can drop it
     return float(np.max(residuals)) <= tol
+
+
+def _product_norm(a, i, j):
+    """max_k ||a[i_k] a[j_k]||_F over aligned index arrays, from the products
+    themselves, taken PRODUCT_CHUNK_BYTES of each operand at a time."""
+    step = max(1, PRODUCT_CHUNK_BYTES // (a.itemsize * a.shape[-1] ** 2))
+    return float(np.max([np.linalg.norm(a[i[s:s + step]] @ a[j[s:s + step]], axis=(1, 2)).max()
+                         for s in range(0, len(i), step)], initial=0.0))
+
+
+def _sum_residual(ops, group, count):
+    """max over g < count of ||sum of the ops k with group[k] = g, minus I||_F;
+    each group is summed in stack order."""
+    d = ops.shape[-1]
+    sums = np.zeros((count, d, d), dtype=complex)
+    np.add.at(sums, group, ops)
+    return float(np.linalg.norm(sums - np.eye(d), axis=(-2, -1)).max(initial=0.0))
 
 
 def _pair_traces(a, b):
@@ -153,13 +168,9 @@ def verify_ppm(blocks, tol=DEFAULT_TOL):
 def _ppm_report(a, blocks, tol):
     """``verify_ppm`` on a square block array and its ``_distinct_blocks``."""
     n, _, d, _ = a.shape
-    eye = np.eye(d)
     rows, cols, nz, distinct, _ = blocks
     idem, herm = projector_residuals(distinct)
-    sums = np.zeros((2, n, d, d), dtype=complex)
-    np.add.at(sums, (0, rows), nz)
-    np.add.at(sums, (1, cols), nz)
-    row, col = np.linalg.norm(sums - eye, axis=(-2, -1)).max(axis=1, initial=0.0).tolist()
+    row, col = _sum_residual(nz, rows, n), _sum_residual(nz, cols, n)
     row_label, col_label = _components(rows, cols, n)
     occupied = np.bincount(rows, minlength=n) > 0
     unit_sq = d * np.count_nonzero(~occupied)
@@ -206,25 +217,17 @@ def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol
     """
     if g.n != h.n:
         return {"ok": False, "reason": "vertex counts differ", "residuals": {}}
-    E = _as_blocks(cert.blocks)
-    if E.shape[:2] != (g.n, h.n):
-        raise GraphError("certificate block grid does not match the graphs")
-    d = cert.d
+    E = _as_blocks(_certificate_blocks(cert, g, h))
+    n, d = g.n, cert.d
     blocks = _distinct_blocks(E)
     ppm = _ppm_report(E, blocks, tol)
     r = ppm["residuals"]
     idem, herm, row, col = r["projector"], r["hermitian"], r["row_sum"], r["col_sum"]
 
-    # pairwise product norms via ||A B||^2 = tr((A^dag A)(B B^dag)); a pair
-    # with an all-zero block has product exactly 0, so only non-zero blocks
-    # are paired, and a pair of blocks only through their classes
-    n = g.n
+    # a pair with an all-zero block has product exactly 0, so only non-zero
+    # blocks are paired, and a pair of blocks only through their classes
     nz_g, nz_h, _, M, inverse = blocks
-    P = M.conj().swapaxes(-2, -1) @ M
-    Q = M @ M.conj().swapaxes(-2, -1)
-    prod_sq = _pair_traces(P, Q).real
-    mismatch = _class_mismatch(g, h, nz_g, nz_h, inverse, len(M))
-    orth = float(np.sqrt(np.max(np.abs(prod_sq[mismatch]), initial=0.0)))
+    orth = _product_norm(M, *np.nonzero(_class_mismatch(g, h, nz_g, nz_h, inverse, len(M))))
 
     # block (i, j) of (A_G (x) I) E - E (A_H (x) I) is sum_k A_G[i, k] E_kj -
     # E_ik A_H[k, j]: real n x n products on the block grid, with each
@@ -386,19 +389,15 @@ def verify_packing(g: Graph, pack: ProjectivePacking, tol=DEFAULT_TOL):
     idem, herm = projector_residuals(a)
     if not (idem <= tol and herm <= tol):  # also catches a NaN residual
         return {"ok": False, "reason": f"non-projector entry (residuals {idem:.3e}, {herm:.3e})"}
-    # the edge products themselves, not tr(P_i P_j) = ||P_i P_j||^2, whose
-    # rounding error of ~1e-16 would read as a residual of ~1e-8
-    i, j = np.nonzero(np.triu(g.adj))
-    orth = float(np.max(np.linalg.norm(a[i] @ a[j], axis=(1, 2)), initial=0.0))
+    orth = _product_norm(a, *np.nonzero(np.triu(g.adj)))
     if orth > tol:
         return {"ok": False, "reason": f"adjacent projectors not orthogonal ({orth:.3e})"}
-    ranks = []
-    for i in range(g.n):
-        t = float(a[i].trace().real)
-        r = round(t)
-        if abs(t - r) > 0.01:
-            return {"ok": False, "reason": f"trace {t} of vertex {i} not near an integer"}
-        ranks.append(r)
+    traces = np.trace(a, axis1=1, axis2=2).real
+    far = np.abs(traces - np.round(traces)) > 0.01
+    if far.any():
+        i = far.argmax()
+        return {"ok": False, "reason": f"trace {traces[i]} of vertex {i} not near an integer"}
+    ranks = np.round(traces).astype(int).tolist()
     return {"ok": True, "value": Fraction(sum(ranks), pack.d), "ranks": ranks,
             "residuals": {"projector": idem, "hermitian": herm, "orthogonality": orth}}
 
@@ -448,14 +447,19 @@ def observable_strategy(bcs: LinBCS, observables):
     if obs.shape != (bcs.n, d, d):
         raise GraphError("expected one square observable per variable")
     eye = np.eye(d, dtype=complex)
-    for i, o in enumerate(obs):
-        if not (frob(o - o.conj().T) < 1e-12 and frob(o @ o - eye) < 1e-12):
-            raise AssertionError(f"observable {i} is not a hermitian involution")
+    residual = np.linalg.norm([obs - obs.conj().swapaxes(-2, -1), obs @ obs - eye], axis=(-2, -1))
+    bad = np.flatnonzero(~(residual < 1e-12).all(axis=0))  # a NaN residual fails too
+    if len(bad):
+        raise AssertionError(f"observable {bad[0]} is not a hermitian involution")
+    owner, i, j = np.array([(l, i, j) for l, (s, _) in enumerate(bcs.constraints)
+                            for i, j in combinations(s, 2)], dtype=np.int64).reshape(-1, 3).T
+    commute = np.linalg.norm(obs[i] @ obs[j] - obs[j] @ obs[i], axis=(-2, -1)) < 1e-12
+    noncommuting = np.bincount(owner[~commute], minlength=bcs.m)
     ops = []
     for l, (s, b) in enumerate(bcs.constraints):
-        if not all(frob(obs[i] @ obs[j] - obs[j] @ obs[i]) < 1e-12 for i, j in combinations(s, 2)):
+        if noncommuting[l]:
             raise AssertionError(f"constraint {l}: observables do not commute")
-        if not frob(reduce(np.matmul, obs[list(s)]) - (-1.0) ** b * eye) < 1e-12:
+        if not np.linalg.norm(reduce(np.matmul, obs[list(s)]) - (-1.0) ** b * eye) < 1e-12:
             raise AssertionError(f"constraint {l}: observable product is not (-1)^b I")
         family = []
         for f in satisfying_assignments(s, b):
@@ -478,18 +482,16 @@ def verify_bcs_strategy(bcs: LinBCS, strat: BCSQuantumStrategy, tol=DEFAULT_TOL)
     if len(strat.ops) != bcs.m:
         raise GraphError("strategy constraint count does not match the system")
     d = strat.d
-    eye = np.eye(d)
-    meta, sums = [], []
+    meta = []
     for l, ((s, b), family) in enumerate(zip(bcs.constraints, strat.ops)):
         if [f for f, _ in family] != satisfying_assignments(s, b):
             raise GraphError(f"constraint {l}: assignment family mismatch")
         meta.extend((l, f) for f, _ in family)
-        sums.append(frob(sum(op for _, op in family) - eye))
     ops = np.array([op for family in strat.ops for _, op in family], dtype=complex)
     losing = ~bcs_game_wins(bcs, meta)
     residuals = {
         "projector": float(np.max(projector_residuals(ops))),
-        "sum": float(np.max(sums)),
+        "sum": _sum_residual(ops, [l for l, _ in meta], bcs.m),
         "losing_probability": float(np.max(np.abs(_pair_traces(ops, ops)[losing]), initial=0.0)) / d,
     }
     return {"ok": all(r <= tol for r in residuals.values()), "residuals": residuals}
@@ -619,7 +621,10 @@ def _family_from_json(text, keys):
     d x d complex array.  A malformed document raises ParseError naming
     the entry.
     """
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     d = data.get("d") if isinstance(data, dict) else None
     if type(d) is not int or not 1 <= d <= MAX_BLOCK_DIM:
         raise ParseError(f'"d" must be an integer in [1, {MAX_BLOCK_DIM}], got {d!r}')
@@ -678,30 +683,3 @@ def packing_to_json(pack: ProjectivePacking, g: Graph):
 
 def packing_from_json(text, g: Graph):
     return ProjectivePacking(*_blocks_from_json(text, (g,), ("vertex",), "vertex"))
-
-
-def strategy_to_json(strat: BCSQuantumStrategy):
-    return _family_to_json(strat.d, (
-        ({"constraint": l, "f": {f"x{i + 1}": bit for i, bit in sorted(f.items())}}, op)
-        for l, family in enumerate(strat.ops) for f, op in family))
-
-
-def strategy_from_json(text, bcs: LinBCS):
-    d, entries = _family_from_json(text, ("constraint", "f"))
-    by_constraint = {}
-    for i, entry, mat in entries:
-        try:
-            l = int(entry["constraint"])
-            f = {int(k[1:]) - 1: int(v) for k, v in entry["f"].items()}
-        except (AttributeError, TypeError, ValueError):
-            raise ParseError(f"entry {i}: malformed constraint or assignment") from None
-        by_constraint.setdefault(l, {})[tuple(sorted(f.items()))] = mat
-    ops = []
-    for l, (s, b) in enumerate(bcs.constraints):
-        family = []
-        for f in satisfying_assignments(s, b):
-            key = tuple(sorted(f.items()))
-            op = by_constraint.get(l, {}).get(key, np.zeros((d, d), dtype=complex))
-            family.append((f, op))
-        ops.append(tuple(family))
-    return BCSQuantumStrategy(d, tuple(ops))

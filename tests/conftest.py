@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qgiso import graphs as gmod
-from qgiso.bcs import LinBCS, satisfying_assignments
+from qgiso.bcs import BCSGraph, LinBCS, satisfying_assignments, vertex_label
 from qgiso.equitable import CommonEquitablePartition, verify_common_equitable
 from qgiso.games import rel_codes
 from qgiso.graphs import Graph, GraphError, from_edges
@@ -192,6 +192,27 @@ def bcs_game_predicate(bcs, l_a, l_b, f_a, f_b):
     return all(f_a[i] == f_b[i] for i in set(s_a) & set(s_b))
 
 
+# --- BCS graph oracle ----------------------------------------------------------
+# The loop over vertex pairs that ``bcs.bcs_graph`` ran before it went one
+# variable at a time, kept as its oracle.
+
+def oracle_bcs_graph(bcs):
+    meta = []
+    labels = []
+    for l, (s, b) in enumerate(bcs.constraints):
+        for f in satisfying_assignments(s, b):
+            meta.append((l, f))
+            labels.append(vertex_label(l, s, f))
+    edges = []
+    for a in range(len(meta)):
+        la, fa = meta[a]
+        for b_ in range(a + 1, len(meta)):
+            lb, fb = meta[b_]
+            if any(fa[i] != fb[i] for i in fa.keys() & fb.keys()):
+                edges.append((labels[a], labels[b_]))
+    return BCSGraph(from_edges(labels, edges), tuple(meta))
+
+
 # --- d = 1 strategy oracle ---------------------------------------------------
 # The loop that built a satisfiable system's strategy before the report
 # used ``observable_strategy`` on the 1 x 1 observables (-1)^(x_i).
@@ -334,13 +355,11 @@ def oracle_qiso_certificate(g, h, cert, tol=1e-9):
     ppm = oracle_ppm(E, tol)
     r = ppm["residuals"]
     idem, herm, row, col = r["projector"], r["hermitian"], r["row_sum"], r["col_sum"]
+    # the products of every mismatched pair of non-zero blocks
     nz_g, nz_h = np.nonzero(np.any(E != 0, axis=(2, 3)))
-    M = E[nz_g, nz_h]
-    P = M.conj().swapaxes(-2, -1) @ M
-    Q = M @ M.conj().swapaxes(-2, -1)
-    prod_sq = (P.reshape(len(P), d * d) @ Q.swapaxes(1, 2).reshape(len(Q), d * d).T).real
-    mismatch = rel_codes(g)[np.ix_(nz_g, nz_g)] != rel_codes(h)[np.ix_(nz_h, nz_h)]
-    orth = float(np.sqrt(np.max(np.abs(prod_sq[mismatch]), initial=0.0)))
+    a, b = np.nonzero(rel_codes(g)[np.ix_(nz_g, nz_g)] != rel_codes(h)[np.ix_(nz_h, nz_h)])
+    prods = E[nz_g[a], nz_h[a]] @ E[nz_g[b], nz_h[b]]
+    orth = float(np.max(np.linalg.norm(prods, axis=(1, 2)), initial=0.0))
     big = assemble(E)
     ag = np.kron(g.adj.astype(float), np.eye(d))
     ah = np.kron(h.adj.astype(float), np.eye(d))

@@ -1,7 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
-from conftest import PENTAGRAM
+from conftest import PENTAGRAM, oracle_bcs_graph
 from qgiso.bcs import (
     MAX_VARIABLES,
     BCSError,
@@ -147,6 +149,19 @@ class TestBcsGraph:
             bcs = _random_bcs(rng)
             alpha = independence_number(bcs_graph(bcs).graph)["alpha"]
             assert alpha <= bcs.m
+
+    def test_matches_pairwise_loop(self):
+        rng = random.Random(203)
+        systems = [magic_square(), homogenize(magic_square()), PENTAGRAM, homogenize(PENTAGRAM)]
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            systems.append(LinBCS(n, tuple((rng.sample(range(n), rng.randint(1, min(4, n))),
+                                            rng.randint(0, 1)) for _ in range(rng.randint(1, 6)))))
+        for system in systems:
+            bg, oracle = bcs_graph(system), oracle_bcs_graph(system)
+            assert bg.graph.labels == oracle.graph.labels
+            assert np.array_equal(bg.graph.adj, oracle.graph.adj)
+            assert bg.vertex_meta == oracle.vertex_meta
 
     def test_zero_assignment_vertices_independent(self):
         bg0 = bcs_graph(homogenize(magic_square()))

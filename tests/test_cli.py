@@ -446,11 +446,41 @@ def test_quantum_certify_json_stays_valid_on_overflow(magic_graph_files, tmp_pat
     assert doc["verdict"] == "FAIL" and doc["residuals"]["projector"] == "nan"
 
 
-def test_mermin_demo_under_optimize_flag(capsys):
+@pytest.mark.parametrize("reader", ["graph", "bcs", "correlation", "certificate"])
+def test_input_that_is_not_utf8_exits_2(magic_graph_files, witness_docs, tmp_path, capsys, reader):
+    argv, text = {
+        "graph": (["graph", "alpha"], "v a\nv b\n"),
+        "bcs": (["bcs", "check"], "x1 = 1\n"),
+        "correlation": (["ns", "verify", *magic_graph_files], "corr 48 exact\n"),
+        "certificate": (["quantum", "certify", *magic_graph_files], witness_docs["certify"]),
+    }[reader]
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(text.encode() + b"\xff\n")
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: not UTF-8 text" in err
+
+
+def _run_qiso(*args, flags=()):
+    """``python [flags] -m qgiso.cli args`` in a fresh interpreter."""
     src = str(Path(qgiso.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-m", "qgiso.cli", "--json", "quantum", "mermin-demo"],
+    return subprocess.run([sys.executable, *flags, "-m", "qgiso.cli", *args],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize("command", ["certify", "correlation", "packing"])
+def test_deeply_nested_json_exits_2(magic_graph_files, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    graphs = magic_graph_files[:1] if command == "packing" else magic_graph_files
+    proc = _run_qiso("quantum", command, *graphs, str(path))
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert "nested too deeply" in proc.stderr
+
+
+def test_mermin_demo_under_optimize_flag(capsys):
+    proc = _run_qiso("--json", "quantum", "mermin-demo", flags=["-O"])
     assert proc.returncode == 0, proc.stderr
     assert main(["--json", "quantum", "mermin-demo"]) == 0
     assert json.loads(proc.stdout) == json.loads(capsys.readouterr().out)
