@@ -273,9 +273,19 @@ def cmd_quantum_mermin_demo(args):
     return EXIT_OK
 
 
+def _tolerance(text):
+    """A finite number >= 0: against NaN or inf every `residual > tol` is False."""
+    try:
+        if math.isfinite(tol := float(text)) and tol >= 0:
+            return tol
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="qiso", description=__doc__)
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--tol", type=_tolerance, default=1e-9)
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--out", type=str, default=None)
     top = parser.add_subparsers(dest="group", required=True)

@@ -93,6 +93,9 @@ class Correlation:
         self.inputs = tuple(self.inputs)
         if self.mode not in ("exact", "float"):
             raise GraphError(f"unknown mode {self.mode!r}")
+        # every verifier tests `value > tol`, which is False against NaN or inf
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise GraphError(f"tolerance must be a finite number >= 0, got {self.tol!r}")
         self.table = self._coo(self.table)
 
     def _coo(self, table):

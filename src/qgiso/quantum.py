@@ -7,13 +7,10 @@ state, projective packings, and the reduction from a perfect BCS strategy,
 built from an operator solution by ``observable_strategy``, to an
 isomorphism certificate.
 
-A BCS certificate repeats each strategy operator: of its K non-zero
-blocks only U are distinct (K / U = 4 on the magic square, 8 on the
-pentagram).  ``verify_qiso_certificate`` and ``verify_certificate_correlation``
-therefore take their pair products over the U distinct blocks, equal by
-every byte, and go back to the K blocks only where a block's position
-matters.  The report and ``qiso quantum correlation`` check the induced
-correlation on the U x U trace matrix (``verify_certificate_correlation``);
+A ``QuantumIsoCertificate`` splits its non-zero blocks into classes of
+equal blocks once; the verifiers read it as its U operators ``ops`` and
+class ``grid``.  The report and ``qiso quantum correlation`` check the
+induced correlation on the U x U trace matrix (``verify_certificate_correlation``);
 ``certificate_correlation`` builds it from the K blocks as a coordinate
 table only for export and as the test reference.
 
@@ -25,7 +22,7 @@ the default tolerance is 1e-9, and the built-in constructions land near 1e-16.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -88,24 +85,11 @@ def _pair_traces(a, b):
     return a.reshape(len(a), flat) @ b.swapaxes(1, 2).reshape(len(b), flat).T
 
 
-def _nonzero_blocks(a):
-    """Row indices, column indices and the (K, d, d) stack of the blocks of
-    an (n, m, d, d) array with an entry other than 0 (NaN counts)."""
-    rows, cols = np.nonzero(np.any(a != 0, axis=(2, 3)))
-    return rows, cols, a[rows, cols]
-
-
-def _distinct_blocks(a):
-    """``_nonzero_blocks`` of an (n, m, d, d) array, then the (U, d, d) stack
-    of the distinct blocks among the K, each the first of its class, and
-    each block's index into it.  Blocks are equal when every byte is: 0.0
-    and -0.0, NaNs with other payloads and blocks one ulp apart stay apart.
-    """
-    rows, cols, nz = _nonzero_blocks(a)
-    k, d = len(nz), a.shape[-1]
-    keys = nz.reshape(k, d * d).view(f"V{nz.itemsize * d * d}").ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return rows, cols, nz, nz[first], inverse
+def _support(grid):
+    """Row indices, column indices and classes of the non-zero blocks of a
+    certificate's class grid, in row-major order."""
+    rows, cols = np.nonzero(grid >= 0)
+    return rows, cols, grid[rows, cols]
 
 
 def _rel_mismatch(g, h, nz_g, nz_h):
@@ -115,18 +99,12 @@ def _rel_mismatch(g, h, nz_g, nz_h):
     return rel_codes(g)[nz_g][:, nz_g] != rel_codes(h)[nz_h][:, nz_h]
 
 
-def _class_mismatch(g, h, nz_g, nz_h, inverse, u):
-    """U x U mask of the class pairs (inverse[a], inverse[b]) of the block
-    pairs (a, b) of ``_rel_mismatch``: that mask OR-reduced over the u
-    classes of ``_distinct_blocks``, rows then columns."""
-    order = np.argsort(inverse, kind="stable")
-    starts = np.searchsorted(inverse[order], np.arange(u))
-
-    def or_rows(mask):  # on the rows packed to bits: an eighth of a bool reduceat
-        packed = np.bitwise_or.reduceat(np.packbits(mask[order], axis=1), starts, axis=0)
-        return np.unpackbits(packed, axis=1, count=mask.shape[1]).view(bool)
-
-    return or_rows(or_rows(_rel_mismatch(g, h, nz_g, nz_h)).T).T
+def _class_mismatch(g, h, cert):
+    """U x U mask of the class pairs holding a block pair of ``_rel_mismatch``:
+    that mask between the class-membership matrices, as float32 counts."""
+    nz_g, nz_h, classes = _support(cert.grid)
+    member = np.eye(len(cert.ops), dtype=np.float32)[classes]  # K x U
+    return member.T @ _rel_mismatch(g, h, nz_g, nz_h).astype(np.float32) @ member > 0
 
 
 def _components(rows, cols, n):
@@ -154,29 +132,31 @@ def verify_ppm(blocks, tol=DEFAULT_TOL):
     beyond tolerance slack is flagged as inconsistent.
 
     Only the K non-zero blocks are touched; a zero block is an exact
-    projector, and the projector residuals are taken once per distinct
-    block.  The unitarity residual ||B B^dag - I|| pairs blocks that share
-    a column only: it takes one product per connected component of the
-    block support, and a row with no block adds ||I||^2 = d.
+    projector, and the projector residuals are taken once per class of
+    equal blocks.  The unitarity residual ||B B^dag - I|| pairs blocks that
+    share a column only: it takes one product per connected component of
+    the block support, and a row with no block adds ||I||^2 = d.
     """
     a = _as_blocks(blocks)
     if a.shape[0] != a.shape[1]:
         raise GraphError("projective permutation matrices must be square block arrays")
-    return _ppm_report(a, _distinct_blocks(a), tol)
+    # a copy: the certificate marks its blocks read-only
+    return _ppm_report(QuantumIsoCertificate(a.shape[2], a.copy()), tol)
 
 
-def _ppm_report(a, blocks, tol):
-    """``verify_ppm`` on a square block array and its ``_distinct_blocks``."""
-    n, _, d, _ = a.shape
-    rows, cols, nz, distinct, _ = blocks
-    idem, herm = projector_residuals(distinct)
+def _ppm_report(cert, tol):
+    """``verify_ppm`` on a certificate with a square block grid."""
+    n, _, d, _ = cert.blocks.shape
+    rows, cols, classes = _support(cert.grid)
+    idem, herm = projector_residuals(cert.ops)
+    nz = cert.ops[classes]
     row, col = _sum_residual(nz, rows, n), _sum_residual(nz, cols, n)
     row_label, col_label = _components(rows, cols, n)
     occupied = np.bincount(rows, minlength=n) > 0
     unit_sq = d * np.count_nonzero(~occupied)
     for c in np.flatnonzero(occupied & (row_label == np.arange(n))):
         r, k = np.flatnonzero(row_label == c), np.flatnonzero(col_label == c)
-        sub = a[np.ix_(r, k)].transpose(0, 2, 1, 3).reshape(len(r) * d, len(k) * d)
+        sub = cert.blocks[np.ix_(r, k)].transpose(0, 2, 1, 3).reshape(len(r) * d, len(k) * d)
         unit_sq += np.linalg.norm(sub @ sub.conj().T - np.eye(len(r) * d)) ** 2
     unit = float(np.sqrt(unit_sq))
     residuals = {
@@ -193,17 +173,38 @@ def _ppm_report(a, blocks, tol):
     return {"ok": sums_ok and unitary_ok, "consistent": consistent, "residuals": residuals}
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QuantumIsoCertificate:
-    """One d x d projector per vertex pair (g, h); absent pairs are zero."""
+    """One d x d projector per vertex pair (g, h); absent pairs are zero.
+
+    ``blocks``, (|V(G)|, |V(H)|, d, d) complex, is taken without a copy and
+    made read-only.  Its K non-zero blocks (NaN counts) fall into classes
+    of blocks equal in every byte: 0.0 and -0.0, NaN payloads and one ulp
+    stay apart.  ``ops`` (U, d, d) holds the first block of each class, in
+    byte order, and ``grid`` (|V(G)|, |V(H)|) each block's class, -1 for a
+    zero block.  A BCS certificate repeats its strategy's operators: U is
+    K / 4 on the magic square and K / 8 on the pentagram.
+    """
 
     d: int
-    blocks: np.ndarray  # (|V(G)|, |V(H)|, d, d) complex
+    blocks: np.ndarray
+    ops: np.ndarray = field(init=False)
+    grid: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.blocks = _as_blocks(self.blocks)
-        if self.blocks.shape[2] != self.d:
+        a = _as_blocks(self.blocks)
+        if a.shape[2] != self.d:
             raise GraphError("block dimension does not match d")
+        rows, cols = np.nonzero(np.any(a != 0, axis=(2, 3)))
+        nz = a[rows, cols]
+        width = a.shape[2] ** 2
+        keys = nz.reshape(len(nz), width).view(f"V{nz.itemsize * width}").ravel()
+        _, first, classes = np.unique(keys, return_index=True, return_inverse=True)
+        grid = np.full(a.shape[:2], -1, dtype=np.intp)
+        grid[rows, cols] = classes
+        for name, value in (("blocks", a), ("ops", nz[first]), ("grid", grid)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol=DEFAULT_TOL):
@@ -217,26 +218,24 @@ def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol
     """
     if g.n != h.n:
         return {"ok": False, "reason": "vertex counts differ", "residuals": {}}
-    E = _as_blocks(_certificate_blocks(cert, g, h))
+    _certificate_blocks(cert, g, h)
     n, d = g.n, cert.d
-    blocks = _distinct_blocks(E)
-    ppm = _ppm_report(E, blocks, tol)
+    ppm = _ppm_report(cert, tol)
     r = ppm["residuals"]
     idem, herm, row, col = r["projector"], r["hermitian"], r["row_sum"], r["col_sum"]
 
     # a pair with an all-zero block has product exactly 0, so only non-zero
     # blocks are paired, and a pair of blocks only through their classes
-    nz_g, nz_h, _, M, inverse = blocks
-    orth = _product_norm(M, *np.nonzero(_class_mismatch(g, h, nz_g, nz_h, inverse, len(M))))
+    orth = _product_norm(cert.ops, *np.nonzero(_class_mismatch(g, h, cert)))
 
     # block (i, j) of (A_G (x) I) E - E (A_H (x) I) is sum_k A_G[i, k] E_kj -
     # E_ik A_H[k, j]: real n x n products on the block grid, with each
     # block's real and imaginary parts side by side; the second is batched
     # over i and reads A_H[k, j] as A_H[j, k]
     w = 2 * d * d
-    grid = E.view(float).reshape(n, n, w)
-    diff = (g.adj.astype(float) @ grid.reshape(n, n * w)).reshape(n, n, w)
-    diff -= h.adj.astype(float) @ grid
+    parts = cert.blocks.view(float).reshape(n, n, w)
+    diff = (g.adj.astype(float) @ parts.reshape(n, n * w)).reshape(n, n, w)
+    diff -= h.adj.astype(float) @ parts
     intertwine = float(np.linalg.norm(diff))
 
     residuals = {
@@ -267,10 +266,10 @@ def classical_certificate(g: Graph, h: Graph, phi):
 
 
 def _certificate_blocks(cert: QuantumIsoCertificate, g: Graph, h: Graph):
-    """The certificate's block array, once its grid is checked to be V(G) x V(H)."""
-    if cert.blocks.shape[:2] != (g.n, h.n):
+    """``_support`` of the certificate's grid, once checked to be V(G) x V(H)."""
+    if cert.grid.shape != (g.n, h.n):
         raise GraphError("certificate block grid does not match the graphs")
-    return cert.blocks
+    return _support(cert.grid)
 
 
 def _trace_matrix(blocks, d, tol):
@@ -299,8 +298,8 @@ def certificate_correlation(cert: QuantumIsoCertificate, g: Graph, h: Graph, tol
     one as its reference.
     """
     n = g.n
-    nz_g, nz_h, blocks = _nonzero_blocks(_certificate_blocks(cert, g, h))
-    traces = _trace_matrix(blocks, cert.d, tol)
+    nz_g, nz_h, classes = _certificate_blocks(cert, g, h)
+    traces = _trace_matrix(cert.ops[classes], cert.d, tol)
     x = np.concatenate([nz_g, nz_h + n])  # (question, answer) pair a uses block a % K
     y = np.concatenate([nz_h + n, nz_g])
     values = np.tile(traces, (2, 2))
@@ -312,7 +311,7 @@ def certificate_correlation(cert: QuantumIsoCertificate, g: Graph, h: Graph, tol
 def verify_certificate_correlation(cert: QuantumIsoCertificate, g: Graph, h: Graph,
                                    tol=DEFAULT_TOL):
     """Non-signalling and perfection of the correlation the certificate
-    induces, decided on the trace matrix T of its U distinct non-zero blocks.
+    induces, decided on the trace matrix T of its U operators ``ops``.
 
     Returns ((ok, violation), (ok, losing tuple)): what ``verify_nonsignalling``
     and ``verify_perfect_iso_strategy`` return on
@@ -328,8 +327,8 @@ def verify_certificate_correlation(cert: QuantumIsoCertificate, g: Graph, h: Gra
     over the class pairs covers all four orientations; only a failing
     check goes back to the K blocks, to name its worst tuple.
     """
-    nz_g, nz_h, nz, distinct, inverse = _distinct_blocks(_certificate_blocks(cert, g, h))
-    T = _trace_matrix(distinct, cert.d, tol)
+    nz_g, nz_h, classes = _certificate_blocks(cert, g, h)
+    T = _trace_matrix(cert.ops, cert.d, tol)
     # the table path rejects these too: a NaN compares as no violation
     if not np.isfinite(T).all():
         raise GraphError("correlation table has a non-finite entry")
@@ -337,24 +336,24 @@ def verify_certificate_correlation(cert: QuantumIsoCertificate, g: Graph, h: Gra
     if u == 0:
         return (True, None), (True, None)
     N = n + h.n
-    C = np.bincount(np.concatenate([inverse * N + nz_g, inverse * N + n + nz_h]),
+    C = np.bincount(np.concatenate([classes * N + nz_g, classes * N + n + nz_h]),
                     minlength=u * N).reshape(u, N).astype(float)
     ns = True, None
     for side, marg in (("A", T @ C), ("B", T.T @ C)):
-        spread = np.ptp(marg, axis=1)[inverse]
+        spread = np.ptp(marg, axis=1)[classes]
         k = int(spread.argmax())
         if spread[k] > tol:
-            row = marg[inverse[k]]
+            row = marg[classes[k]]
             lo, hi = int(row.argmin()), int(row.argmax())
             ns = False, (side, int(nz_g[k]), int(nz_h[k]) + n, lo, hi,
                          float(row[lo]), float(row[hi]))
             break
-    if not np.abs(T)[_class_mismatch(g, h, nz_g, nz_h, inverse, u)].max(initial=0.0) > tol:
+    if not np.abs(T)[_class_mismatch(g, h, cert)].max(initial=0.0) > tol:
         return ns, (True, None)
     # a failing check names its tuple from the K x K traces, as the table
     # does: T[a, b] and T[b, a] may differ in the last bit, and a U x U
     # product, rounding otherwise, could name the other pair of a near tie
-    T = _trace_matrix(nz, cert.d, tol)
+    T = _trace_matrix(cert.ops[classes], cert.d, tol)
     losing = np.where(_rel_mismatch(g, h, nz_g, nz_h), np.abs(T), 0.0)
     worst = losing.max()
     if not worst > tol:
@@ -648,8 +647,8 @@ def _family_from_json(text, keys):
 
 def certificate_to_json(cert: QuantumIsoCertificate, g: Graph, h: Graph):
     return _family_to_json(cert.d, (
-        ({"g": g.labels[i], "h": h.labels[j]}, block)
-        for i, j, block in zip(*_nonzero_blocks(cert.blocks))))
+        ({"g": g.labels[i], "h": h.labels[j]}, cert.ops[c])
+        for i, j, c in zip(*_certificate_blocks(cert, g, h))))
 
 
 def _blocks_from_json(text, graphs, keys, what):

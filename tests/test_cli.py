@@ -294,6 +294,19 @@ def test_ns_verify_malformed_correlation_exits_2(tmp_path, capsys, text, line):
     assert f"line {line}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_non_finite_or_negative_tol_exits_2(tmp_path, capsys, tol):
+    # a float table whose only entry is 5.0 passed every check under --tol nan or inf
+    g, h, corr = tmp_path / "k2.g", tmp_path / "2k1.g", tmp_path / "bad.corr"
+    g.write_text("v a\nv b\ne a b\n")
+    h.write_text("v a\nv b\n")
+    corr.write_text("corr 4 float\nG:a G:b H:a H:b\n0 0 2 2 5\n")
+    assert main(["--tol", tol, "ns", "verify", str(g), str(h), str(corr)]) == 2
+    err = capsys.readouterr().err
+    assert "--tol" in err and "Traceback" not in err
+    assert main(["ns", "verify", str(g), str(h), str(corr)]) == 1
+
+
 def test_ns_verify_unicode_digit_header_exits_2(tmp_path, capsys):
     g = tmp_path / "k2.g"
     g.write_text("v a\nv b\ne a b\n")

@@ -217,6 +217,15 @@ class TestNonFinite:
         with pytest.raises(GraphError, match="non-finite"):
             Correlation(("0", "1"), "float", dense)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_bad_tolerance_rejected(self, mode, tol):
+        # against a NaN or infinite tol every `value > tol` test is False
+        with pytest.raises(GraphError, match="tolerance"):
+            Correlation(("0", "1"), mode, {(0, 0, 0, 0): 5}, tol=tol)
+        with pytest.raises(GraphError, match="tolerance"):
+            parse_correlation(f"corr 2 {mode}\n0 1\n0 0 0 0 5\n", tol=tol)
+
 
 def _pr_box_coordinates():
     box = pr_box()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -162,9 +163,9 @@ class TestVerifyCertificate:
     def test_flipped_entry_rejected(self, rng):
         g = random_graph(6, 0.5, rng)
         h = permuted_copy(g, rng)
-        cert = classical_certificate(g, h, find_isomorphism(g, h))
-        cert.blocks[0, (int(np.argmax(cert.blocks[0])) + 1) % g.n] = 1.0
-        assert not verify_qiso_certificate(g, h, cert)["ok"]
+        blocks = classical_certificate(g, h, find_isomorphism(g, h)).blocks.copy()
+        blocks[0, (int(np.argmax(blocks[0])) + 1) % g.n] = 1.0
+        assert not verify_qiso_certificate(g, h, QuantumIsoCertificate(1, blocks))["ok"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_rejected_whatever_residual_carries_it(self, monkeypatch, mermin):
@@ -422,6 +423,7 @@ class TestVerifyCertificateCorrelation:
         (ns_ok, violation), _ = assert_matches_table(cert, bg.graph, bg0.graph)
         assert not ns_ok and violation[0] == "B"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf + 1j, 1e-3j])
     @pytest.mark.parametrize("on_zero_block", [False, True])
     def test_bad_entries_raise_as_the_table_does(self, mermin, value, on_zero_block):
@@ -546,6 +548,33 @@ class TestDistinctBlocks:
         for k, (i, j) in enumerate(np.argwhere(np.any(blocks != 0, axis=(2, 3)))):
             blocks[i, j] *= 1 + k * 2.0 ** -50
         self.check(monkeypatch, bg.graph, bg0.graph, cert.d, blocks, 96)
+
+
+class TestCertificateClasses:
+    """A certificate splits its blocks into classes once, when it is built,
+    and cannot change after."""
+
+    def test_arrays_and_fields_are_read_only(self, mermin):
+        cert = mermin[4]
+        for array in (cert.blocks, cert.ops, cert.grid):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
+        for name in ("d", "blocks", "ops", "grid"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cert, name, getattr(cert, name))
+
+    @pytest.mark.parametrize("fixture, distinct, nonzero", [("mermin", 24, 96),
+                                                            ("pentagram", 40, 320)])
+    def test_ops_and_grid_rebuild_the_blocks(self, request, fixture, distinct, nonzero):
+        cert = request.getfixturevalue(fixture)[4]
+        assert len(cert.ops) == distinct and (cert.grid >= 0).sum() == nonzero
+        rebuilt = np.zeros_like(cert.blocks)
+        on = cert.grid >= 0
+        rebuilt[on] = cert.ops[cert.grid[on]]
+        assert rebuilt.tobytes() == cert.blocks.tobytes()
+        again = QuantumIsoCertificate(cert.d, cert.blocks.copy())
+        assert again.ops.tobytes() == cert.ops.tobytes()
+        assert np.array_equal(again.grid, cert.grid)
 
 
 class TestMerminStrategy:
