@@ -3,12 +3,15 @@
 Exit codes: 0 the property holds / verification passed, 1 the property is
 refuted / verification failed, 2 usage, parse, or size-limit errors.
 Reports are deterministic; ``--json`` switches to a stable JSON schema with
-keys command, verdict, residuals, witnesses.
+keys command, verdict, residuals, witnesses.  Each command is declared
+once, as a row of ``COMMANDS``; the options --tol, --json and --out may
+come before or after it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -47,13 +50,13 @@ def _jsonable(x):
     return x
 
 
-def _emit(args, command, verdict, payload):
+def _emit(args, verdict, payload):
     if args.json:
-        doc = {"command": command, "verdict": verdict}
+        doc = {"command": args.command, "verdict": verdict}
         doc.update(_jsonable(payload))
         print(json.dumps(doc, indent=1))
     else:
-        print(f"{command}: {verdict}")
+        print(f"{args.command}: {verdict}")
         for k, v in payload.items():
             print(f"  {k}: {_jsonable(v)}")
 
@@ -70,87 +73,79 @@ def _read_graph(path):
     return gmod.parse_graph(_read(path))
 
 
-def _write_out(args, text):
+def _read_graphs(args):
+    return _read_graph(args.g), _read_graph(args.h)
+
+
+def _write_out(args, text, echo=False):
+    """Writes text to --out; with ``echo`` and no --out, to stdout instead."""
     if args.out:
         Path(args.out).write_text(text)
+    elif echo:
+        sys.stdout.write(text)
 
+
+# A command handler returns (ok, verdict, payload), which ``main`` reports
+# under the command's name with exit code 0 or 1, or None once it has
+# written its artifact as raw text.
 
 def cmd_graph_iso(args):
-    g, h = _read_graph(args.g), _read_graph(args.h)
-    phi = gmod.find_isomorphism(g, h)
+    phi = gmod.find_isomorphism(*_read_graphs(args))
     if phi is None:
-        _emit(args, "graph iso", "NOT ISOMORPHIC", {})
-        return EXIT_REFUTED
-    _emit(args, "graph iso", "ISOMORPHIC", {"witnesses": {"map": list(phi.image)}})
-    return EXIT_OK
+        return False, "NOT ISOMORPHIC", {}
+    return True, "ISOMORPHIC", {"witnesses": {"map": list(phi.image)}}
 
 
 def cmd_graph_fractional_iso(args):
-    g, h = _read_graph(args.g), _read_graph(args.h)
-    result = eqmod.fractional_iso(g, h)
+    result = eqmod.fractional_iso(*_read_graphs(args))
     if result is None:
-        _emit(args, "graph fractional-iso", "NOT FRACTIONALLY ISOMORPHIC", {})
-        return EXIT_REFUTED
+        return False, "NOT FRACTIONALLY ISOMORPHIC", {}
     cep, D = result
     _write_out(args, eqmod.format_ds_witness(D))
-    _emit(args, "graph fractional-iso", "FRACTIONALLY ISOMORPHIC", {
+    return True, "FRACTIONALLY ISOMORPHIC", {
         "witnesses": {"cells": len(cep.cells_g), "sizes": list(cep.sizes())},
-    })
-    return EXIT_OK
+    }
 
 
 def cmd_graph_cospectral(args):
-    g, h = _read_graph(args.g), _read_graph(args.h)
-    report = gmod.cospectral_mates(g, h)
+    report = gmod.cospectral_mates(*_read_graphs(args))
     both = report["cospectral"] and report["complements_cospectral"]
-    verdict = "COSPECTRAL WITH COSPECTRAL COMPLEMENTS" if both else "NOT COSPECTRAL MATES"
-    _emit(args, "graph cospectral", verdict, {
+    return both, "COSPECTRAL WITH COSPECTRAL COMPLEMENTS" if both else "NOT COSPECTRAL MATES", {
         "cospectral": report["cospectral"],
         "complements_cospectral": report["complements_cospectral"],
         "char_poly_g": str(report["char_poly_g"]),
         "char_poly_h": str(report["char_poly_h"]),
-    })
-    return EXIT_OK if both else EXIT_REFUTED
+    }
 
 
 def cmd_graph_alpha(args):
     g = _read_graph(args.g)
     result = gmod.independence_number(g)
-    _emit(args, "graph alpha", str(result["alpha"]), {
+    return True, str(result["alpha"]), {
         "witnesses": {"vertices": [g.labels[v] for v in result["witness"]]},
-    })
-    return EXIT_OK
+    }
 
 
 def cmd_ns_build(args):
-    g, h = _read_graph(args.g), _read_graph(args.h)
-    result = corrmod.ns_iso(g, h)
+    result = corrmod.ns_iso(*_read_graphs(args))
     if result is None:
-        _emit(args, "ns build", "NOT NON-SIGNALLING ISOMORPHIC", {})
-        return EXIT_REFUTED
+        return False, "NOT NON-SIGNALLING ISOMORPHIC", {}
     _, corr = result
     _write_out(args, corrmod.format_correlation(corr))
-    _emit(args, "ns build", "NON-SIGNALLING ISOMORPHIC", {
-        "witnesses": {"nonzero_entries": len(corr.table)},
-    })
-    return EXIT_OK
+    return True, "NON-SIGNALLING ISOMORPHIC", {"witnesses": {"nonzero_entries": len(corr.table)}}
 
 
 def cmd_ns_verify(args):
-    g, h = _read_graph(args.g), _read_graph(args.h)
+    g, h = _read_graphs(args)
     corr = corrmod.parse_correlation(_read(args.correlation), tol=args.tol)
-    checks = {}
-    ok, why = corrmod.verify_distribution(corr)
-    checks["distribution"] = ok if ok else str(why)
-    all_ok = ok
-    ok, why = corrmod.verify_nonsignalling(corr)
-    checks["nonsignalling"] = ok if ok else str(why)
-    all_ok = all_ok and ok
-    ok, why = corrmod.verify_perfect_iso_strategy(corr, g, h)
-    checks["perfect"] = ok if ok else str(why)
-    all_ok = all_ok and ok
-    _emit(args, "ns verify", "PASS" if all_ok else "FAIL", checks)
-    return EXIT_OK if all_ok else EXIT_REFUTED
+    checks = {
+        "distribution": corrmod.verify_distribution(corr),
+        "nonsignalling": corrmod.verify_nonsignalling(corr),
+        "perfect": corrmod.verify_perfect_iso_strategy(corr, g, h),
+    }
+    ok = all(passed for passed, _ in checks.values())
+    return ok, "PASS" if ok else "FAIL", {
+        name: passed or str(why) for name, (passed, why) in checks.items()}
 
 
 def _read_bcs(path):
@@ -158,212 +153,157 @@ def _read_bcs(path):
 
 
 def cmd_bcs_check(args):
-    system = _read_bcs(args.bcs)
-    assignment, _ = bcsmod.solve_or_refute(system)
+    assignment, _ = bcsmod.solve_or_refute(_read_bcs(args.bcs))
     if assignment is None:
-        _emit(args, "bcs check", "UNSATISFIABLE", {})
-        return EXIT_REFUTED
-    _emit(args, "bcs check", "SATISFIABLE", {"witnesses": {"assignment": list(assignment)}})
-    return EXIT_OK
+        return False, "UNSATISFIABLE", {}
+    return True, "SATISFIABLE", {"witnesses": {"assignment": list(assignment)}}
 
 
 def cmd_bcs_to_graph(args):
     system = _read_bcs(args.bcs)
-    if args.homogenize:
-        system = bcsmod.homogenize(system)
-    bg = bcsmod.bcs_graph(system)
-    text = gmod.format_graph(bg.graph)
-    _write_out(args, text)
-    if not args.out:
-        sys.stdout.write(text)
-    else:
-        _emit(args, "bcs to-graph", "OK", {"vertices": bg.graph.n, "edges": bg.graph.num_edges()})
-    return EXIT_OK
+    bg = bcsmod.bcs_graph(bcsmod.homogenize(system) if args.homogenize else system)
+    _write_out(args, gmod.format_graph(bg.graph), echo=True)
+    if args.out:
+        return True, "OK", {"vertices": bg.graph.n, "edges": bg.graph.num_edges()}
 
 
 def cmd_bcs_report(args):
-    system = _read_bcs(args.bcs)
-    report = bcsmod.classical_reduction_report(system)
-    verdict = "SATISFIABLE" if report["satisfiable"] else "UNSATISFIABLE"
-    payload = {
-        "satisfiable": report["satisfiable"],
-        "graphs_isomorphic": report["graphs_isomorphic"],
-        "alpha": report["alpha"],
-        "alpha_equals_m": report["alpha_equals_m"],
-        "m": report["m"],
-        "num_vertices": report["num_vertices"],
-    }
+    report = bcsmod.classical_reduction_report(_read_bcs(args.bcs))
+    payload = {k: report[k] for k in ("satisfiable", "graphs_isomorphic", "alpha",
+                                      "alpha_equals_m", "m", "num_vertices")}
     if not report["satisfiable"]:
         payload["witnesses"] = {"refutation": list(report["refutation"])}
-    _emit(args, "bcs report", verdict, payload)
-    return EXIT_OK if report["satisfiable"] else EXIT_REFUTED
+    sat = report["satisfiable"]
+    return sat, "SATISFIABLE" if sat else "UNSATISFIABLE", payload
 
 
 def cmd_bcs_magic_square(args):
-    text = bcsmod.format_bcs(bcsmod.magic_square())
-    _write_out(args, text)
-    if not args.out:
-        sys.stdout.write(text)
-    return EXIT_OK
+    _write_out(args, bcsmod.format_bcs(bcsmod.magic_square()), echo=True)
+
+
+def _certify(args):
+    """The graphs, the certificate and its ``verify_qiso_certificate`` report."""
+    g, h = _read_graphs(args)
+    cert = qmod.certificate_from_json(_read(args.certificate), g, h)
+    return g, h, cert, qmod.verify_qiso_certificate(g, h, cert, tol=args.tol)
 
 
 def cmd_quantum_certify(args):
-    g, h = _read_graph(args.g), _read_graph(args.h)
-    cert = qmod.certificate_from_json(_read(args.certificate), g, h)
-    report = qmod.verify_qiso_certificate(g, h, cert, tol=args.tol)
-    _emit(args, "quantum certify", "PASS" if report["ok"] else "FAIL", {
-        "residuals": report.get("residuals", {}),
-    })
-    return EXIT_OK if report["ok"] else EXIT_REFUTED
+    report = _certify(args)[3]
+    return report["ok"], "PASS" if report["ok"] else "FAIL", {
+        "residuals": report.get("residuals", {})}
 
 
 def cmd_quantum_correlation(args):
-    g, h = _read_graph(args.g), _read_graph(args.h)
-    cert = qmod.certificate_from_json(_read(args.certificate), g, h)
-    report = qmod.verify_qiso_certificate(g, h, cert, tol=args.tol)
+    g, h, cert, report = _certify(args)
     if not report["ok"]:
-        _emit(args, "quantum correlation", "FAIL", {"residuals": report["residuals"]})
-        return EXIT_REFUTED
+        return False, "FAIL", {"residuals": report["residuals"]}
     if args.out:  # the table is built only to be written
         corr = qmod.certificate_correlation(cert, g, h, tol=args.tol)
         _write_out(args, corrmod.format_correlation(corr))
     (ns_ok, _), (perfect_ok, _) = qmod.verify_certificate_correlation(cert, g, h, tol=args.tol)
     ok = ns_ok and perfect_ok
-    _emit(args, "quantum correlation", "PASS" if ok else "FAIL", {
-        "nonsignalling": ns_ok, "perfect": perfect_ok,
-    })
-    return EXIT_OK if ok else EXIT_REFUTED
+    return ok, "PASS" if ok else "FAIL", {"nonsignalling": ns_ok, "perfect": perfect_ok}
 
 
 def cmd_quantum_packing(args):
     g = _read_graph(args.g)
-    pack = qmod.packing_from_json(_read(args.packing), g)
-    report = qmod.verify_packing(g, pack, tol=args.tol)
+    report = qmod.verify_packing(g, qmod.packing_from_json(_read(args.packing), g), tol=args.tol)
     if not report["ok"]:
-        _emit(args, "quantum packing", "FAIL", {"reason": report.get("reason", "")})
-        return EXIT_REFUTED
-    _emit(args, "quantum packing", "PASS", {
-        "value": report["value"], "residuals": report["residuals"],
-    })
-    return EXIT_OK
+        return False, "FAIL", {"reason": report.get("reason", "")}
+    return True, "PASS", {"value": report["value"], "residuals": report["residuals"]}
 
 
 def cmd_quantum_mermin_demo(args):
     report = qmod.quantum_reduction_report(bcsmod.magic_square(), tol=args.tol)
-    payload = {
-        "num_vertices": report["num_vertices"],
-        "satisfiable": report["satisfiable"],
-        "isomorphic": report["isomorphic"],
-        "alpha": report["alpha"],
-        "alpha_homogenized": report["alpha_homogenized"],
-        "cospectral": report["cospectral"],
-        "complements_cospectral": report["complements_cospectral"],
+    payload = {k: report[k] for k in ("num_vertices", "satisfiable", "isomorphic", "alpha",
+                                      "alpha_homogenized", "cospectral", "complements_cospectral")}
+    payload.update({
         "certificate_ok": report["certificate"]["ok"],
         "residuals": report["certificate"]["residuals"],
         "correlation_nonsignalling": report["correlation_nonsignalling"],
         "correlation_perfect": report["correlation_perfect"],
         "packing_value": report["packing"].get("value"),
-    }
+    })
     if not report["ok"]:
-        _emit(args, "quantum mermin-demo", "FAIL", payload)
-        return EXIT_REFUTED
+        return False, "FAIL", payload
     if args.out:
         Path(args.out).write_text(qmod.certificate_to_json(report["witness"], *report["graphs"]))
-    _emit(args, "quantum mermin-demo", "QUANTUM ISOMORPHIC, NOT ISOMORPHIC", payload)
-    return EXIT_OK
+    return True, "QUANTUM ISOMORPHIC, NOT ISOMORPHIC", payload
+
+
+# One row per command: its "group sub" name, handler, positional arguments
+# and store-true flags.
+COMMANDS = (
+    ("graph iso", cmd_graph_iso, ("g", "h"), ()),
+    ("graph fractional-iso", cmd_graph_fractional_iso, ("g", "h"), ()),
+    ("graph cospectral", cmd_graph_cospectral, ("g", "h"), ()),
+    ("graph alpha", cmd_graph_alpha, ("g",), ()),
+    ("ns build", cmd_ns_build, ("g", "h"), ()),
+    ("ns verify", cmd_ns_verify, ("g", "h", "correlation"), ()),
+    ("bcs check", cmd_bcs_check, ("bcs",), ()),
+    ("bcs to-graph", cmd_bcs_to_graph, ("bcs",), ("--homogenize",)),
+    ("bcs report", cmd_bcs_report, ("bcs",), ()),
+    ("bcs magic-square", cmd_bcs_magic_square, (), ()),
+    ("quantum certify", cmd_quantum_certify, ("g", "h", "certificate"), ()),
+    ("quantum correlation", cmd_quantum_correlation, ("g", "h", "certificate"), ()),
+    ("quantum packing", cmd_quantum_packing, ("g", "packing"), ()),
+    ("quantum mermin-demo", cmd_quantum_mermin_demo, (), ()),
+)
 
 
 def _tolerance(text):
-    """A finite number >= 0: against NaN or inf every `residual > tol` is False."""
     try:
-        if math.isfinite(tol := float(text)) and tol >= 0:
-            return tol
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+        return corrmod.check_tolerance(float(text))
+    except ValueError:  # GraphError is one too
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}") from None
 
 
+def _add_options(parser, tol, json_, out):
+    parser.add_argument("--tol", type=_tolerance, default=tol)
+    parser.add_argument("--json", action="store_true", default=json_)
+    parser.add_argument("--out", default=out)
+
+
+@functools.cache
 def build_parser():
+    """The argparse tree of ``COMMANDS``, built once: parsing leaves it as it was.
+
+    Every command parser takes the root's options again, with no default,
+    so a value given before the command stands unless it is given after."""
     parser = argparse.ArgumentParser(prog="qiso", description=__doc__)
-    parser.add_argument("--tol", type=_tolerance, default=1e-9)
-    parser.add_argument("--json", action="store_true")
-    parser.add_argument("--out", type=str, default=None)
+    _add_options(parser, corrmod.DEFAULT_TOL, False, None)
     top = parser.add_subparsers(dest="group", required=True)
-
-    graph = top.add_parser("graph").add_subparsers(dest="sub", required=True)
-    p = graph.add_parser("iso")
-    p.add_argument("g")
-    p.add_argument("h")
-    p.set_defaults(func=cmd_graph_iso)
-    p = graph.add_parser("fractional-iso")
-    p.add_argument("g")
-    p.add_argument("h")
-    p.set_defaults(func=cmd_graph_fractional_iso)
-    p = graph.add_parser("cospectral")
-    p.add_argument("g")
-    p.add_argument("h")
-    p.set_defaults(func=cmd_graph_cospectral)
-    p = graph.add_parser("alpha")
-    p.add_argument("g")
-    p.set_defaults(func=cmd_graph_alpha)
-
-    ns = top.add_parser("ns").add_subparsers(dest="sub", required=True)
-    p = ns.add_parser("build")
-    p.add_argument("g")
-    p.add_argument("h")
-    p.set_defaults(func=cmd_ns_build)
-    p = ns.add_parser("verify")
-    p.add_argument("g")
-    p.add_argument("h")
-    p.add_argument("correlation")
-    p.set_defaults(func=cmd_ns_verify)
-
-    b = top.add_parser("bcs").add_subparsers(dest="sub", required=True)
-    p = b.add_parser("check")
-    p.add_argument("bcs")
-    p.set_defaults(func=cmd_bcs_check)
-    p = b.add_parser("to-graph")
-    p.add_argument("bcs")
-    p.add_argument("--homogenize", action="store_true")
-    p.set_defaults(func=cmd_bcs_to_graph)
-    p = b.add_parser("report")
-    p.add_argument("bcs")
-    p.set_defaults(func=cmd_bcs_report)
-    p = b.add_parser("magic-square")
-    p.set_defaults(func=cmd_bcs_magic_square)
-
-    q = top.add_parser("quantum").add_subparsers(dest="sub", required=True)
-    p = q.add_parser("certify")
-    p.add_argument("g")
-    p.add_argument("h")
-    p.add_argument("certificate")
-    p.set_defaults(func=cmd_quantum_certify)
-    p = q.add_parser("correlation")
-    p.add_argument("g")
-    p.add_argument("h")
-    p.add_argument("certificate")
-    p.set_defaults(func=cmd_quantum_correlation)
-    p = q.add_parser("packing")
-    p.add_argument("g")
-    p.add_argument("packing")
-    p.set_defaults(func=cmd_quantum_packing)
-    p = q.add_parser("mermin-demo")
-    p.set_defaults(func=cmd_quantum_mermin_demo)
-
+    groups = {}
+    for name, handler, positionals, flags in COMMANDS:
+        group, sub = name.split()
+        if group not in groups:
+            groups[group] = top.add_parser(group).add_subparsers(dest="sub", required=True)
+        p = groups[group].add_parser(sub)
+        _add_options(p, *[argparse.SUPPRESS] * 3)
+        for arg in positionals:
+            p.add_argument(arg)
+        for flag in flags:
+            p.add_argument(flag, action="store_true")
+        p.set_defaults(func=handler, command=name)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        report = args.func(args)
+        if report is None:  # the command wrote its artifact as raw text
+            return EXIT_OK
+        ok, verdict, payload = report
+        _emit(args, verdict, payload)
     except (gmod.GraphError, bcsmod.BCSError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return EXIT_OK if ok else EXIT_REFUTED
 
 
 if __name__ == "__main__":

@@ -25,6 +25,14 @@ DEFAULT_TOL = 1e-9
 MAX_EXHAUSTIVE_VERTICES = 32
 
 
+def check_tolerance(tol):
+    """``tol`` if it is a finite number >= 0, else GraphError: every verifier
+    tests ``value > tol``, which is False against NaN or inf."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise GraphError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return tol
+
+
 @dataclass(frozen=True, eq=False)
 class CooTable(Mapping):
     """The stored entries of a correlation over ``size`` tokens.
@@ -93,9 +101,7 @@ class Correlation:
         self.inputs = tuple(self.inputs)
         if self.mode not in ("exact", "float"):
             raise GraphError(f"unknown mode {self.mode!r}")
-        # every verifier tests `value > tol`, which is False against NaN or inf
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise GraphError(f"tolerance must be a finite number >= 0, got {self.tol!r}")
+        check_tolerance(self.tol)
         self.table = self._coo(self.table)
 
     def _coo(self, table):

@@ -31,11 +31,11 @@ import numpy as np
 
 from .bcs import (LinBCS, bcs_graph, classical_reduction_report, homogenize, magic_square,
                   satisfying_assignments)
-from .correlations import Correlation, iso_game_tokens
+from .correlations import (DEFAULT_TOL, Correlation, check_tolerance, iso_game_tokens,
+                           verify_perfect_iso_strategy)
 from .games import bcs_game_wins, rel_codes
 from .graphs import Graph, GraphError, ParseError, cospectral_mates
 
-DEFAULT_TOL = 1e-9
 MAX_BLOCK_DIM = 64
 PRODUCT_CHUNK_BYTES = 1 << 18  # operand bytes per chunk of _product_norm
 
@@ -137,6 +137,7 @@ def verify_ppm(blocks, tol=DEFAULT_TOL):
     share a column only: it takes one product per connected component of
     the block support, and a row with no block adds ||I||^2 = d.
     """
+    check_tolerance(tol)
     a = _as_blocks(blocks)
     if a.shape[0] != a.shape[1]:
         raise GraphError("projective permutation matrices must be square block arrays")
@@ -216,6 +217,7 @@ def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol
     equivalent, so the report flags any disagreement between the two code
     paths as an internal inconsistency.
     """
+    check_tolerance(tol)
     if g.n != h.n:
         return {"ok": False, "reason": "vertex counts differ", "residuals": {}}
     _certificate_blocks(cert, g, h)
@@ -297,6 +299,7 @@ def certificate_correlation(cert: QuantumIsoCertificate, g: Graph, h: Graph, tol
     the same correlation without building the table, and the tests use this
     one as its reference.
     """
+    check_tolerance(tol)
     n = g.n
     nz_g, nz_h, classes = _certificate_blocks(cert, g, h)
     traces = _trace_matrix(cert.ops[classes], cert.d, tol)
@@ -325,8 +328,9 @@ def verify_certificate_correlation(cert: QuantumIsoCertificate, g: Graph, h: Gra
     not constant.  A tuple loses when its G vertices relate otherwise than
     its H vertices, whichever graph each question came from, so one mask
     over the class pairs covers all four orientations; only a failing
-    check goes back to the K blocks, to name its worst tuple.
+    perfection check builds the table, whose verifier names its worst tuple.
     """
+    check_tolerance(tol)
     nz_g, nz_h, classes = _certificate_blocks(cert, g, h)
     T = _trace_matrix(cert.ops, cert.d, tol)
     # the table path rejects these too: a NaN compares as no violation
@@ -350,20 +354,10 @@ def verify_certificate_correlation(cert: QuantumIsoCertificate, g: Graph, h: Gra
             break
     if not np.abs(T)[_class_mismatch(g, h, cert)].max(initial=0.0) > tol:
         return ns, (True, None)
-    # a failing check names its tuple from the K x K traces, as the table
-    # does: T[a, b] and T[b, a] may differ in the last bit, and a U x U
-    # product, rounding otherwise, could name the other pair of a near tie
-    T = _trace_matrix(cert.ops[classes], cert.d, tol)
-    losing = np.where(_rel_mismatch(g, h, nz_g, nz_h), np.abs(T), 0.0)
-    worst = losing.max()
-    if not worst > tol:
-        return ns, (True, None)
-    # of the tied pairs, the one whose key (g_a, g_b, n + h_a, n + h_b) sorts first
-    a, b = np.nonzero(losing == worst)
-    i = np.lexsort((nz_h[b], nz_h[a], nz_g[b], nz_g[a]))[0]
-    a, b = int(a[i]), int(b[i])
-    return ns, (False, (int(nz_g[a]), int(nz_g[b]), int(nz_h[a]) + n, int(nz_h[b]) + n,
-                        float(T[a, b])))
+    # the table path names the tuple: T[a, b] and T[b, a] may differ in the
+    # last bit, and a U x U product, rounding otherwise, could name the
+    # other pair of a near tie
+    return ns, verify_perfect_iso_strategy(certificate_correlation(cert, g, h, tol), g, h)
 
 
 @dataclass
@@ -382,6 +376,7 @@ def verify_packing(g: Graph, pack: ProjectivePacking, tol=DEFAULT_TOL):
     because the projector property is checked first; a trace farther than
     0.01 from an integer is an error.
     """
+    check_tolerance(tol)
     a = np.asarray(pack.blocks, dtype=complex)
     if a.shape != (g.n, pack.d, pack.d):
         raise GraphError("packing shape does not match the graph")
@@ -478,6 +473,7 @@ def mermin_bcs_strategy():
 def verify_bcs_strategy(bcs: LinBCS, strat: BCSQuantumStrategy, tol=DEFAULT_TOL):
     """Check measurement structure and that the induced correlation
     tr(E_(l,f) E_(k,f'))/d vanishes on every losing tuple of the BCS game."""
+    check_tolerance(tol)
     if len(strat.ops) != bcs.m:
         raise GraphError("strategy constraint count does not match the system")
     d = strat.d
@@ -554,6 +550,7 @@ def quantum_reduction_report(bcs: LinBCS, strat=None, tol=DEFAULT_TOL):
     constraint count.  The verified certificate is returned as ``witness``, on the
     graph pair ``graphs``.
     """
+    check_tolerance(tol)
     classical = classical_reduction_report(bcs)
     if strat is None:
         if classical["satisfiable"]:

@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +25,7 @@ from conftest import (
     oracle_perfect,
     two_k3,
 )
-from qgiso.cli import main
+from qgiso.cli import COMMANDS, build_parser, main
 from qgiso.graphs import format_graph, parse_graph
 from qgiso.bcs import MAX_VARIABLES, bcs_graph, format_bcs, homogenize, magic_square
 from qgiso import quantum as qmod
@@ -497,3 +499,62 @@ def test_mermin_demo_under_optimize_flag(capsys):
     assert proc.returncode == 0, proc.stderr
     assert main(["--json", "quantum", "mermin-demo"]) == 0
     assert json.loads(proc.stdout) == json.loads(capsys.readouterr().out)
+
+
+def _readme_cli_lines():
+    """The arguments of each `qiso` line in the README's CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    return [shlex.split(line.split("#")[0])[1:]
+            for line in block.splitlines() if line.startswith("qiso ")]
+
+
+def test_readme_cli_lines_parse():
+    commands = set()
+    for argv in _readme_cli_lines():
+        args = build_parser().parse_args(argv)
+        assert args.command == " ".join(argv[:2])
+        assert ("--out" in argv) == (args.out is not None)
+        commands.add(args.command)
+    assert commands == {name for name, *_ in COMMANDS}
+
+
+@pytest.mark.parametrize("argv", [["bcs", "magic-square"], ["quantum", "mermin-demo"],
+                                  ["bcs", "to-graph", "--homogenize"]])
+def test_options_before_or_after_the_command_agree(tmp_path, capsys, argv):
+    bcs_file = tmp_path / "ms.bcs"
+    bcs_file.write_text(format_bcs(magic_square()))
+    argv = [*argv, str(bcs_file)] if "to-graph" in argv else argv
+    before, after = tmp_path / "before", tmp_path / "after"
+    assert main(["--json", "--out", str(before), *argv]) == 0
+    first = capsys.readouterr().out
+    assert main([*argv, "--out", str(after), "--json"]) == 0
+    assert capsys.readouterr().out == first
+    assert before.read_bytes() == after.read_bytes()
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    main(["bcs", "magic-square"])  # builds the parser, if no earlier call has
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (["bcs", "magic-square"], ["--json", "quantum", "mermin-demo"], ["frobnicate"],
+                 ["quantum", "-h"]):
+        main(argv)
+    assert built == []
+
+
+def test_consecutive_calls_share_no_option(tmp_path, capsys):
+    bcs_file, out = tmp_path / "ms.bcs", tmp_path / "gf0.g"
+    bcs_file.write_text(format_bcs(magic_square()))
+    argv = ["--out", str(out), "--json", "bcs", "to-graph", "--homogenize", str(bcs_file)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "bcs to-graph"
+    assert out.read_text() == format_graph(bcs_graph(homogenize(magic_square())).graph)
+    assert main(["bcs", "to-graph", str(bcs_file)]) == 0
+    assert capsys.readouterr().out == format_graph(bcs_graph(magic_square()).graph)

@@ -452,6 +452,33 @@ class TestVerifyCertificateCorrelation:
             assert report["correlation_nonsignalling"] and report["correlation_perfect"]
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("check", [
+    lambda bcs, strat, bg, bg0, cert, tol: verify_ppm(cert.blocks, tol),
+    lambda bcs, strat, bg, bg0, cert, tol: verify_qiso_certificate(bg.graph, bg0.graph, cert, tol),
+    lambda bcs, strat, bg, bg0, cert, tol: certificate_correlation(cert, bg.graph, bg0.graph, tol),
+    lambda bcs, strat, bg, bg0, cert, tol: verify_certificate_correlation(cert, bg.graph,
+                                                                          bg0.graph, tol),
+    lambda bcs, strat, bg, bg0, cert, tol: verify_packing(bg.graph, strategy_packing(strat, bg),
+                                                          tol),
+    lambda bcs, strat, bg, bg0, cert, tol: verify_bcs_strategy(bcs, strat, tol),
+    lambda bcs, strat, bg, bg0, cert, tol: quantum_reduction_report(bcs, strat, tol),
+], ids=["verify_ppm", "verify_qiso_certificate", "certificate_correlation",
+        "verify_certificate_correlation", "verify_packing", "verify_bcs_strategy",
+        "quantum_reduction_report"])
+def test_public_entry_points_refuse_a_bad_tolerance(mermin, check, tol):
+    # against a NaN or infinite tol every `residual > tol` is False: the
+    # certificate with block row 0 zeroed passed verify_qiso_certificate and
+    # the correlation check
+    bcs, strat, bg, bg0, cert = mermin
+    blocks = cert.blocks.copy()
+    blocks[0] = 0
+    broken = QuantumIsoCertificate(cert.d, blocks)
+    assert not verify_qiso_certificate(bg.graph, bg0.graph, broken)["ok"]
+    with pytest.raises(GraphError, match="tolerance must be a finite number >= 0"):
+        check(bcs, strat, bg, bg0, broken, tol)
+
+
 def _trace_rows(monkeypatch, g, h, cert):
     """The row counts of the trace products that verify_certificate_correlation
     takes on the certificate, after the row count of the stack whose products
