@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -51,7 +52,9 @@ def _jsonable(x):
 
 
 def _emit(args, verdict, payload):
-    if args.json:
+    if verdict is None:  # the command's artifact, as raw text
+        sys.stdout.write(payload)
+    elif args.json:
         doc = {"command": args.command, "verdict": verdict}
         doc.update(_jsonable(payload))
         print(json.dumps(doc, indent=1))
@@ -77,17 +80,18 @@ def _read_graphs(args):
     return _read_graph(args.g), _read_graph(args.h)
 
 
-def _write_out(args, text, echo=False):
-    """Writes text to --out; with ``echo`` and no --out, to stdout instead."""
+def _write_out(args, build, echo=False):
+    """Writes ``build()``'s text to --out, building it only then; returns
+    it instead with ``echo`` and no --out, else ""."""
     if args.out:
-        Path(args.out).write_text(text)
-    elif echo:
-        sys.stdout.write(text)
+        Path(args.out).write_text(build())
+        return ""
+    return build() if echo else ""
 
 
 # A command handler returns (ok, verdict, payload), which ``main`` reports
-# under the command's name with exit code 0 or 1, or None once it has
-# written its artifact as raw text.
+# under the command's name with exit code 0 or 1; with verdict None, the
+# payload is the raw text of its artifact.
 
 def cmd_graph_iso(args):
     phi = gmod.find_isomorphism(*_read_graphs(args))
@@ -101,7 +105,7 @@ def cmd_graph_fractional_iso(args):
     if result is None:
         return False, "NOT FRACTIONALLY ISOMORPHIC", {}
     cep, D = result
-    _write_out(args, eqmod.format_ds_witness(D))
+    _write_out(args, lambda: eqmod.format_ds_witness(D))
     return True, "FRACTIONALLY ISOMORPHIC", {
         "witnesses": {"cells": len(cep.cells_g), "sizes": list(cep.sizes())},
     }
@@ -131,7 +135,7 @@ def cmd_ns_build(args):
     if result is None:
         return False, "NOT NON-SIGNALLING ISOMORPHIC", {}
     _, corr = result
-    _write_out(args, corrmod.format_correlation(corr))
+    _write_out(args, lambda: corrmod.format_correlation(corr))
     return True, "NON-SIGNALLING ISOMORPHIC", {"witnesses": {"nonzero_entries": len(corr.table)}}
 
 
@@ -162,9 +166,10 @@ def cmd_bcs_check(args):
 def cmd_bcs_to_graph(args):
     system = _read_bcs(args.bcs)
     bg = bcsmod.bcs_graph(bcsmod.homogenize(system) if args.homogenize else system)
-    _write_out(args, gmod.format_graph(bg.graph), echo=True)
-    if args.out:
-        return True, "OK", {"vertices": bg.graph.n, "edges": bg.graph.num_edges()}
+    text = _write_out(args, lambda: gmod.format_graph(bg.graph), echo=True)
+    if not args.out:
+        return True, None, text
+    return True, "OK", {"vertices": bg.graph.n, "edges": bg.graph.num_edges()}
 
 
 def cmd_bcs_report(args):
@@ -178,7 +183,7 @@ def cmd_bcs_report(args):
 
 
 def cmd_bcs_magic_square(args):
-    _write_out(args, bcsmod.format_bcs(bcsmod.magic_square()), echo=True)
+    return True, None, _write_out(args, lambda: bcsmod.format_bcs(bcsmod.magic_square()), echo=True)
 
 
 def _certify(args):
@@ -198,9 +203,8 @@ def cmd_quantum_correlation(args):
     g, h, cert, report = _certify(args)
     if not report["ok"]:
         return False, "FAIL", {"residuals": report["residuals"]}
-    if args.out:  # the table is built only to be written
-        corr = qmod.certificate_correlation(cert, g, h, tol=args.tol)
-        _write_out(args, corrmod.format_correlation(corr))
+    _write_out(args, lambda: corrmod.format_correlation(
+        qmod.certificate_correlation(cert, g, h, tol=args.tol)))
     (ns_ok, _), (perfect_ok, _) = qmod.verify_certificate_correlation(cert, g, h, tol=args.tol)
     ok = ns_ok and perfect_ok
     return ok, "PASS" if ok else "FAIL", {"nonsignalling": ns_ok, "perfect": perfect_ok}
@@ -227,8 +231,7 @@ def cmd_quantum_mermin_demo(args):
     })
     if not report["ok"]:
         return False, "FAIL", payload
-    if args.out:
-        Path(args.out).write_text(qmod.certificate_to_json(report["witness"], *report["graphs"]))
+    _write_out(args, lambda: qmod.certificate_to_json(report["witness"], *report["graphs"]))
     return True, "QUANTUM ISOMORPHIC, NOT ISOMORPHIC", payload
 
 
@@ -295,14 +298,15 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else 0
     try:
-        report = args.func(args)
-        if report is None:  # the command wrote its artifact as raw text
-            return EXIT_OK
-        ok, verdict, payload = report
-        _emit(args, verdict, payload)
+        ok, verdict, payload = args.func(args)
     except (gmod.GraphError, bcsmod.BCSError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    try:
+        _emit(args, verdict, payload)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout early, as head does: the verdict stands
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush cannot fail
     return EXIT_OK if ok else EXIT_REFUTED
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, GraphError, ParseError, _neighbour_lists, _refine, disjoint_union
+from .graphs import Graph, GraphError, ParseError, _neighbour_lists, _refine, _root
 
 
 @dataclass(frozen=True)
@@ -44,35 +44,25 @@ def verify_equitable(g: Graph, cells):
 
     Returns (EquitablePartition, None) on success, or (None, (vertex, cell
     index)) for the first vertex whose neighbor count into some cell differs
-    from its cellmates'.
+    from its cellmates'.  Every vertex's count into every cell is one
+    integer product A M, with M the n x k cell-membership matrix.
     """
     cells = tuple(tuple(sorted(cell)) for cell in cells)
     flat = [v for cell in cells for v in cell]
     if sorted(flat) != list(range(g.n)) or any(not cell for cell in cells):
         raise NotAPartitionError("cells do not partition the vertex set")
-    k = len(cells)
-    c = [[None] * k for _ in range(k)]
-    cell_sets = [set(cell) for cell in cells]
-    for i, cell in enumerate(cells):
-        for v in cell:
-            nbrs = set(int(u) for u in g.neighbors(v))
-            for j in range(k):
-                count = len(nbrs & cell_sets[j])
-                if c[i][j] is None:
-                    c[i][j] = count
-                elif c[i][j] != count:
-                    return None, (v, j)
-    part = EquitablePartition(cells, tuple(tuple(row) for row in c))
-    _check_counting_identity(part)
-    return part, None
-
-
-def _check_counting_identity(p: EquitablePartition):
-    sizes = p.sizes()
-    for i in range(p.k):
-        for j in range(p.k):
-            if p.c[i][j] * sizes[i] != p.c[j][i] * sizes[j]:
-                raise AssertionError("partition-number counting identity violated")
+    sizes = np.array([len(cell) for cell in cells], dtype=np.intp)
+    cell_of = np.repeat(np.arange(len(cells)), sizes)  # the cell of each vertex of flat
+    member = np.zeros((g.n, len(cells)), dtype=np.int64)
+    member[np.array(flat, dtype=np.intp), cell_of] = 1
+    counts = (g.adj.astype(np.int64) @ member)[flat]
+    c = counts[np.cumsum(sizes) - sizes]  # the row of each cell's first vertex
+    for r, j in np.argwhere(counts != c[cell_of])[:1]:
+        return None, (flat[r], int(j))
+    edges = sizes[:, None] * c  # edges between cells i and j, counted from i
+    if not np.array_equal(edges, edges.T):
+        raise AssertionError("partition-number counting identity violated")
+    return EquitablePartition(cells, tuple(map(tuple, c.tolist()))), None
 
 
 def _colour_cells(colors):
@@ -134,24 +124,22 @@ def verify_common_equitable(g: Graph, h: Graph, cep: CommonEquitablePartition):
 def common_equitable_partition(g: Graph, h: Graph):
     """Coarsest common equitable partition of a graph pair, or None.
 
-    Runs color refinement on the disjoint union and aligns color classes.
-    The refinement stops at the first round where the two graphs' color
-    histograms differ: then no common equitable partition exists.
+    Refines the disjoint union from the isomorphism search's entry
+    (``graphs._root``) and aligns colour classes.  The refinement stops at
+    the first round where the two graphs' colour histograms differ: then
+    no common equitable partition exists.
     """
-    union, off_g, off_h = disjoint_union(g, h)
-    colors = _refine(_neighbour_lists(union), [0] * union.n, split=off_h)
+    colors = _root(g, h)[1]
     if colors is None:
         return None
     cells = _colour_cells(colors)
-    cells_g = [tuple(v for v in cell if v < off_h) for cell in cells]
-    cells_h = [tuple(v - off_h for v in cell if v >= off_h) for cell in cells]
-    pg, vio = verify_equitable(g, cells_g)
-    if vio is not None:
-        raise AssertionError("refinement cells not equitable on the first graph")
-    cep = CommonEquitablePartition(tuple(cells_g), tuple(cells_h), pg.c)
-    if not verify_common_equitable(g, h, cep):
+    pg, vio_g = verify_equitable(g, [tuple(v for v in cell if v < g.n) for cell in cells])
+    ph, vio_h = verify_equitable(h, [tuple(v - g.n for v in cell if v >= g.n) for cell in cells])
+    if vio_g is not None or vio_h is not None:
+        raise AssertionError("refinement cells not equitable on one side")
+    if pg.c != ph.c or pg.sizes() != ph.sizes():
         return None
-    return cep
+    return CommonEquitablePartition(pg.cells, ph.cells, pg.c)
 
 
 def _int_dtype(bound):

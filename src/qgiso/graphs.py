@@ -425,7 +425,7 @@ def _refine(nbrs, colors, split=None, changed=None):
 def _root(g, h):
     """Neighbour lists of the disjoint union and its stable colouring from
     degrees, or None for the colouring if the halves' histograms differ."""
-    nbrs = _neighbour_lists(disjoint_union(g, h)[0])
+    nbrs = _neighbour_lists(g) + [[u + g.n for u in nb] for nb in _neighbour_lists(h)]
     return nbrs, _refine(nbrs, [len(nb) for nb in nbrs], split=g.n)
 
 

@@ -233,11 +233,14 @@ def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol
     # block (i, j) of (A_G (x) I) E - E (A_H (x) I) is sum_k A_G[i, k] E_kj -
     # E_ik A_H[k, j]: real n x n products on the block grid, with each
     # block's real and imaginary parts side by side; the second is batched
-    # over i and reads A_H[k, j] as A_H[j, k]
+    # over i and reads A_H[k, j] as A_H[j, k], subtracted in chunks of rows
+    # of at most 2^14 floats (128 KiB), below malloc's mmap threshold
     w = 2 * d * d
     parts = cert.blocks.view(float).reshape(n, n, w)
     diff = (g.adj.astype(float) @ parts.reshape(n, n * w)).reshape(n, n, w)
-    diff -= h.adj.astype(float) @ parts
+    a_h, rows = h.adj.astype(float), max(1, 2 ** 14 // (n * w))
+    for i in range(0, n, rows):
+        diff[i:i + rows] -= a_h @ parts[i:i + rows]
     intertwine = float(np.linalg.norm(diff))
 
     residuals = {
@@ -498,6 +501,8 @@ def strategy_packing(strat: BCSQuantumStrategy, bg):
     blocks = []
     for l, f in bg.vertex_meta:
         match = [op for fa, op in strat.ops[l] if fa == f]
+        if not match:
+            raise GraphError(f"constraint {l}: assignment family mismatch")
         blocks.append(match[0])
     return ProjectivePacking(strat.d, np.array(blocks))
 

@@ -9,7 +9,12 @@ import pytest
 
 from qgiso import graphs as gmod
 from qgiso.bcs import BCSGraph, LinBCS, satisfying_assignments, vertex_label
-from qgiso.equitable import CommonEquitablePartition, verify_common_equitable
+from qgiso.equitable import (
+    CommonEquitablePartition,
+    EquitablePartition,
+    NotAPartitionError,
+    verify_common_equitable,
+)
 from qgiso.games import rel_codes
 from qgiso.graphs import Graph, GraphError, from_edges
 from qgiso.quantum import BCSQuantumStrategy
@@ -371,6 +376,57 @@ def oracle_qiso_certificate(g, h, cert, tol=1e-9):
     consistent = direct_ok == intertwine_ok or oracle_within(tol * n * d, orth, intertwine)
     return {"ok": direct_ok and intertwine_ok and ppm["ok"],
             "consistent": consistent and ppm["consistent"], "residuals": residuals}
+
+
+# --- loop oracles for the equitable-partition checks ------------------------
+# The per-(vertex, cell) set-intersection check with its k x k counting
+# identity loop, and the common partition refined on a label-prefixed union
+# Graph from the all-zero colouring, that the one-product check and the
+# search's pair entry replaced; kept as the oracle for cells, partition
+# numbers and first violations.
+
+def oracle_verify_equitable(g, cells):
+    cells = tuple(tuple(sorted(cell)) for cell in cells)
+    flat = [v for cell in cells for v in cell]
+    if sorted(flat) != list(range(g.n)) or any(not cell for cell in cells):
+        raise NotAPartitionError("cells do not partition the vertex set")
+    k = len(cells)
+    c = [[None] * k for _ in range(k)]
+    cell_sets = [set(cell) for cell in cells]
+    for i, cell in enumerate(cells):
+        for v in cell:
+            nbrs = set(int(u) for u in g.neighbors(v))
+            for j in range(k):
+                count = len(nbrs & cell_sets[j])
+                if c[i][j] is None:
+                    c[i][j] = count
+                elif c[i][j] != count:
+                    return None, (v, j)
+    sizes = [len(cell) for cell in cells]
+    for i in range(k):
+        for j in range(k):
+            if c[i][j] * sizes[i] != c[j][i] * sizes[j]:
+                raise AssertionError("partition-number counting identity violated")
+    return EquitablePartition(cells, tuple(tuple(row) for row in c)), None
+
+
+def oracle_common_equitable_partition(g, h):
+    union, _, off_h = gmod.disjoint_union(g, h)
+    colors = gmod._refine(gmod._neighbour_lists(union), [0] * union.n, split=off_h)
+    if colors is None:
+        return None
+    cells = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v, col in enumerate(colors):
+        cells[col].append(v)
+    cells_g = tuple(tuple(v for v in cell if v < off_h) for cell in cells)
+    cells_h = tuple(tuple(v - off_h for v in cell if v >= off_h) for cell in cells)
+    pg, vio = oracle_verify_equitable(g, cells_g)
+    if vio is not None:
+        raise AssertionError("refinement cells not equitable on the first graph")
+    ph, vio = oracle_verify_equitable(h, cells_h)
+    if vio is not None or ph.c != pg.c or any(len(a) != len(b) for a, b in zip(cells_g, cells_h)):
+        return None
+    return CommonEquitablePartition(cells_g, cells_h, pg.c)
 
 
 # --- fractionally isomorphic pair generator --------------------------------

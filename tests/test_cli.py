@@ -28,6 +28,8 @@ from conftest import (
 from qgiso.cli import COMMANDS, build_parser, main
 from qgiso.graphs import format_graph, parse_graph
 from qgiso.bcs import MAX_VARIABLES, bcs_graph, format_bcs, homogenize, magic_square
+from qgiso import correlations as corrmod
+from qgiso import equitable as eqmod
 from qgiso import quantum as qmod
 from qgiso.correlations import (
     Correlation,
@@ -558,3 +560,66 @@ def test_consecutive_calls_share_no_option(tmp_path, capsys):
     assert out.read_text() == format_graph(bcs_graph(homogenize(magic_square())).graph)
     assert main(["bcs", "to-graph", str(bcs_file)]) == 0
     assert capsys.readouterr().out == format_graph(bcs_graph(magic_square()).graph)
+
+
+def test_artifacts_are_built_only_for_out(graph_files, magic_graph_files, tmp_path, capsys,
+                                          monkeypatch):
+    bg, bg0, cert = qmod.strategy_to_certificate(magic_square(), qmod.mermin_bcs_strategy())
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(qmod.certificate_to_json(cert, bg.graph, bg0.graph))
+    built = []
+    for module, name in ((eqmod, "format_ds_witness"), (corrmod, "format_correlation"),
+                         (qmod, "certificate_to_json")):
+        def counted(*args, _format=getattr(module, name), _name=name):
+            built.append(_name)
+            return _format(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    commands = (["graph", "fractional-iso", *graph_files], ["ns", "build", *graph_files],
+                ["quantum", "correlation", *magic_graph_files, str(cert_file)],
+                ["quantum", "mermin-demo"])
+    for argv in commands:
+        assert main(argv) == 0
+    assert built == []
+    for i, argv in enumerate(commands):
+        assert main(["--out", str(tmp_path / f"out{i}"), *argv]) == 0
+    assert built == ["format_ds_witness", "format_correlation", "format_correlation",
+                     "certificate_to_json"]
+
+
+class _ClosedStdout:
+    """Standard output whose reader has gone: writing raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--json", "quantum", "mermin-demo"], 0), (["graph", "iso"], 1), (["bcs", "magic-square"], 0),
+], ids=["mermin-demo", "refuted", "raw text"])
+def test_closed_stdout_keeps_the_verdict(magic_graph_files, tmp_path, capsys, monkeypatch,
+                                         argv, code):
+    argv = [*argv, *magic_graph_files] if "iso" in argv else argv
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(fd))
+        assert main(argv) == code
+        # the descriptor now points at os.devnull, so the flush at exit cannot fail
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "bcs", "magic-square"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

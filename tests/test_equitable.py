@@ -3,7 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cep_pair, complete, cycle, empty, path, random_graph, star, two_k3
+import networkx as nx
+import numpy as np
+
+from conftest import (
+    cep_pair,
+    complete,
+    cycle,
+    empty,
+    oracle_common_equitable_partition,
+    oracle_ns_table,
+    oracle_verify_equitable,
+    path,
+    permuted_copy,
+    random_graph,
+    star,
+    two_k3,
+)
+from qgiso import equitable as eqmod
 from qgiso.correlations import ns_iso
 from qgiso.equitable import (
     NotAPartitionError,
@@ -16,7 +33,7 @@ from qgiso.equitable import (
     verify_ds_witness,
     verify_equitable,
 )
-from qgiso.graphs import ParseError, find_isomorphism, from_edges
+from qgiso.graphs import Graph, ParseError, find_isomorphism, from_edges
 
 
 class TestColorRefinement:
@@ -254,3 +271,110 @@ class TestDsWitnessMatchesFractionLoops:
         assert not got[0] and got == _oracle_verify_ds_witness(g, h, D)
         D[0][0] = -D[0][0]
         assert verify_ds_witness(g, h, D) == _oracle_verify_ds_witness(g, h, D)
+
+
+def _random_cells(n, rng):
+    """A random partition of range(n) in shuffled order, sometimes broken:
+    a vertex dropped or repeated, one out of range, or an empty cell."""
+    labels = [rng.randrange(rng.randint(1, max(n, 1))) for _ in range(n)]
+    cells = [[v for v in range(n) if labels[v] == i] for i in sorted(set(labels))]
+    for cell in cells:
+        rng.shuffle(cell)
+    rng.shuffle(cells)
+    broken = rng.randrange(8)
+    if broken == 0 and n:
+        cells[0] = cells[0][1:]
+    elif broken == 1 and n:
+        cells[-1].append(cells[0][0])
+    elif broken == 2:
+        cells.append([n])
+    elif broken == 3:
+        cells.append([])
+    return cells
+
+
+def _regular(n, d, seed, prefix):
+    a = nx.random_regular_graph(d, n, seed=seed)
+    labels = [f"{prefix}{v}" for v in range(n)]
+    return from_edges(labels, [(labels[u], labels[v]) for u, v in a.edges()])
+
+
+def _random_pairs(rng):
+    """Graph pairs on at most 12 vertices, fractionally isomorphic or not,
+    then regular pairs of equal and of different degrees up to 40."""
+    for _ in range(60):
+        n = rng.randint(0, 12)
+        g = random_graph(n, rng.random(), rng)
+        yield g, random_graph(n if rng.random() < 0.8 else rng.randint(0, 12), rng.random(), rng)
+        yield g, permuted_copy(g, rng)
+    for _ in range(10):
+        yield cep_pair(rng)[:2]
+    for n, d, e in ((20, 3, 3), (30, 4, 4), (40, 5, 5), (40, 4, 6), (36, 3, 3)):
+        yield _regular(n, d, n + d, "a"), _regular(n, e, n + e + 1, "b")
+
+
+class TestMatchesLoopOracles:
+    def test_verify_equitable_partition_or_first_violation(self, rng):
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(0, 12)
+            g = random_graph(n, rng.random(), rng)
+            cells = _random_cells(n, rng) if rng.random() < 0.8 else color_refinement(g).cells
+            if rng.random() < 0.3:
+                cells = [np.array(cell, dtype=np.int64) for cell in cells]
+            try:
+                want = oracle_verify_equitable(g, cells)
+            except NotAPartitionError:
+                with pytest.raises(NotAPartitionError):
+                    verify_equitable(g, cells)
+                seen.add("not a partition")
+                continue
+            got = verify_equitable(g, cells)
+            assert got == want
+            seen.add("equitable" if got[1] is None else "violation")
+        assert seen == {"equitable", "violation", "not a partition"}
+
+    def test_common_equitable_partition_cells_and_numbers(self, rng):
+        yes = no = 0
+        for g, h in _random_pairs(rng):
+            want = oracle_common_equitable_partition(g, h)
+            assert common_equitable_partition(g, h) == want
+            result = fractional_iso(g, h)
+            assert (result is None) == (want is None or g.n != h.n)
+            if result is not None:
+                assert result[1] == build_ds_witness(want)
+            yes, no = yes + (result is not None), no + (result is None)
+        assert yes >= 40 and no >= 40
+
+    def test_ns_table(self, rng):
+        for _ in range(6):
+            g = random_graph(rng.randint(2, 7), 0.5, rng)
+            h = permuted_copy(g, rng)
+            cep, corr = ns_iso(g, h)
+            assert cep == oracle_common_equitable_partition(g, h)
+            assert dict(corr.table) == oracle_ns_table(g, h, cep)
+
+    def test_checks_each_side_once(self, monkeypatch):
+        calls = []
+
+        def counted(g, cells):
+            calls.append(g)
+            return verify_equitable(g, cells)
+
+        monkeypatch.setattr(eqmod, "verify_equitable", counted)
+        g, h = cycle(6), two_k3()
+        assert common_equitable_partition(g, h) is not None
+        assert calls == [g, h]
+
+    def test_builds_no_union_graph(self, monkeypatch):
+        built = []
+        post_init = Graph.__post_init__
+
+        def counted(self):
+            built.append(self.n)
+            post_init(self)
+
+        g, h = cycle(6), two_k3()
+        monkeypatch.setattr(Graph, "__post_init__", counted)
+        assert common_equitable_partition(g, h) is not None
+        assert built == []

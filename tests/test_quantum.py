@@ -747,6 +747,12 @@ class TestStrategyToCertificate:
         with pytest.raises(GraphError, match="constraint 0: assignment family mismatch"):
             strategy_to_certificate(bcs, BCSQuantumStrategy(strat.d, ops))
 
+    def test_packing_of_a_family_missing_an_assignment_raises(self, mermin):
+        _, strat, bg, _, _ = mermin
+        bad = BCSQuantumStrategy(strat.d, (strat.ops[0][1:],) + strat.ops[1:])
+        with pytest.raises(GraphError, match="constraint 0: assignment family mismatch"):
+            strategy_packing(bad, bg)
+
     def test_d1_case_matches_explicit_isomorphism(self):
         bcs = parse_bcs("x1 + x2 = 1\nx2 + x3 = 0\n")
         assignment = solve_or_refute(bcs)[0]
