@@ -9,6 +9,7 @@ Both modes go through the same verifiers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -165,7 +166,7 @@ class Correlation:
 
 
 def _common_denominator(values):
-    """Exact values as (object array of integer numerators, their lcm)."""
+    """Exact values as (integer numerators, int64 where they fit, their lcm)."""
     try:
         if not all(isinstance(v, Real) for v in values):
             raise ValueError
@@ -173,8 +174,8 @@ def _common_denominator(values):
     except (ValueError, OverflowError):
         raise GraphError("exact correlation values must be finite numbers") from None
     denominator = math.lcm(*{v.denominator for v in values})
-    return (np.array([v.numerator * (denominator // v.denominator) for v in values],
-                     dtype=object), denominator)
+    nums = [v.numerator * (denominator // v.denominator) for v in values]
+    return np.array(nums, _int_dtype(max([denominator, *map(abs, nums)]))), denominator
 
 
 def _grouped(corr: Correlation, *columns):
@@ -327,45 +328,54 @@ def correlation_to_ds_witness(corr: Correlation, g: Graph, h: Graph):
 
 def format_correlation(corr: Correlation):
     """Serialize: 'corr <N> <mode>', token list, sparse nonzero lines."""
-    lines = [f"corr {corr.size} {corr.mode}", " ".join(corr.inputs)]
-    table, exact = corr.table, corr.mode == "exact"
-    keep = table.data != 0
-    for key, v in zip(table.coords[keep].tolist(), map(table.value, table.data[keep].tolist())):
-        text = f"{v.numerator}/{v.denominator}" if exact else repr(v)
-        lines.append(f"{key[0]} {key[1]} {key[2]} {key[3]} {text}")
-    return "\n".join(lines) + "\n"
+    table, keep = corr.table, corr.table.data != 0
+    distinct, which = np.unique(table.data[keep], return_inverse=True)
+    texts = [f"{v.numerator}/{v.denominator}" if corr.mode == "exact" else repr(v)
+             for v in map(table.value, distinct.tolist())]
+    rows = zip(table.coords[keep].tolist(), which.tolist())
+    return "\n".join([f"corr {corr.size} {corr.mode}", " ".join(corr.inputs),
+                      *(f"{a} {b} {c} {d} {texts[i]}" for (a, b, c, d), i in rows), ""])
+
+
+def _data_lines(text):
+    """(number, line, fields) of each line that is not blank or a comment."""
+    return ((n, s, f) for n, s in enumerate(text.splitlines(), 1) if (f := s.split()) and s[0] != "#")
 
 
 def parse_correlation(text, tol=DEFAULT_TOL):
-    lines = [(no, l) for no, l in enumerate(text.splitlines(), start=1)
-             if l.strip() and not l.startswith("#")]
-    if not lines:
+    lines = _data_lines(text)
+    head_no, _, head = next(lines, (None, None, None))
+    if head is None:
         raise ParseError("empty correlation file")
-    head_no, head = lines[0][0], lines[0][1].split()
     if (len(head) != 3 or head[0] != "corr" or not head[1].isdecimal()
             or head[2] not in ("exact", "float")):
         raise ParseError("correlation file must start with 'corr <N> exact|float'", head_no)
     N, mode = int(head[1]), head[2]
-    if len(lines) < 2:
+    token_no, _, inputs = next(lines, (None, None, None))
+    if inputs is None:
         raise ParseError("the header is not followed by a token line", head_no)
-    inputs = tuple(lines[1][1].split())
     if len(inputs) != N:
-        raise ParseError(f"expected {N} tokens, found {len(inputs)}", lines[1][0])
-    table = {}
-    for lineno, line in lines[2:]:
-        parts = line.split()
-        try:
-            if len(parts) != 5:
-                raise ValueError
-            key = tuple(int(p) for p in parts[:4])
-            value = Fraction(parts[4])
-            if mode == "float":
-                value = float(value)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            raise ParseError(f"malformed correlation line: {line!r}", lineno) from None
-        if not all(0 <= i < N for i in key):
-            raise ParseError(f"index out of range [0, {N}): {line!r}", lineno)
-        if key in table:
-            raise ParseError(f"repeated index {key}", lineno)
-        table[key] = value
-    return Correlation(inputs, mode, table, tol=tol)
+        raise ParseError(f"expected {N} tokens, found {len(inputs)}", token_no)
+    keys, which, seen, values = [], [], {}, []  # which[r]: line r's value in values
+    try:
+        for lineno, line, parts in lines:
+            x_a, x_b, y_a, y_b, token = parts  # ValueError unless 5 fields
+            i = seen.setdefault(token, len(seen))  # each distinct value is parsed once
+            if i == len(values):
+                values.append(float(Fraction(token)) if mode == "float" else Fraction(token))
+            keys += (int(x_a), int(x_b), int(y_a), int(y_b))
+            which.append(i)
+        line = None
+        coords = np.array(keys, np.int64).reshape(-1, 4)  # OverflowError: a key past int64
+        distinct = (np.array(values),) if mode == "float" else _common_denominator(values)
+        return Correlation(inputs, mode, (coords, distinct[0][which], *distinct[1:]), tol=tol)
+    except (ValueError, ZeroDivisionError, OverflowError) as e:  # GraphError is a ValueError
+        error = e if line is None else ParseError(f"malformed correlation line: {line!r}", lineno)
+    done = set()  # a key out of range or repeated before the error is the first bad line
+    for (lineno, line, _), key in zip(itertools.islice(_data_lines(text), 2, None),
+                                      zip(*[iter(keys)] * 4)):
+        if key in done or not all(0 <= k < N for k in key):
+            raise ParseError(f"repeated index {key}" if key in done
+                             else f"index out of range [0, {N}): {line!r}", lineno)
+        done.add(key)
+    raise error

@@ -477,8 +477,7 @@ def verify_bcs_strategy(bcs: LinBCS, strat: BCSQuantumStrategy, tol=DEFAULT_TOL)
     """Check measurement structure and that the induced correlation
     tr(E_(l,f) E_(k,f'))/d vanishes on every losing tuple of the BCS game."""
     check_tolerance(tol)
-    if len(strat.ops) != bcs.m:
-        raise GraphError("strategy constraint count does not match the system")
+    _check_family_count(strat, bcs.m)
     d = strat.d
     meta = []
     for l, ((s, b), family) in enumerate(zip(bcs.constraints, strat.ops)):
@@ -495,9 +494,15 @@ def verify_bcs_strategy(bcs: LinBCS, strat: BCSQuantumStrategy, tol=DEFAULT_TOL)
     return {"ok": all(r <= tol for r in residuals.values()), "residuals": residuals}
 
 
+def _check_family_count(strat, m):
+    if len(strat.ops) != m:
+        raise GraphError("strategy constraint count does not match the system")
+
+
 def strategy_packing(strat: BCSQuantumStrategy, bg):
     """Projective packing of the BCS graph ``bg`` induced by a perfect
     strategy: each vertex (l, f) gets the operator of f in constraint l."""
+    _check_family_count(strat, bg.vertex_meta[-1][0] + 1)  # every constraint has a vertex
     blocks = []
     for l, f in bg.vertex_meta:
         match = [op for fa, op in strat.ops[l] if fa == f]
@@ -529,6 +534,7 @@ def strategy_to_certificate(bcs: LinBCS, strat: BCSQuantumStrategy):
 def _strategy_certificate(bcs, strat, bg, bg0):
     if bg.graph.n != bg0.graph.n:
         raise GraphError("graph and homogenized graph have different sizes")
+    _check_family_count(strat, bcs.m)
     d = strat.d
     blocks = np.zeros((bg.graph.n, bg0.graph.n, d, d), dtype=complex)
     owner, owner0 = (np.array([l for l, _ in meta]) for meta in (bg.vertex_meta, bg0.vertex_meta))

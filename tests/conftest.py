@@ -9,6 +9,7 @@ import pytest
 
 from qgiso import graphs as gmod
 from qgiso.bcs import BCSGraph, LinBCS, satisfying_assignments, vertex_label
+from qgiso.correlations import Correlation
 from qgiso.equitable import (
     CommonEquitablePartition,
     EquitablePartition,
@@ -16,7 +17,7 @@ from qgiso.equitable import (
     verify_common_equitable,
 )
 from qgiso.games import rel_codes
-from qgiso.graphs import Graph, GraphError, from_edges
+from qgiso.graphs import Graph, GraphError, ParseError, from_edges
 from qgiso.quantum import BCSQuantumStrategy
 
 
@@ -314,6 +315,45 @@ def oracle_format_exact(inputs, table):
         if v != 0:
             lines.append(f"{x_a} {x_b} {y_a} {y_b} {v.numerator}/{v.denominator}")
     return "\n".join(lines) + "\n"
+
+
+# --- line-loop correlation parser ---------------------------------------------
+# The parser that the one-pass parser replaced, kept as the oracle for its
+# tables and its errors: one Fraction per line into a {key: value} dict.
+
+def oracle_parse_correlation(text, tol=1e-9):
+    lines = [(no, l) for no, l in enumerate(text.splitlines(), start=1)
+             if l.strip() and not l.startswith("#")]
+    if not lines:
+        raise ParseError("empty correlation file")
+    head_no, head = lines[0][0], lines[0][1].split()
+    if (len(head) != 3 or head[0] != "corr" or not head[1].isdecimal()
+            or head[2] not in ("exact", "float")):
+        raise ParseError("correlation file must start with 'corr <N> exact|float'", head_no)
+    N, mode = int(head[1]), head[2]
+    if len(lines) < 2:
+        raise ParseError("the header is not followed by a token line", head_no)
+    inputs = tuple(lines[1][1].split())
+    if len(inputs) != N:
+        raise ParseError(f"expected {N} tokens, found {len(inputs)}", lines[1][0])
+    table = {}
+    for lineno, line in lines[2:]:
+        parts = line.split()
+        try:
+            if len(parts) != 5:
+                raise ValueError
+            key = tuple(int(p) for p in parts[:4])
+            value = Fraction(parts[4])
+            if mode == "float":
+                value = float(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ParseError(f"malformed correlation line: {line!r}", lineno) from None
+        if not all(0 <= i < N for i in key):
+            raise ParseError(f"index out of range [0, {N}): {line!r}", lineno)
+        if key in table:
+            raise ParseError(f"repeated index {key}", lineno)
+        table[key] = value
+    return Correlation(inputs, mode, table, tol=tol)
 
 
 # --- dense oracles for the certificate checks ------------------------------

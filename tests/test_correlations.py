@@ -13,6 +13,7 @@ from conftest import (
     oracle_format_exact,
     oracle_nonsignalling,
     oracle_ns_table,
+    oracle_parse_correlation,
     oracle_perfect,
     path,
     star,
@@ -570,6 +571,12 @@ class TestBuilderMatchesSixLoops:
         assert corr.table.data.dtype == np.int64
         assert len(corr.table) == len(oracle) and dict(corr.table) == oracle
         assert format_correlation(corr) == oracle_format_exact(corr.inputs, oracle)
+        floats = Correlation(corr.inputs, "float",
+                             (corr.table.coords, corr.table.data / corr.table.denominator))
+        for table in (corr, floats):
+            text = format_correlation(table)
+            assert _parsed(parse_correlation, text) == _parsed(oracle_parse_correlation, text)
+            assert parse_correlation(text).table == table.table
         n = g.n
         assert correlation_to_ds_witness(corr, g, h) == [
             [oracle.get((a, a, b + n, b + n), 0) for b in range(h.n)] for a in range(n)]
@@ -582,3 +589,72 @@ class TestBuilderMatchesSixLoops:
         for _ in range(8):
             g, h, _ = cep_pair(rng)
             self._check(g, h)
+
+
+# --- the one-pass parser against the line loop it replaced ------------------
+
+_VALUES = ("1/8", "+1/2", "-3", "0.125", "1e-3", "0", "3/9", str(2 ** 70), f"1/{3 ** 41}")
+_MUTATIONS = {  # one bad line, given N and the key of an earlier line
+    "4 fields": lambda N, key: "0 0 0 0",
+    "6 fields": lambda N, key: "0 0 0 0 1 1",
+    "non-integer key": lambda N, key: "0 1.0 0 0 1/2",
+    "key past int64": lambda N, key: f"0 0 {2 ** 64} 0 1",
+    "negative key": lambda N, key: "0 0 0 -1 1",
+    "key too large": lambda N, key: f"{N} 0 0 0 1",
+    "zero division": lambda N, key: "0 0 0 0 1/0",
+    "nan": lambda N, key: "0 0 0 0 nan",
+    "repeated key": lambda N, key: " ".join(map(str, key)) + " 1/4",
+}
+
+
+def _parsed(parse, text, tol=1e-9):
+    """The table a parser builds, or the error it raises with its line."""
+    try:
+        corr = parse(text, tol=tol)
+    except GraphError as e:
+        return type(e), str(e), getattr(e, "line", None)
+    table = corr.table
+    return (corr.inputs, corr.mode, table.coords.tolist(), table.data.tolist(),
+            table.data.dtype, table.denominator)
+
+
+@st.composite
+def _correlation_files(draw):
+    N, mode = draw(st.integers(1, 4)), draw(st.sampled_from(["exact", "float"]))
+    keys = draw(st.lists(st.tuples(*[st.integers(0, N - 1)] * 4), unique=True, max_size=10))
+    body = [" ".join(map(str, key)) + " " + draw(st.sampled_from(_VALUES)) for key in keys]
+    for name in draw(st.lists(st.sampled_from(sorted(_MUTATIONS)), max_size=2)):
+        at = draw(st.integers(0, len(body)))
+        key = keys[draw(st.integers(0, len(keys) - 1))] if keys else (0, 0, 0, 0)
+        body.insert(at, _MUTATIONS[name](N, key))
+    for filler in draw(st.lists(st.sampled_from(["# a comment", "", "   ", "#0 0 0 0 1"]),
+                                max_size=3)):
+        body.insert(draw(st.integers(0, len(body))), filler)
+    lines = [f"corr {N} {mode}", " ".join(f"t{i}" for i in range(N)), *body]
+    return "\n".join(lines) + "\n"
+
+
+class TestParserMatchesLineLoop:
+    """Same table (coords, data, dtype, denominator), or the same error and
+    line: the first bad line in file order, malformed before out of range
+    before repeated on one line."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=_correlation_files(), tol=st.sampled_from([1e-9, float("nan")]))
+    def test_generated_files(self, text, tol):
+        assert _parsed(parse_correlation, text, tol) == _parsed(oracle_parse_correlation, text, tol)
+
+    @pytest.mark.parametrize("first, second", [("key too large", "6 fields"),
+                                               ("6 fields", "key too large"),
+                                               ("repeated key", "nan"),
+                                               ("nan", "repeated key")])
+    def test_first_of_two_bad_lines_is_named(self, first, second):
+        bad = [_MUTATIONS[name](4, (0, 1, 2, 3)) for name in (first, second)]
+        text = f"corr 4 exact\na b c d\n0 1 2 3 1/2\n{bad[0]}\n# note\n{bad[1]}\n"
+        err = _parsed(parse_correlation, text)
+        assert err == _parsed(oracle_parse_correlation, text) and err[2] == 4
+
+    def test_numerators_past_int64_take_the_object_path(self):
+        text = f"corr 2 exact\na b\n0 0 0 0 {2 ** 70}\n0 1 0 0 1/{3 ** 41}\n"
+        assert _parsed(parse_correlation, text)[4] == object
+        assert _parsed(parse_correlation, text) == _parsed(oracle_parse_correlation, text)

@@ -753,6 +753,16 @@ class TestStrategyToCertificate:
         with pytest.raises(GraphError, match="constraint 0: assignment family mismatch"):
             strategy_packing(bad, bg)
 
+    @pytest.mark.parametrize("families", [lambda ops: ops[:-1], lambda ops: ops + ops[:1]],
+                             ids=["short", "long"])
+    def test_wrong_family_count_raises(self, mermin, families):
+        bcs, strat, bg, _, _ = mermin
+        bad = BCSQuantumStrategy(strat.d, families(strat.ops))
+        for use in (lambda: strategy_to_certificate(bcs, bad), lambda: strategy_packing(bad, bg),
+                    lambda: verify_bcs_strategy(bcs, bad)):
+            with pytest.raises(GraphError, match="strategy constraint count does not match"):
+                use()
+
     def test_d1_case_matches_explicit_isomorphism(self):
         bcs = parse_bcs("x1 + x2 = 1\nx2 + x3 = 0\n")
         assignment = solve_or_refute(bcs)[0]
