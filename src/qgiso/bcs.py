@@ -41,6 +41,8 @@ class LinBCS:
         for s, b in cons:
             if not s:
                 raise BCSError("empty constraint support")
+            if len(set(s)) != len(s):
+                raise BCSError("repeated variable in a support")
             if b not in (0, 1):
                 raise BCSError(f"right-hand side {b} not a bit")
             if any(i < 0 or i >= self.n for i in s):

@@ -142,10 +142,11 @@ def cmd_ns_build(args):
 def cmd_ns_verify(args):
     g, h = _read_graphs(args)
     corr = corrmod.parse_correlation(_read(args.correlation), tol=args.tol)
+    perfect = corrmod.verify_perfect_iso_strategy(corr, g, h)  # refuses a wrong token count first
     checks = {
         "distribution": corrmod.verify_distribution(corr),
         "nonsignalling": corrmod.verify_nonsignalling(corr),
-        "perfect": corrmod.verify_perfect_iso_strategy(corr, g, h),
+        "perfect": perfect,
     }
     ok = all(passed for passed, _ in checks.values())
     return ok, "PASS" if ok else "FAIL", {

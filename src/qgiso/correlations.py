@@ -18,7 +18,8 @@ from numbers import Integral, Rational, Real
 
 import numpy as np
 
-from .equitable import CommonEquitablePartition, _int_dtype, fractional_iso, verify_common_equitable
+from .equitable import (CommonEquitablePartition, _int_dtype, common_equitable_partition,
+                        verify_common_equitable)
 from .games import iso_game_wins, rel_codes
 from .graphs import Graph, GraphError, ParseError, SizeLimitError
 
@@ -107,6 +108,8 @@ class Correlation:
 
     def _coo(self, table):
         N, exact, denominator = len(self.inputs), self.mode == "exact", 1
+        if N ** 4 >= 2 ** 63:  # keys are flattened to int64
+            raise GraphError(f"too many tokens ({N}): N^4 must stay below 2^63")
         if isinstance(table, Mapping):
             table = (list(table), list(table.values()))
         if exact and isinstance(table, tuple) and len(table) == 2:
@@ -303,10 +306,9 @@ def ns_iso(g: Graph, h: Graph):
     correlation verified as a distribution, non-signalling, and perfect
     before returning.
     """
-    result = fractional_iso(g, h)
-    if result is None:
+    cep = common_equitable_partition(g, h)
+    if cep is None:
         return None
-    cep, _ = result
     corr = build_ns_correlation(g, h, cep)
     for ok, violation in (verify_distribution(corr), verify_nonsignalling(corr),
                           verify_perfect_iso_strategy(corr, g, h)):
@@ -350,7 +352,10 @@ def parse_correlation(text, tol=DEFAULT_TOL):
     if (len(head) != 3 or head[0] != "corr" or not head[1].isdecimal()
             or head[2] not in ("exact", "float")):
         raise ParseError("correlation file must start with 'corr <N> exact|float'", head_no)
-    N, mode = int(head[1]), head[2]
+    digits = head[1].lstrip("0")  # int() refuses more than 4,300 digits
+    if len(digits) > 5 or int(digits or 0) ** 4 >= 2 ** 63:
+        raise ParseError("too many tokens: N^4 must stay below 2^63", head_no)
+    N, mode = int(digits or 0), head[2]
     token_no, _, inputs = next(lines, (None, None, None))
     if inputs is None:
         raise ParseError("the header is not followed by a token line", head_no)

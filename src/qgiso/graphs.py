@@ -76,26 +76,27 @@ class Graph:
 
     def bitmasks(self):
         """Adjacency rows as Python int bitmasks, for the search oracles."""
-        masks = []
-        for i in range(self.n):
-            m = 0
-            for j in np.flatnonzero(self.adj[i]):
-                m |= 1 << int(j)
-            masks.append(m)
-        return masks
+        return [int.from_bytes(row.tobytes(), "little")
+                for row in np.packbits(self.adj, axis=1, bitorder="little")]
+
+
+def _from_pairs(labels, pairs):
+    """The Graph on ``labels`` with an edge at each (i, j) vertex pair."""
+    adj = np.zeros((len(labels),) * 2, dtype=bool)
+    i, j = np.array([*pairs], dtype=np.intp).reshape(-1, 2).T
+    adj[i, j] = adj[j, i] = True
+    return Graph(tuple(labels), adj)
 
 
 def from_edges(labels, edges):
     """Build a Graph from a label list and (label, label) edge pairs."""
     idx = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    adj = np.zeros((n, n), dtype=bool)
+    pairs = []
     for a, b in edges:
-        i, j = idx[a], idx[b]
-        if i == j:
+        if a == b:
             raise GraphError(f"self-loop at {a!r}")
-        adj[i, j] = adj[j, i] = True
-    return Graph(tuple(labels), adj)
+        pairs.append((idx[a], idx[b]))
+    return _from_pairs(labels, pairs)
 
 
 def parse_graph(text):
@@ -103,54 +104,46 @@ def parse_graph(text):
 
     ``#`` starts a comment, ``v <label>`` declares a vertex, ``e <a> <b>``
     an undirected edge between declared vertices.  Vertex order follows the
-    ``v`` lines.
+    ``v`` lines.  One pass maps labels to vertex indices and keeps each edge
+    as its (smaller, larger) index pair.
     """
-    labels = []
-    seen = set()
-    edges = []
-    edge_set = set()
+    index, pairs = {}, set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if parts[0] == "v":
             if len(parts) != 2:
                 raise ParseError("'v' line needs exactly one label", lineno)
-            if parts[1] in seen:
+            if parts[1] in index:
                 raise ParseError(f"duplicate vertex {parts[1]!r}", lineno)
-            seen.add(parts[1])
-            labels.append(parts[1])
+            index[parts[1]] = len(index)
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise ParseError("'e' line needs exactly two labels", lineno)
             a, b = parts[1], parts[2]
             if a == b:
                 raise ParseError(f"self-loop at {a!r}", lineno)
-            if a not in seen or b not in seen:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
                 raise ParseError("edge references undeclared vertex", lineno)
-            key = (min(a, b), max(a, b))
-            if key in edge_set:
+            pair = (i, j) if i < j else (j, i)
+            if pair in pairs:
                 raise ParseError(f"duplicate edge {a!r} {b!r}", lineno)
-            edge_set.add(key)
-            edges.append((a, b))
+            pairs.add(pair)
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
-    if not labels:
+    if not index:
         raise ParseError("empty vertex set")
-    return from_edges(labels, edges)
+    return _from_pairs(index, pairs)
 
 
 def format_graph(g: Graph):
     """Serialize in the same format: sorted 'v' lines, then sorted 'e' lines."""
     lines = [f"v {lab}" for lab in sorted(g.labels)]
-    edges = []
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if g.adj[i, j]:
-                a, b = g.labels[i], g.labels[j]
-                edges.append((min(a, b), max(a, b)))
-    lines.extend(f"e {a} {b}" for a, b in sorted(edges))
+    i, j = np.nonzero(np.triu(g.adj))
+    edges = sorted(sorted((g.labels[a], g.labels[b])) for a, b in zip(i.tolist(), j.tolist()))
+    lines.extend(f"e {a} {b}" for a, b in edges)
     return "\n".join(lines) + "\n"
 
 

@@ -356,6 +356,72 @@ def oracle_parse_correlation(text, tol=1e-9):
     return Correlation(inputs, mode, table, tol=tol)
 
 
+# --- line-loop graph conversions ----------------------------------------------
+# The graph reader, writer and bitmasks that the array-based ones replaced,
+# kept as their oracles: the reader keeps label-keyed sets and lists and
+# indexes the labels again to build the adjacency; the writer and the
+# bitmasks loop over adjacency entries one at a time.
+
+def oracle_parse_graph(text):
+    labels, seen, edges, edge_set = [], set(), [], set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] == "v":
+            if len(parts) != 2:
+                raise ParseError("'v' line needs exactly one label", lineno)
+            if parts[1] in seen:
+                raise ParseError(f"duplicate vertex {parts[1]!r}", lineno)
+            seen.add(parts[1])
+            labels.append(parts[1])
+        elif parts[0] == "e":
+            if len(parts) != 3:
+                raise ParseError("'e' line needs exactly two labels", lineno)
+            a, b = parts[1], parts[2]
+            if a == b:
+                raise ParseError(f"self-loop at {a!r}", lineno)
+            if a not in seen or b not in seen:
+                raise ParseError("edge references undeclared vertex", lineno)
+            key = (min(a, b), max(a, b))
+            if key in edge_set:
+                raise ParseError(f"duplicate edge {a!r} {b!r}", lineno)
+            edge_set.add(key)
+            edges.append((a, b))
+        else:
+            raise ParseError(f"unknown directive {parts[0]!r}", lineno)
+    if not labels:
+        raise ParseError("empty vertex set")
+    idx = {lab: i for i, lab in enumerate(labels)}
+    adj = np.zeros((len(labels), len(labels)), dtype=bool)
+    for a, b in edges:
+        adj[idx[a], idx[b]] = adj[idx[b], idx[a]] = True
+    return Graph(tuple(labels), adj)
+
+
+def oracle_format_graph(g: Graph):
+    lines = [f"v {lab}" for lab in sorted(g.labels)]
+    edges = []
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            if g.adj[i, j]:
+                a, b = g.labels[i], g.labels[j]
+                edges.append((min(a, b), max(a, b)))
+    lines.extend(f"e {a} {b}" for a, b in sorted(edges))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_bitmasks(g: Graph):
+    masks = []
+    for i in range(g.n):
+        m = 0
+        for j in np.flatnonzero(g.adj[i]):
+            m |= 1 << int(j)
+        masks.append(m)
+    return masks
+
+
 # --- dense oracles for the certificate checks ------------------------------
 # The projective-permutation-matrix and certificate checks on the assembled
 # (n d) x (n d) matrix, with Kronecker-lifted adjacency matrices, that the

@@ -43,6 +43,12 @@ class TestParse:
         with pytest.raises(BCSError):
             parse_bcs("x1 + x1 = 0\n")
 
+    def test_repeated_variable_through_the_api(self):
+        # x1 + x1 + x2 = 1 would reduce to x2 = 1, which the support's
+        # satisfying assignments, read with x1 once, do not respect
+        with pytest.raises(BCSError, match="repeated variable in a support"):
+            LinBCS(2, (((0, 0, 1), 1), ((1,), 1)))
+
     def test_comments_ignored(self):
         bcs = parse_bcs("# header\nx1 + x3 = 0  # trailing\n")
         assert bcs.n == 3 and bcs.constraints == (((0, 2), 0),)

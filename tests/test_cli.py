@@ -321,6 +321,31 @@ def test_ns_verify_unicode_digit_header_exits_2(tmp_path, capsys):
     assert "line 1" in err and "Traceback" not in err
 
 
+def test_ns_verify_checks_the_token_count_before_the_marginals(tmp_path, capsys, monkeypatch):
+    # the marginal check allocates a dense N^3 array, so a table whose token
+    # count does not match the graphs is refused before it runs
+    def no_marginals(corr):
+        raise AssertionError("verify_nonsignalling called on a mismatched table")
+
+    monkeypatch.setattr(corrmod, "verify_nonsignalling", no_marginals)
+    g, corr = tmp_path / "k2.g", tmp_path / "wide.corr"
+    g.write_text("v a\nv b\ne a b\n")
+    corr.write_text("corr 6 exact\nt0 t1 t2 t3 t4 t5\n0 0 5 5 1\n")
+    assert main(["ns", "verify", str(g), str(g), str(corr)]) == 2
+    err = capsys.readouterr().err
+    assert "token count does not match" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("N", ["60000", "9" * 5000])
+def test_ns_verify_token_count_past_int64_exits_2(tmp_path, capsys, N):
+    g, corr = tmp_path / "k2.g", tmp_path / "huge.corr"
+    g.write_text("v a\nv b\ne a b\n")
+    corr.write_text(f"corr {N} float\nt0\n0 0 0 0 1\n")
+    assert main(["ns", "verify", str(g), str(g), str(corr)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "too many" in err and "Traceback" not in err
+
+
 def _ns_pairs():
     yield cycle(6), two_k3()
     rng = random.Random(6)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     cep_pair,
     cycle,
+    empty,
     graph_from_bits,
     oracle_distribution,
     oracle_format_exact,
@@ -16,6 +17,7 @@ from conftest import (
     oracle_parse_correlation,
     oracle_perfect,
     path,
+    random_graph,
     star,
     two_k3,
 )
@@ -32,8 +34,8 @@ from qgiso.correlations import (
     verify_nonsignalling,
     verify_perfect_iso_strategy,
 )
-from qgiso.equitable import common_equitable_partition, verify_ds_witness
-from qgiso.graphs import GraphError, find_isomorphism
+from qgiso.equitable import common_equitable_partition, fractional_iso, verify_ds_witness
+from qgiso.graphs import GraphError, ParseError, find_isomorphism
 
 
 class TestPrBox:
@@ -155,6 +157,18 @@ class TestNsIso:
 
     def test_self_yes(self):
         assert ns_iso(cycle(5), cycle(5)) is not None
+
+    def test_empty_pair_and_unequal_orders(self):
+        cep, corr = ns_iso(empty(0), empty(0))
+        assert cep.k == 0 and len(corr.table) == 0
+        assert ns_iso(empty(2), empty(3)) is None
+        assert ns_iso(cycle(4), path(5)) is None
+
+    def test_verdicts_match_fractional_iso(self, rng):
+        pairs = [cep_pair(rng)[:2] for _ in range(6)]
+        pairs += [(random_graph(6, 0.5, rng), random_graph(6, 0.5, rng)) for _ in range(20)]
+        for g, h in pairs:
+            assert (ns_iso(g, h) is None) == (fractional_iso(g, h) is None)
 
 
 class TestPerfectStrategyVerifier:
@@ -653,6 +667,23 @@ class TestParserMatchesLineLoop:
         text = f"corr 4 exact\na b c d\n0 1 2 3 1/2\n{bad[0]}\n# note\n{bad[1]}\n"
         err = _parsed(parse_correlation, text)
         assert err == _parsed(oracle_parse_correlation, text) and err[2] == 4
+
+    @pytest.mark.parametrize("N", ["55109", "060000", "9" * 5000])
+    def test_token_count_past_int64_names_the_header(self, N):
+        # keys are flattened to one int64 in [0, N^4); the token line is never read
+        text = f"# big\ncorr {N} float\nt0\n0 0 0 0 1\n"
+        assert _parsed(parse_correlation, text) == (
+            ParseError, "line 2: too many tokens: N^4 must stay below 2^63", 2)
+        if len(N) < 10:
+            with pytest.raises(GraphError, match=r"too many tokens \(\d+\)"):
+                Correlation(tuple(map(str, range(int(N)))), "float", {})
+
+    def test_largest_token_count_is_accepted(self):
+        assert len(Correlation(tuple(map(str, range(55_108))), "exact", {}).table) == 0
+        text = "corr 0055108 exact\n" + " ".join(f"t{i}" for i in range(55_108)) + "\n"
+        assert parse_correlation(text).size == 55_108
+        for text in ("corr 0002 exact\na b\n0 0 0 0 1\n", "corr 000 float\n"):
+            assert _parsed(parse_correlation, text) == _parsed(oracle_parse_correlation, text)
 
     def test_numerators_past_int64_take_the_object_path(self):
         text = f"corr 2 exact\na b\n0 0 0 0 {2 ** 70}\n0 1 0 0 1/{3 ** 41}\n"

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     PENTAGRAM,
@@ -14,6 +16,9 @@ from conftest import (
     cycle,
     empty,
     graph_from_bits,
+    oracle_bitmasks,
+    oracle_format_graph,
+    oracle_parse_graph,
     path,
     permuted_copy,
     random_graph,
@@ -24,6 +29,7 @@ from qgiso.bcs import bcs_graph, homogenize, magic_square
 from qgiso.graphs import (
     CharPoly,
     Graph,
+    GraphError,
     ParseError,
     SizeLimitError,
     VertexMap,
@@ -78,6 +84,83 @@ class TestParse:
         # writer sorts labels, so compare canonically
         assert sorted(h.labels) == sorted(g.labels)
         assert find_isomorphism(g, h) is not None
+
+    def test_duplicate_vertex_on_the_next_line(self):
+        with pytest.raises(ParseError, match="line 3: duplicate vertex 'b'"):
+            parse_graph("v a\nv b\nv b\n")
+
+
+# --- the one-pass reader and array-based writer against the line loops -------
+
+_LABELS = ("a", "b", "c", "d", "x1", "x10", "#h", "\u00e9")
+_GRAPH_MUTATIONS = {  # one bad line, given a declared label and an edge of the file
+    "duplicate vertex": lambda lab, edge: f"v {lab}",
+    "self-loop": lambda lab, edge: f"e {lab} {lab}",
+    "undeclared vertex": lambda lab, edge: f"e {lab} zz",
+    "edge anywhere": lambda lab, edge: f"e {edge[0]} {edge[1]}",
+    "reversed edge": lambda lab, edge: f"e {edge[1]} {edge[0]}",
+    "bare v": lambda lab, edge: "v",
+    "v with two labels": lambda lab, edge: f"v {lab} {lab}2",
+    "e with one label": lambda lab, edge: f"e {lab}",
+    "e with three labels": lambda lab, edge: f"e {edge[0]} {edge[1]} {lab}",
+    "unknown directive": lambda lab, edge: f"V {lab}",
+}
+
+
+def _parsed_graph(parse, text):
+    """The labels and adjacency a reader builds, or the error it raises with its line."""
+    try:
+        g = parse(text)
+    except GraphError as e:
+        return type(e), str(e), getattr(e, "line", None)
+    return g.labels, g.adj.tolist()
+
+
+@st.composite
+def _graph_files(draw):
+    labels = draw(st.lists(st.sampled_from(_LABELS), unique=True, max_size=6))
+    pairs = list(itertools.combinations(labels, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    body = [f"v {lab}" for lab in labels]
+    body += [f"e {a} {b}" if draw(st.booleans()) else f"e {b} {a}" for a, b in edges]
+    for name in draw(st.lists(st.sampled_from(sorted(_GRAPH_MUTATIONS) + ["repeated line"]),
+                              max_size=1)):
+        if name == "repeated line":  # next to itself: a duplicate vertex or edge
+            at = draw(st.integers(0, len(body)))
+            body.insert(at, body[at - 1] if at else "v a")
+        else:
+            lab = draw(st.sampled_from(labels)) if labels else "a"
+            edge = draw(st.sampled_from(edges)) if edges else ("a", "b")
+            body.insert(draw(st.integers(0, len(body))), _GRAPH_MUTATIONS[name](lab, edge))
+    for filler in draw(st.lists(st.sampled_from(["", "   ", "# note", "  # indented", "\t#e a b"]),
+                                max_size=3)):
+        body.insert(draw(st.integers(0, len(body))), filler)
+    return "\n".join(body) + "\n"
+
+
+class TestReaderMatchesLineLoop:
+    """Same labels and adjacency, or the same error and line: arity, then
+    self-loop, then undeclared vertex, then duplicate edge on one line."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=_graph_files())
+    def test_generated_files(self, text):
+        assert _parsed_graph(parse_graph, text) == _parsed_graph(oracle_parse_graph, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 12), bits=st.integers(0, 2 ** 66 - 1), seed=st.integers(0, 2 ** 16))
+    def test_writer_and_bitmasks(self, n, bits, seed):
+        g = permuted_copy(graph_from_bits(n, bits), random.Random(seed))
+        assert g.bitmasks() == oracle_bitmasks(g)
+        if n:
+            assert format_graph(g) == oracle_format_graph(g)
+            assert _parsed_graph(parse_graph, format_graph(g)) == _parsed_graph(
+                oracle_parse_graph, format_graph(g))
+
+    def test_writer_and_bitmasks_at_the_oracle_cap(self, rng):
+        g = permuted_copy(random_graph(gmod.MAX_ORACLE_VERTICES, 0.3, rng), rng)
+        assert g.bitmasks() == oracle_bitmasks(g)
+        assert format_graph(g) == oracle_format_graph(g)
 
 
 class TestComplement:
