@@ -79,11 +79,13 @@ def parse_bcs(text):
         support = []
         for term in lhs.split("+"):
             term = term.strip()
-            if not term.startswith("x") or not term[1:].isdecimal() or int(term[1:]) < 1:
+            digits = term[1:].lstrip("0")  # int() refuses more than 4,300 digits
+            too_long = len(digits) > len(str(MAX_VARIABLES))
+            if not term.startswith("x") or not digits.isdecimal() or not too_long and int(digits) < 1:
                 raise BCSError(f"line {lineno}: malformed variable {term!r}")
-            if int(term[1:]) > MAX_VARIABLES:
+            if too_long or int(digits) > MAX_VARIABLES:
                 raise BCSError(f"line {lineno}: variable {term} exceeds cap x{MAX_VARIABLES}")
-            support.append(int(term[1:]) - 1)
+            support.append(int(digits) - 1)
         if not support:
             raise BCSError(f"line {lineno}: empty support")
         if len(set(support)) != len(support):

@@ -300,7 +300,7 @@ def main(argv=None):
         return EXIT_ERROR if exc.code not in (0, None) else 0
     try:
         ok, verdict, payload = args.func(args)
-    except (gmod.GraphError, bcsmod.BCSError, OSError, json.JSONDecodeError) as exc:
+    except (gmod.GraphError, bcsmod.BCSError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:

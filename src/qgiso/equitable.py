@@ -223,7 +223,10 @@ def parse_ds_witness(text):
     head = tokens[:3]
     if len(head) < 3 or head[0] != "ds" or not (head[1].isdecimal() and head[2].isdecimal()):
         raise ParseError(f"witness file must start with 'ds <rows> <cols>', not {' '.join(head)!r}")
-    rows, cols = int(tokens[1]), int(tokens[2])
+    try:
+        rows, cols = int(tokens[1]), int(tokens[2])
+    except ValueError:  # int() refuses more than 4,300 digits
+        raise ParseError("witness header 'ds <rows> <cols>': a size has too many digits") from None
     entries = tokens[3:]
     if len(entries) != rows * cols:
         raise ParseError(f"expected {rows * cols} entries, found {len(entries)}")

@@ -95,7 +95,10 @@ def from_edges(labels, edges):
     for a, b in edges:
         if a == b:
             raise GraphError(f"self-loop at {a!r}")
-        pairs.append((idx[a], idx[b]))
+        try:
+            pairs.append((idx[a], idx[b]))
+        except KeyError as exc:
+            raise GraphError(f"edge names unknown vertex {exc.args[0]!r}") from None
     return _from_pairs(labels, pairs)
 
 

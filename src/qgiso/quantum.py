@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 import numpy as np
 
@@ -473,18 +473,32 @@ def mermin_bcs_strategy():
     return observable_strategy(magic_square(), magic_square_observables())
 
 
+def _strategy_stack(strat: BCSQuantumStrategy, meta, m):
+    """The strategy's operators as one (V, d, d) stack in the order of ``meta``,
+    the (constraint, assignment) list of a BCS graph's vertices.  Raises
+    GraphError unless m families of d x d operators flatten to ``meta``; a
+    mismatch names the smaller constraint of its first differing entry."""
+    if len(strat.ops) != m:
+        raise GraphError("strategy constraint count does not match the system")
+    flat = [(l, f) for l, family in enumerate(strat.ops) for f, _ in family]
+    for got, want in zip_longest(flat, meta, fillvalue=(m, None)):
+        if got != want:
+            raise GraphError(f"constraint {min(got[0], want[0])}: assignment family mismatch")
+    ops = [op for family in strat.ops for _, op in family]
+    for (l, _), op in zip(meta, ops):
+        if np.shape(op) != (strat.d, strat.d):
+            raise GraphError(f"constraint {l}: operator is not {strat.d} x {strat.d}")
+    return np.array(ops, dtype=complex)
+
+
 def verify_bcs_strategy(bcs: LinBCS, strat: BCSQuantumStrategy, tol=DEFAULT_TOL):
     """Check measurement structure and that the induced correlation
     tr(E_(l,f) E_(k,f'))/d vanishes on every losing tuple of the BCS game."""
     check_tolerance(tol)
-    _check_family_count(strat, bcs.m)
     d = strat.d
-    meta = []
-    for l, ((s, b), family) in enumerate(zip(bcs.constraints, strat.ops)):
-        if [f for f, _ in family] != satisfying_assignments(s, b):
-            raise GraphError(f"constraint {l}: assignment family mismatch")
-        meta.extend((l, f) for f, _ in family)
-    ops = np.array([op for family in strat.ops for _, op in family], dtype=complex)
+    meta = [(l, f) for l, (s, b) in enumerate(bcs.constraints)
+            for f in satisfying_assignments(s, b)]
+    ops = _strategy_stack(strat, meta, bcs.m)
     losing = ~bcs_game_wins(bcs, meta)
     residuals = {
         "projector": float(np.max(projector_residuals(ops))),
@@ -494,60 +508,37 @@ def verify_bcs_strategy(bcs: LinBCS, strat: BCSQuantumStrategy, tol=DEFAULT_TOL)
     return {"ok": all(r <= tol for r in residuals.values()), "residuals": residuals}
 
 
-def _check_family_count(strat, m):
-    if len(strat.ops) != m:
-        raise GraphError("strategy constraint count does not match the system")
-
-
 def strategy_packing(strat: BCSQuantumStrategy, bg):
     """Projective packing of the BCS graph ``bg`` induced by a perfect
     strategy: each vertex (l, f) gets the operator of f in constraint l."""
-    _check_family_count(strat, bg.vertex_meta[-1][0] + 1)  # every constraint has a vertex
-    blocks = []
-    for l, f in bg.vertex_meta:
-        match = [op for fa, op in strat.ops[l] if fa == f]
-        if not match:
-            raise GraphError(f"constraint {l}: assignment family mismatch")
-        blocks.append(match[0])
-    return ProjectivePacking(strat.d, np.array(blocks))
-
-
-def _assignment_codes(support, assignments):
-    """Each assignment's bits over the support read as one binary number,
-    the first variable's bit the highest."""
-    bits = np.array([[f[i] for i in support] for f in assignments], dtype=np.int64)
-    return bits @ (1 << np.arange(len(support))[::-1])
+    m = bg.vertex_meta[-1][0] + 1  # every constraint has a vertex
+    return ProjectivePacking(strat.d, _strategy_stack(strat, bg.vertex_meta, m))
 
 
 def strategy_to_certificate(bcs: LinBCS, strat: BCSQuantumStrategy):
     """Certificate for the pair (G of the system, G of its homogenization).
 
     Block ((l, f), (k, g)) is the strategy operator for f xor g when l = k
-    (f xor g satisfies the original constraint), zero otherwise.  Each
-    constraint's grid of blocks is one lookup of the xor codes in its
-    family's operator stack.
+    (f xor g satisfies the original constraint), zero otherwise.
     """
     bg, bg0 = bcs_graph(bcs), bcs_graph(homogenize(bcs))
     return bg, bg0, _strategy_certificate(bcs, strat, bg, bg0)
 
 
 def _strategy_certificate(bcs, strat, bg, bg0):
-    if bg.graph.n != bg0.graph.n:
-        raise GraphError("graph and homogenized graph have different sizes")
-    _check_family_count(strat, bcs.m)
-    d = strat.d
-    blocks = np.zeros((bg.graph.n, bg0.graph.n, d, d), dtype=complex)
     owner, owner0 = (np.array([l for l, _ in meta]) for meta in (bg.vertex_meta, bg0.vertex_meta))
-    for l, ((s, b), family) in enumerate(zip(bcs.constraints, strat.ops)):
-        if [f for f, _ in family] != satisfying_assignments(s, b):
-            raise GraphError(f"constraint {l}: assignment family mismatch")
-        rows, cols = np.flatnonzero(owner == l), np.flatnonzero(owner0 == l)
-        xor = (_assignment_codes(s, [bg.vertex_meta[v][1] for v in rows])[:, None]
-               ^ _assignment_codes(s, [bg0.vertex_meta[v][1] for v in cols]))
-        # the family lists the assignments of parity b in lexicographic
-        # order: one per setting of all bits but the last, so code c is at c >> 1
-        blocks[np.ix_(rows, cols)] = np.array([op for _, op in family], dtype=complex)[xor >> 1]
-    return QuantumIsoCertificate(d, blocks)
+    if not np.array_equal(owner, owner0):
+        raise GraphError("graph and homogenized graph have different sizes")
+    stack = _strategy_stack(strat, bg.vertex_meta, bcs.m)
+    # constraint l lists its assignments of parity b in lexicographic order,
+    # one per setting of all bits but the last, in G_F and G_F0 alike: so its
+    # k-th assignment in G_F xor its k'-th in G_F0 is its (k ^ k')-th in G_F
+    first = np.searchsorted(owner, owner)
+    k = np.arange(len(owner)) - first
+    rows, cols = np.nonzero(owner[:, None] == owner)
+    blocks = np.zeros((len(owner), len(owner), strat.d, strat.d), dtype=complex)
+    blocks[rows, cols] = stack[first[rows] + (k[rows] ^ k[cols])]
+    return QuantumIsoCertificate(strat.d, blocks)
 
 
 def quantum_reduction_report(bcs: LinBCS, strat=None, tol=DEFAULT_TOL):
@@ -632,6 +623,8 @@ def _family_from_json(text, keys):
         data = json.loads(text)
     except RecursionError:
         raise ParseError("JSON nested too deeply") from None
+    except ValueError as exc:  # malformed, or an integer literal past int()'s digit limit
+        raise ParseError(str(exc)) from None
     d = data.get("d") if isinstance(data, dict) else None
     if type(d) is not int or not 1 <= d <= MAX_BLOCK_DIM:
         raise ParseError(f'"d" must be an integer in [1, {MAX_BLOCK_DIM}], got {d!r}')

@@ -59,6 +59,12 @@ class TestParse:
         with pytest.raises(BCSError, match=f"line 2: variable x{MAX_VARIABLES + 1} exceeds cap"):
             parse_bcs(f"x1 = 1\nx1 + x{MAX_VARIABLES + 1} = 0\n")
 
+    def test_suffix_past_the_int_digit_limit(self):
+        # int() refuses more than 4,300 digits; leading zeros count there but not here
+        with pytest.raises(BCSError, match="line 2: variable x1+ exceeds cap"):
+            parse_bcs("x1 = 0\nx" + "1" * 5000 + " = 1\n")
+        assert parse_bcs("x" + "0" * 5000 + "2 = 1\n").constraints == (((1,), 1),)
+
 
 class TestMagicSquare:
     def test_first_constraint(self):

@@ -512,6 +512,26 @@ def _run_qiso(*args, flags=()):
 
 
 @pytest.mark.parametrize("command", ["certify", "correlation", "packing"])
+def test_integer_literal_past_int_digits_exits_2(magic_graph_files, witness_docs, tmp_path,
+                                                 capsys, command):
+    text = witness_docs["packing" if command == "packing" else "certify"]
+    path = tmp_path / "long.json"
+    path.write_text(text.replace('"d": 4', '"d": ' + "1" * 5000, 1))
+    graphs = magic_graph_files[:1] if command == "packing" else magic_graph_files
+    assert main(["quantum", command, *graphs, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_bcs_suffix_past_int_digits_exits_2(tmp_path, capsys):
+    path = tmp_path / "long.bcs"
+    path.write_text("x" + "1" * 5000 + " = 1\n")
+    assert main(["bcs", "check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: variable x1") and "exceeds cap" in err
+
+
+@pytest.mark.parametrize("command", ["certify", "correlation", "packing"])
 def test_deeply_nested_json_exits_2(magic_graph_files, tmp_path, command):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

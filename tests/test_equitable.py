@@ -184,7 +184,8 @@ class TestDsWitness:
         ("ds x 2\n1 0\n", "'ds x 2'"),
         ("ds 2 2\n1 0\n1/0 1\n", "entry (1, 0) '1/0'"),
         ("ds -1 -1\n1\n", "'ds -1 -1'"),
-    ], ids=["non-decimal size", "zero denominator", "negative sizes"])
+        ("ds " + "1" * 5000 + " 1\n1\n", "'ds <rows> <cols>'"),
+    ], ids=["non-decimal size", "zero denominator", "negative sizes", "size past int digits"])
     def test_malformed_text_raises_naming_the_header_or_entry(self, text, named):
         with pytest.raises(ParseError, match=re.escape(named)):
             parse_ds_witness(text)

@@ -62,6 +62,10 @@ class TestParse:
         with pytest.raises(ParseError, match="self-loop"):
             parse_graph("v a\ne a a\n")
 
+    def test_from_edges_names_an_unknown_label(self):
+        with pytest.raises(GraphError, match="edge names unknown vertex 'b'"):
+            from_edges(["a"], [("a", "b")])
+
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ParseError, match="duplicate edge"):
             parse_graph("v a\nv b\ne a b\ne b a\n")

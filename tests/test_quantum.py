@@ -712,6 +712,23 @@ class TestObservableStrategy:
             observable_strategy(magic_square(), obs)
 
 
+def _with_family(strat, l, family):
+    return BCSQuantumStrategy(strat.d, strat.ops[:l] + (family,) + strat.ops[l + 1:])
+
+
+def _random_layout_strategy(seed):
+    """A seeded random system, supports of size 1-4, with a "strategy" of
+    distinct random 2 x 2 operators: the builder does not verify, so a
+    wrong index shows."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 8))
+    bcs = LinBCS(n, tuple((rng.choice(n, int(rng.integers(1, 5)), replace=False).tolist(),
+                           int(rng.integers(2))) for _ in range(int(rng.integers(1, 6)))))
+    ops = tuple(tuple((f, rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+                      for f in bcsmod.satisfying_assignments(s, b)) for s, b in bcs.constraints)
+    return bcs, BCSQuantumStrategy(2, ops)
+
+
 class TestStrategyToCertificate:
     def test_block_structure(self, mermin):
         _, _, bg, bg0, cert = mermin
@@ -726,9 +743,13 @@ class TestStrategyToCertificate:
         assert np.allclose(cert.blocks.sum(axis=1), np.eye(4))
         assert np.allclose(cert.blocks.sum(axis=0), np.eye(4))
 
-    @pytest.mark.parametrize("system", ["mermin", "pentagram"])
+    @pytest.mark.parametrize("system", ["mermin", "pentagram", *range(8)])
     def test_matches_pairwise_lookup(self, request, system):
-        bcs, strat, bg, bg0, cert = request.getfixturevalue(system)
+        if isinstance(system, int):
+            bcs, strat = _random_layout_strategy(system)
+            bg, bg0, cert = strategy_to_certificate(bcs, strat)
+        else:
+            bcs, strat, bg, bg0, cert = request.getfixturevalue(system)
         lookup = [{tuple(sorted(f.items())): op for f, op in family} for family in strat.ops]
         expected = np.zeros_like(cert.blocks)
         for a, (l, f) in enumerate(bg.vertex_meta):
@@ -737,7 +758,8 @@ class TestStrategyToCertificate:
                     expected[a, b] = lookup[l][tuple(sorted((i, f[i] ^ fz[i]) for i in f))]
         assert np.array_equal(cert.blocks, expected)
         nonzero = np.count_nonzero(np.any(cert.blocks, axis=(2, 3)))
-        assert nonzero == {"mermin": 96, "pentagram": 320}[system]
+        assert nonzero == {"mermin": 96, "pentagram": 320}.get(
+            system, sum(4 ** (len(s) - 1) for s, _ in bcs.constraints))
 
     @pytest.mark.parametrize("family", [lambda fam: fam[1:], lambda fam: fam[::-1],
                                         lambda fam: (({0: 2, 1: 0, 2: 0}, fam[0][1]),) + fam[1:]])
@@ -762,6 +784,39 @@ class TestStrategyToCertificate:
                     lambda: verify_bcs_strategy(bcs, bad)):
             with pytest.raises(GraphError, match="strategy constraint count does not match"):
                 use()
+
+    @pytest.mark.parametrize("strategy, message", [
+        (lambda strat: BCSQuantumStrategy(2, strat.ops), "constraint 0: operator is not 2 x 2"),
+        (lambda strat: _with_family(strat, 3, strat.ops[3][::-1]),
+         "constraint 3: assignment family mismatch"),
+        (lambda strat: _with_family(strat, 3, strat.ops[3][:-1]),
+         "constraint 3: assignment family mismatch"),
+        (lambda strat: _with_family(strat, 3, strat.ops[3] + strat.ops[3][:1]),
+         "constraint 3: assignment family mismatch"),
+        (lambda strat: _with_family(strat, 3,
+                                    strat.ops[3][:-1] + ((strat.ops[3][-1][0], np.eye(2)),)),
+         "constraint 3: operator is not 4 x 4"),
+    ], ids=["wrong-d", "reordered", "short", "long", "odd-operator"])
+    def test_layout_defect_raises_from_every_entry_point(self, mermin, strategy, message):
+        bcs, strat, bg, _, _ = mermin
+        bad = strategy(strat)
+        for use in (lambda: strategy_to_certificate(bcs, bad), lambda: strategy_packing(bad, bg),
+                    lambda: verify_bcs_strategy(bcs, bad)):
+            with pytest.raises(GraphError, match=message):
+                use()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_d1_certificate_is_the_shift_map(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        x = [rng.randint(0, 1) for _ in range(n)]
+        supports = [rng.sample(range(n), rng.randint(1, min(4, n))) for _ in range(rng.randint(1, 5))]
+        bcs = LinBCS(n, tuple((s, sum(x[i] for i in s) % 2) for s in supports))
+        report = bcsmod.classical_reduction_report(bcs)
+        _, _, cert = strategy_to_certificate(bcs, classical_bcs_strategy(bcs, report["assignment"]))
+        perm = np.zeros((report["num_vertices"],) * 2)
+        perm[np.arange(len(perm)), report["isomorphism"].image] = 1
+        assert np.array_equal(cert.blocks[:, :, 0, 0], perm)
 
     def test_d1_case_matches_explicit_isomorphism(self):
         bcs = parse_bcs("x1 + x2 = 1\nx2 + x3 = 0\n")
