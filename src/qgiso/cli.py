@@ -299,7 +299,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else 0
     try:
-        ok, verdict, payload = args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual fails
+            ok, verdict, payload = args.func(args)
     except (gmod.GraphError, bcsmod.BCSError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

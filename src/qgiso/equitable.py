@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, GraphError, ParseError, _neighbour_lists, _refine, _root
+from .graphs import Graph, GraphError, ParseError, _root
 
 
 @dataclass(frozen=True)
@@ -65,21 +65,13 @@ def verify_equitable(g: Graph, cells):
     return EquitablePartition(cells, tuple(map(tuple, c.tolist()))), None
 
 
-def _colour_cells(colors):
-    """The vertices of each colour 0..k-1, in one pass."""
-    cells = [[] for _ in range(max(colors, default=-1) + 1)]
-    for v, c in enumerate(colors):
-        cells[c].append(v)
-    return cells
-
-
 def color_refinement(g: Graph):
     """Coarsest equitable partition of g, by 1-dimensional refinement.
 
     The result is re-verified before returning.
     """
-    cells = _colour_cells(_refine(_neighbour_lists(g), [0] * g.n))
-    part, violation = verify_equitable(g, cells)
+    cells = _root(g)[2]
+    part, violation = verify_equitable(g, [cells[c] for c in sorted(cells)])
     if violation is not None:
         raise AssertionError("refinement produced a non-equitable partition")
     return part
@@ -125,20 +117,18 @@ def common_equitable_partition(g: Graph, h: Graph):
     """Coarsest common equitable partition of a graph pair, or None.
 
     Refines the disjoint union from the isomorphism search's entry
-    (``graphs._root``) and aligns colour classes.  The refinement stops at
-    the first round where the two graphs' colour histograms differ: then
-    no common equitable partition exists.
+    (``graphs._root``) and cuts each cell, in order, into its two sides.
+    It stops at the first split that leaves a cell's halves unequal: then
+    no common equitable partition exists.  Balanced cells give both sides
+    the same sizes and partition numbers, so a mismatch is a kernel fault.
     """
-    colors = _root(g, h)[1]
-    if colors is None:
+    if (root := _root(g, h)) is None:
         return None
-    cells = _colour_cells(colors)
-    pg, vio_g = verify_equitable(g, [tuple(v for v in cell if v < g.n) for cell in cells])
-    ph, vio_h = verify_equitable(h, [tuple(v - g.n for v in cell if v >= g.n) for cell in cells])
-    if vio_g is not None or vio_h is not None:
-        raise AssertionError("refinement cells not equitable on one side")
-    if pg.c != ph.c or pg.sizes() != ph.sizes():
-        return None
+    cells = [root[2][c] for c in sorted(root[2])]
+    pg, vio_g = verify_equitable(g, [[v for v in cell if v < g.n] for cell in cells])
+    ph, vio_h = verify_equitable(h, [[v - g.n for v in cell if v >= g.n] for cell in cells])
+    if vio_g is not None or vio_h is not None or pg.c != ph.c or pg.sizes() != ph.sizes():
+        raise AssertionError("refinement cells not equitable and aligned on both sides")
     return CommonEquitablePartition(pg.cells, ph.cells, pg.c)
 
 

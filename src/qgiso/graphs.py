@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -363,66 +363,68 @@ def _neighbour_lists(g: Graph):
     return [np.flatnonzero(row).tolist() for row in g.adj]
 
 
-def _refine(nbrs, colors, split=None, changed=None):
-    """The colour-refinement kernel: iterate (colour, sorted neighbour
-    colours) signatures to a fixed point.
+def _refine(nbrs, colors, cells, split=None, touched=None):
+    """The colour-refinement kernel: split the cells of an ordered partition
+    by (colour, sorted neighbour colours) signatures to a fixed point.
 
-    New colours number the signatures in sorted order, so the result is
-    deterministic.  ``changed`` names the vertices recoloured since the
-    colouring was last stable (default: all); each round recomputes only
-    the signatures that can differ from their cellmates', those of
-    neighbours of a vertex whose cell split, and the result is the same
-    as recomputing every signature.  With ``split`` the vertices are a
-    disjoint union cut at that index; the kernel returns None at the first
-    round where the two halves have different colour histograms.
-    Refinement only ever splits cells, so a histogram that differs once
-    differs at the fixed point too.
+    A colour is the position where its cell starts, as in nauty, and
+    ``cells`` maps it to the cell's vertices.  A round reads every signature
+    from the colours it starts with.  A cell that splits orders its parts by
+    signature; the first keeps the colour and each next one starts where the
+    one before ends, so the cells keep the order of their signatures and a
+    round recolours only the parts that move.  ``touched`` holds the vertices
+    whose signatures may differ from their cellmates' (default: all); later
+    rounds touch the neighbours of recoloured vertices, which gives the
+    result of recomputing every signature.  Lists in ``cells`` are replaced,
+    never changed.  With ``split`` the vertices are a disjoint union cut at
+    that index, each cell with equal halves; the kernel returns False at the
+    first split that unbalances one, else True.
     """
-    if split is not None and sorted(colors[:split]) != sorted(colors[split:]):
-        return None
-    colors = list(colors)
-    cells = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    if changed is None:
-        touched = set(range(len(nbrs)))
-    else:
-        touched = set(changed).union(*(nbrs[v] for v in changed))
+    touched = range(len(nbrs)) if touched is None else touched
     while True:
         subs = {}  # colour -> {sorted neighbour colours: touched members}
         for v in touched:
             key = tuple(sorted([colors[u] for u in nbrs[v]]))
             subs.setdefault(colors[v], {}).setdefault(key, []).append(v)
-        new_cells, moved = [], []
-        for c in sorted(cells):
-            members, groups = cells[c], subs.get(c)
-            if groups is None:
-                new_cells.append(members)
-                continue
-            rest = [v for v in members if v not in touched]
+        parts = []  # (colour, members) of each part of a cell that splits
+        for c, groups in subs.items():
+            rest = [v for v in cells[c] if v not in touched]
             if rest:  # untouched cellmates still share one signature
                 key = tuple(sorted([colors[u] for u in nbrs[rest[0]]]))
                 groups.setdefault(key, []).extend(rest)
             if len(groups) > 1:
-                if split is not None and any(
-                        2 * sum(v < split for v in sub) != len(sub) for sub in groups.values()):
-                    return None
-                moved.extend(members)
-            new_cells.extend(groups[key] for key in sorted(groups))
-        cells = dict(enumerate(new_cells))
-        for c, members in cells.items():
-            for v in members:
-                colors[v] = c
-        if not moved:
-            return colors
-        touched = {u for v in moved for u in nbrs[v]}
+                for key in sorted(groups):
+                    part = groups[key]
+                    if split is not None and 2 * sum(v < split for v in part) != len(part):
+                        return False
+                    parts.append((c, part))
+                    c += len(part)
+        if not parts:
+            return True
+        touched = set()
+        for c, part in parts:
+            if colors[part[0]] != c:
+                for v in part:
+                    colors[v] = c
+                touched.update(*(nbrs[v] for v in part))
+            cells[c] = part
 
 
-def _root(g, h):
-    """Neighbour lists of the disjoint union and its stable colouring from
-    degrees, or None for the colouring if the halves' histograms differ."""
-    nbrs = _neighbour_lists(g) + [[u + g.n for u in nb] for nb in _neighbour_lists(h)]
-    return nbrs, _refine(nbrs, [len(nb) for nb in nbrs], split=g.n)
+def _root(g, h=None):
+    """Neighbour lists of g, or of the disjoint union of g and h, and their
+    stable ordered partition from degrees, as (nbrs, colors, cells); for a
+    union, None once its halves' colour histograms differ.  A cell starts
+    out at the first position of its degree in sorted order."""
+    nbrs, split = _neighbour_lists(g), None
+    if h is not None:
+        nbrs, split = nbrs + [[u + g.n for u in nb] for nb in _neighbour_lists(h)], g.n
+    ranked = sorted(len(nb) for nb in nbrs)
+    colors = [bisect_left(ranked, len(nb)) for nb in nbrs]
+    cells = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    balanced = split is None or sorted(colors[:split]) == sorted(colors[split:])
+    return (nbrs, colors, cells) if balanced and _refine(nbrs, colors, cells, split) else None
 
 
 class _Automorphisms:
@@ -443,8 +445,7 @@ class _Automorphisms:
         far that fix ``prefix`` pointwise."""
         if self.found is None:
             self.found = []
-            nbrs, colors = _root(self.h, self.h)
-            _search(self.h, self.h, nbrs, colors, (), self, first_path=True)
+            _search(self.h, self.h, *_root(self.h, self.h), (), self, first_path=True)
         label = list(range(self.h.n))
 
         def find(x):
@@ -461,38 +462,37 @@ class _Automorphisms:
         return [find(x) for x in range(self.h.n)]
 
 
-def _search(g, h, nbrs, colors, prefix, autos, first_path=False):
+def _search(g, h, nbrs, colors, cells, prefix, autos, first_path=False):
     """Individualisation-refinement below one node of the search tree.
 
-    ``colors`` is a stable colouring of the disjoint union of g and h whose
-    halves have equal histograms, and ``prefix`` holds the h vertices
-    individualised so far.  The g side individualises the first vertex of
-    the smallest non-singleton cell; the h side branches over that cell,
-    skipping candidates in the orbit of an already tried one.  Returns a
-    verified VertexMap, or None.  On h's first path of the search on
-    (h, h), the automorphisms found are recorded and the search goes on.
+    ``colors`` and ``cells`` are a stable ordered partition of the disjoint
+    union of g and h with balanced cells, and ``prefix`` holds the h
+    vertices individualised so far.  The g side individualises the lowest
+    vertex of the smallest cell of more than two; the h side branches over
+    that cell's h vertices, skipping candidates in the orbit of an already
+    tried one.  Each pair gets a colour past every cell.  Returns a verified
+    VertexMap, or None.  On h's first path of the search on (h, h), the
+    automorphisms found are recorded and the search goes on.
     """
     n = g.n
-    counts = Counter(colors[n:])
-    if len(counts) == n:
-        pos = {c: w for w, c in enumerate(colors[n:])}
-        phi = VertexMap(tuple(pos[c] for c in colors[:n]))
+    if len(cells) == n:
+        phi = VertexMap(tuple(w - n for v, w in sorted(map(sorted, cells.values()))))
         return phi if not first_path and is_isomorphism(g, h, phi) else None
-    target = min((k, c) for c, k in counts.items() if k > 1)[1]
-    v = colors.index(target)
+    target = min((len(cell), c) for c, cell in cells.items() if len(cell) > 2)[1]
+    cell, pair = cells[target], 2 * (n + len(prefix))
+    v = min(cell)
     tried, orbit = [], None
-    for w in range(n):
-        if colors[n + w] != target:
-            continue
+    for w in sorted(u - n for u in cell if u >= n):
         if tried:
             orbit = orbit or autos.orbits(prefix)
             if any(orbit[t] == orbit[w] for t in tried):
                 continue
-        child = list(colors)
-        child[v] = child[n + w] = len(colors)  # a colour no vertex has
-        child = _refine(nbrs, child, split=n, changed=(v, n + w))
-        if child is not None:
-            phi = _search(g, h, nbrs, child, prefix + (w,), autos, first_path and w == v)
+        colors_w, cells_w = list(colors), dict(cells)  # the node's lists are shared, not changed
+        colors_w[v] = colors_w[n + w] = pair
+        cells_w[target] = [u for u in cell if u != v and u != n + w]
+        cells_w[pair] = [v, n + w]
+        if _refine(nbrs, colors_w, cells_w, n, {v, n + w, *nbrs[v], *nbrs[n + w]}):
+            phi = _search(g, h, nbrs, colors_w, cells_w, (*prefix, w), autos, first_path and w == v)
             if phi is not None:
                 if not first_path:
                     return phi
@@ -506,10 +506,10 @@ def find_isomorphism(g: Graph, h: Graph):
     """Exact isomorphism search: individualisation-refinement on the
     disjoint union, pruned by automorphisms of h.
 
-    One colour-refinement kernel (``_refine``, shared with
-    ``equitable``) refines the union from neighbour lists built once, and
-    gives up on a branch at the first round where the g and h halves have
-    different colour histograms.  The g side follows one path; the h side
+    One colour-refinement kernel (``_refine``, shared with ``equitable``)
+    refines the union's ordered partition from neighbour lists built once,
+    and gives up on a branch at the first split that leaves a cell with
+    unequal g and h halves.  The g side follows one path; the h side
     branches and skips a candidate in the same orbit as a failed one,
     under the automorphisms of h that fix its individualised vertices.
     Those automorphisms are found lazily, the first time a node reaches a
@@ -522,10 +522,8 @@ def find_isomorphism(g: Graph, h: Graph):
     _check_oracle_size(h)
     if g.n != h.n or g.num_edges() != h.num_edges():
         return None
-    nbrs, colors = _root(g, h)
-    if colors is None:
-        return None
-    return _search(g, h, nbrs, colors, (), _Automorphisms(h))
+    root = _root(g, h)
+    return None if root is None else _search(g, h, *root, (), _Automorphisms(h))
 
 
 def independence_number(g: Graph):

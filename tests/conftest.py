@@ -516,9 +516,25 @@ def oracle_verify_equitable(g, cells):
     return EquitablePartition(cells, tuple(tuple(row) for row in c)), None
 
 
+def oracle_refine(nbrs, colors, split=None):
+    """Colour refinement recomputing every signature each round, colours
+    numbered 0..k-1 in sorted signature order; None once the halves of a
+    disjoint union cut at ``split`` have different colour histograms."""
+    colors = list(colors)
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in nb))) for v, nb in enumerate(nbrs)]
+        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [order[s] for s in sigs]
+        if split is not None and sorted(new[:split]) != sorted(new[split:]):
+            return None
+        if new == colors:
+            return colors
+        colors = new
+
+
 def oracle_common_equitable_partition(g, h):
     union, _, off_h = gmod.disjoint_union(g, h)
-    colors = gmod._refine(gmod._neighbour_lists(union), [0] * union.n, split=off_h)
+    colors = oracle_refine(gmod._neighbour_lists(union), [0] * union.n, split=off_h)
     if colors is None:
         return None
     cells = [[] for _ in range(max(colors, default=-1) + 1)]

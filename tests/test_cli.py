@@ -26,7 +26,7 @@ from conftest import (
     two_k3,
 )
 from qgiso.cli import COMMANDS, build_parser, main
-from qgiso.graphs import format_graph, parse_graph
+from qgiso.graphs import Graph, format_graph, from_edges, parse_graph
 from qgiso.bcs import MAX_VARIABLES, bcs_graph, format_bcs, homogenize, magic_square
 from qgiso import correlations as corrmod
 from qgiso import equitable as eqmod
@@ -62,6 +62,57 @@ def magic_graph_files(tmp_path):
 def test_graph_iso_refuted(magic_graph_files, capsys):
     assert main(["graph", "iso", *magic_graph_files]) == 1
     assert "NOT ISOMORPHIC" in capsys.readouterr().out
+
+
+_SYMMETRIC_ISO_MAPS = {  # the search's maps, which pin its order of candidates
+    "magic": list(range(24)),
+    "petersen": [0, 6, 3, 5, 1, 7, 2, 8, 9, 4],
+    "cubes": [
+        0, 120, 38, 14, 99, 59, 119, 79, 1, 121, 39, 15, 80, 41, 100, 60, 2, 110, 5, 70, 25, 90,
+        111, 50, 3, 22, 106, 47, 68, 88, 108, 127, 4, 23, 117, 48, 49, 69, 89, 109, 6, 112, 52, 24,
+        13, 26, 91, 71, 7, 72, 93, 33, 27, 92, 113, 53, 8, 54, 94, 29, 28, 74, 114, 34, 9, 75, 96,
+        35, 115, 55, 76, 30, 10, 56, 97, 31, 116, 36, 77, 11, 12, 32, 37, 57, 58, 78, 98, 118, 16,
+        81, 102, 42, 40, 101, 122, 61, 17, 63, 103, 62, 51, 82, 123, 43, 18, 83, 104, 44, 124, 64,
+        85, 73, 19, 65, 125, 45, 105, 84, 86, 20, 21, 95, 46, 66, 67, 87, 107, 126
+    ],
+}
+
+
+def _relabelled(g):
+    """g under the vertex permutation v -> 7v + 3 mod n, with new labels."""
+    perm = [(7 * v + 3) % g.n for v in range(g.n)]
+    return Graph(tuple(f"w{i}" for i in range(g.n)), g.adj[np.ix_(perm, perm)])
+
+
+def _petersen():
+    outer = [(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+    inner = [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
+    spokes = [(f"o{i}", f"i{i}") for i in range(5)]
+    return from_edges([f"o{i}" for i in range(5)] + [f"i{i}" for i in range(5)],
+                      outer + inner + spokes)
+
+
+def _cubes(k):
+    """k disjoint copies of the 3-cube."""
+    labels = [f"q{c}.{i}" for c in range(k) for i in range(8)]
+    return from_edges(labels, [(f"q{c}.{i}", f"q{c}.{i ^ b}") for c in range(k)
+                               for i in range(8) for b in (1, 2, 4) if i < i ^ b])
+
+
+@pytest.mark.parametrize("pair", ["magic", "petersen", "cubes"])
+def test_graph_iso_maps_on_symmetric_pairs(tmp_path, capsys, pair):
+    # the maps pin the search's order: which cell it individualises, which
+    # candidate it tries first and which it prunes
+    g = {"magic": lambda: bcs_graph(magic_square()).graph, "petersen": _petersen,
+         "cubes": lambda: _cubes(16)}[pair]()
+    files = []
+    for name, graph in (("g", g), ("h", g if pair == "magic" else _relabelled(g))):
+        files.append(tmp_path / f"{name}.g")
+        files[-1].write_text(format_graph(graph))
+    assert main(["--json", "graph", "iso", *map(str, files)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "ISOMORPHIC"
+    assert doc["witnesses"]["map"] == _SYMMETRIC_ISO_MAPS[pair]
 
 
 def test_graph_fractional_iso(graph_files, tmp_path, capsys):
@@ -469,7 +520,20 @@ def test_quantum_entry_past_float_range_exits_2(magic_graph_files, witness_docs,
     assert captured.out == ""
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["certify", "correlation", "packing"])
+def test_quantum_huge_finite_entry_fails_quietly(magic_graph_files, witness_docs, tmp_path, capsys,
+                                                 command):
+    # overflowing residuals become inf or NaN, which fail the check; numpy stays silent
+    doc = json.loads(witness_docs["packing" if command == "packing" else "certify"])
+    _set_entry(doc, [1e200, 0])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    graphs = magic_graph_files[:1] if command == "packing" else magic_graph_files
+    assert main(["quantum", command, *graphs, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and "FAIL" in captured.out
+
+
 def test_quantum_certify_json_stays_valid_on_overflow(magic_graph_files, tmp_path, capsys):
     # finite but huge blocks overflow every residual to inf or NaN
     bg, bg0, cert = qmod.strategy_to_certificate(magic_square(), qmod.mermin_bcs_strategy())

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +38,25 @@ from qgiso.correlations import (
 )
 from qgiso.equitable import common_equitable_partition, fractional_iso, verify_ds_witness
 from qgiso.graphs import GraphError, ParseError, find_isomorphism
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Correlation(("a",), "sparse", {}), "unknown mode 'sparse'"),
+    (lambda: Correlation(("a",), "exact", ([(0, 0, 0, 0)], [0.5], 2)),
+     "exact values need integer numerators over a positive integer"),
+    (lambda: Correlation(("a",), "exact", np.ones((1, 1, 1, 1))), "an exact table needs a mapping"),
+    (lambda: Correlation(("a",), "float", np.ones((2, 2, 2, 2))),
+     "dense table shape does not match the token list"),
+    (lambda: build_ns_correlation(cycle(6), two_k3(), dataclasses.replace(
+        common_equitable_partition(cycle(6), two_k3()), c=((3,),))),
+     "common equitable partition fails verification for this pair"),
+    (lambda: parse_correlation(""), "empty correlation file"),
+    (lambda: parse_correlation("corr 2 exact\na\n"), "line 2: expected 2 tokens, found 1"),
+], ids=["unknown-mode", "non-integer-numerators", "exact-dense-table", "dense-shape",
+        "forged-partition", "empty-file", "token-count"])
+def test_refusals_name_the_defect(call, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        call()
 
 
 class TestPrBox:

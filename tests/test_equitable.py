@@ -115,6 +115,16 @@ class TestCommonEquitablePartition:
         cep = common_equitable_partition(cycle(6), two_k3())
         assert cep.cbar() == ((3,),)
 
+    def test_misaligned_kernel_cells_raise(self, monkeypatch):
+        # every partition of K4 is equitable, but these sides' sizes differ: a
+        # kernel fault, which must not come out as a NO
+        def misaligned(g, h):
+            return None, None, {0: [0, 1, 4], 3: [2, 3, 5, 6, 7]}
+
+        monkeypatch.setattr(eqmod, "_root", misaligned)
+        with pytest.raises(AssertionError, match="aligned"):
+            common_equitable_partition(complete(4), complete(4))
+
 
 class TestFractionalIso:
     def test_c6_and_2k3_uniform_witness(self):
@@ -185,7 +195,9 @@ class TestDsWitness:
         ("ds 2 2\n1 0\n1/0 1\n", "entry (1, 0) '1/0'"),
         ("ds -1 -1\n1\n", "'ds -1 -1'"),
         ("ds " + "1" * 5000 + " 1\n1\n", "'ds <rows> <cols>'"),
-    ], ids=["non-decimal size", "zero denominator", "negative sizes", "size past int digits"])
+        ("ds 2 2\n1 0\n", "expected 4 entries, found 2"),
+    ], ids=["non-decimal size", "zero denominator", "negative sizes", "size past int digits",
+            "entry count"])
     def test_malformed_text_raises_naming_the_header_or_entry(self, text, named):
         with pytest.raises(ParseError, match=re.escape(named)):
             parse_ds_witness(text)

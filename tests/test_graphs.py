@@ -19,6 +19,7 @@ from conftest import (
     oracle_bitmasks,
     oracle_format_graph,
     oracle_parse_graph,
+    oracle_refine,
     path,
     permuted_copy,
     random_graph,
@@ -45,7 +46,14 @@ from qgiso.graphs import (
     parse_graph,
 )
 from qgiso import graphs as gmod
-from qgiso.graphs import _Automorphisms, _char_polys, _coefficient_bound, _neighbour_lists, _refine
+from qgiso.graphs import (
+    _Automorphisms,
+    _char_polys,
+    _coefficient_bound,
+    _neighbour_lists,
+    _refine,
+    _root,
+)
 
 
 class TestParse:
@@ -416,37 +424,68 @@ class TestFindIsomorphism:
             find_isomorphism(big, big)
 
 
-def _full_refinement(nbrs, colors, split=None):
-    """Reference for the kernel: recompute every signature each round."""
-    colors = list(colors)
-    while True:
-        sigs = [(colors[v], tuple(sorted(colors[u] for u in nb))) for v, nb in enumerate(nbrs)]
-        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [order[s] for s in sigs]
-        if split is not None and sorted(new[:split]) != sorted(new[split:]):
-            return None
-        if new == colors:
-            return colors
-        colors = new
+def _ranks(colors):
+    """The colours renumbered 0..k-1 in the same order."""
+    order = {c: i for i, c in enumerate(sorted(set(colors)))}
+    return [order[c] for c in colors]
+
+
+def _check_cells(colors, cells, packed=True):
+    # each cell holds the vertices of its colour and ends where the next one
+    # starts; after individualising, the pair's old cell ends before that
+    assert sorted(v for cell in cells.values() for v in cell) == list(range(len(colors)))
+    starts = sorted(cells)
+    for c, d in zip(starts, starts[1:] + [len(colors) if packed else math.inf]):
+        assert all(colors[v] == c for v in cells[c])
+        assert c + len(cells[c]) == d if packed else c + len(cells[c]) <= d
 
 
 class TestRefinementKernel:
     def test_matches_full_recomputation(self, rng):
-        for _ in range(40):
-            g, h = random_graph(9, rng.random(), rng), random_graph(9, rng.random(), rng)
+        outcomes = set()
+        for i in range(40):
+            # independent random pairs mostly fail at the root; generated
+            # fractionally isomorphic pairs reach the individualised child
+            if i % 2:
+                g, h = cep_pair(rng)[:2]
+            else:
+                g, h = random_graph(9, rng.random(), rng), random_graph(9, rng.random(), rng)
+            n = g.n
             union, _, _ = disjoint_union(g, h)
+            _, colors, cells = _root(union)
+            _check_cells(colors, cells)
             nbrs = _neighbour_lists(union)
             degrees = [len(nb) for nb in nbrs]
-            assert _refine(nbrs, degrees) == _full_refinement(nbrs, degrees)
-            assert _refine(nbrs, degrees, split=9) == _full_refinement(nbrs, degrees, split=9)
-            # a stable colouring with a few vertices recoloured
-            stable = _full_refinement(nbrs, degrees)
-            changed = rng.sample(range(18), 2)
-            colors = list(stable)
-            for v in changed:
-                colors[v] = 18 + rng.randrange(2)
-            assert (_refine(nbrs, colors, split=9, changed=changed)
-                    == _full_refinement(nbrs, colors, split=9))
+            assert _ranks(colors) == oracle_refine(nbrs, degrees)
+            root, want = _root(g, h), oracle_refine(nbrs, degrees, split=n)
+            assert (root is None) == (want is None)
+            if root is None:
+                continue
+            _, colors, cells = root
+            _check_cells(colors, cells)
+            assert _ranks(colors) == want
+            # individualise a balanced pair of one cell, as the search does
+            big = [c for c, cell in cells.items() if len(cell) > 2]
+            if not big:
+                continue
+            target = rng.choice(big)
+            v = rng.choice([u for u in cells[target] if u < n])
+            w = rng.choice([u for u in cells[target] if u >= n])
+            snapshot = {c: list(cell) for c, cell in cells.items()}
+            child_colors, child_cells = list(colors), dict(cells)
+            child_colors[v] = child_colors[w] = 2 * n
+            child_cells[target] = [u for u in cells[target] if u not in (v, w)]
+            child_cells[2 * n] = [v, w]
+            want = oracle_refine(nbrs, child_colors, split=n)
+            ok = _refine(nbrs, child_colors, child_cells, split=n,
+                         touched={v, w, *nbrs[v], *nbrs[w]})
+            assert ok == (want is not None)
+            if ok:
+                _check_cells(child_colors, child_cells, packed=False)
+                assert _ranks(child_colors) == want
+            assert cells == snapshot  # the parent's lists are left as they were
+            outcomes.add(ok)
+        assert outcomes == {True, False}
 
 
 def _pair(system):

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import json
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -874,6 +876,13 @@ class TestProjectivePacking:
         report = verify_packing(bg.graph, ProjectivePacking(packing.d, blocks))
         assert not report["ok"] and "non-projector" in report["reason"]
 
+    def test_trace_far_from_an_integer_is_named(self):
+        # a loose tolerance lets 1/2 pass as a projector; its trace cannot pass
+        blocks = np.zeros((3, 1, 1), dtype=complex)
+        blocks[0] = 0.5
+        report = verify_packing(cycle(3), ProjectivePacking(1, blocks), tol=0.5)
+        assert report == {"ok": False, "reason": "trace 0.5 of vertex 0 not near an integer"}
+
     def test_non_integral_trace_rejected(self):
         g = cycle(3)
         blocks = np.zeros((3, 2, 2), dtype=complex)
@@ -957,6 +966,20 @@ class TestQuantumReductionReport:
         assert np.array_equal(report["witness"].blocks, cert.blocks)
         assert set(report["certificate"]["residuals"].values()) == {0.0}
 
+    def test_swapped_operators_report_a_losing_tuple(self):
+        # the first two operators of constraint 0 trade places: the correlation
+        # stays non-signalling but loses the game on one tuple
+        strat = mermin_bcs_strategy()
+        (f0, op0), (f1, op1), *rest = strat.ops[0]
+        bad = BCSQuantumStrategy(strat.d, (((f0, op1), (f1, op0), *rest), *strat.ops[1:]))
+        report = quantum_reduction_report(magic_square(), bad)
+        assert not report["ok"] and report["correlation_nonsignalling"]
+        assert not report["correlation_perfect"] and "nonsignalling_violation" not in report
+        assert report["losing_tuple"] == (0, 16, 24, 42, 0.125)
+        g, h = report["graphs"]
+        corr = certificate_correlation(report["witness"], g, h)
+        assert verify_perfect_iso_strategy(corr, g, h) == (False, report["losing_tuple"])
+
     def test_builds_each_bcs_graph_once(self, monkeypatch):
         calls = []
         original = bcsmod.bcs_graph
@@ -998,6 +1021,31 @@ class TestJsonRoundTrip:
         packing = strategy_packing(strat, bg)
         back = packing_from_json(packing_to_json(packing, bg.graph), bg.graph)
         assert verify_packing(bg.graph, back)["value"] == 6
+
+
+def _certificate_doc(d, *entries):
+    return json.dumps({"d": d, "entries": list(entries)})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: certificate_from_json('{"d": 1, "entries": {}}', g, g), '"entries" must be a list'),
+    (lambda g: certificate_from_json(_certificate_doc(1, {"g": "a", "matrix": [[[1, 0]]]}), g, g),
+     "entry 0: needs the keys g, h and matrix"),
+    (lambda g: certificate_from_json(
+        _certificate_doc(2, {"g": "a", "h": "a", "matrix": [[[1, 0]]]}), g, g),
+     "entry 0: matrix shape (1, 1) does not match dimension 2"),
+    (lambda g: certificate_from_json(
+        _certificate_doc(1, {"g": "a", "h": "z", "matrix": [[[1, 0]]]}), g, g),
+     "entry 0: unknown vertex label 'z'"),
+    (lambda g: verify_packing(g, ProjectivePacking(1, np.zeros((3, 1, 1)))),
+     "packing shape does not match the graph"),
+    (lambda g: observable_strategy(magic_square(), np.zeros((3, 2, 2))),
+     "expected one square observable per variable"),
+], ids=["entries-not-a-list", "missing-keys", "matrix-shape", "unknown-label", "packing-shape",
+        "observable-shape"])
+def test_refusals_name_the_defect(call, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        call(from_edges(["a", "b"], [("a", "b")]))
 
 
 class TestRelMismatchOrthogonality:
