@@ -29,10 +29,10 @@ two_k3 = from_edges(
     [("a0", "a1"), ("a0", "a2"), ("a1", "a2"), ("b0", "b1"), ("b0", "b2"), ("b1", "b2")],
 )
 
-cep, D = fractional_iso(c6, two_k3)
+cep, (M, L) = fractional_iso(c6, two_k3)  # D = M / L, integer numerators over one denominator
 print("common equitable partition: cells =", cep.k, " sizes =", cep.sizes(), " c =", cep.c)
-print("doubly stochastic witness entry D[0][0] =", D[0][0])
-assert D[0][0] == Fraction(1, 6)
+print("doubly stochastic witness entry D[0][0] =", Fraction(int(M[0, 0]), L))
+assert Fraction(int(M[0, 0]), L) == Fraction(1, 6)
 
 corr = build_ns_correlation(c6, two_k3, cep)
 print("nonzero correlation entries:", len(corr.table))

@@ -14,12 +14,12 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral, Rational, Real
+from numbers import Integral
 
 import numpy as np
 
-from .equitable import (CommonEquitablePartition, _int_dtype, common_equitable_partition,
-                        verify_common_equitable)
+from .equitable import (CommonEquitablePartition, _common_denominator, _int_dtype, _numerators,
+                        common_equitable_partition, verify_common_equitable)
 from .games import iso_game_wins, rel_codes
 from .graphs import Graph, GraphError, ParseError, SizeLimitError
 
@@ -43,11 +43,10 @@ class CooTable(Mapping):
     lexicographically with no repeats; ``index`` is each key flattened to one
     int in [0, N^4), sorted too, for binary search.  Entry k stands for
     ``data[k] / denominator``: floats over 1 in float mode; in exact mode
-    integer numerators over one common denominator, int64 while the
-    denominator and the largest |numerator|, times nnz, stay below 2^62 (so
-    no sum of entries, nor a difference of two sums, overflows), else Python
-    ints in an object array.  As a read-only mapping it is {key tuple:
-    value}, values made on request (``Fraction`` in exact mode).
+    integer numerators over one common denominator, int64 while no sum of
+    nnz of them can overflow (``equitable._numerators``), else Python ints.
+    As a read-only mapping it is {key tuple: value}, values made on request
+    (``Fraction`` in exact mode).
     """
 
     size: int
@@ -115,11 +114,8 @@ class Correlation:
         if exact and isinstance(table, tuple) and len(table) == 2:
             table = (table[0], *_common_denominator(table[1]))
         if exact and isinstance(table, tuple) and len(table) == 3:
-            keys, values, denominator = table[0], np.asarray(table[1]), table[2]
-            if not (isinstance(denominator, Integral) and denominator > 0 and (
-                    values.dtype.kind in "iu" or values.dtype == object
-                    and all(isinstance(v, Integral) for v in values))):
-                raise GraphError("exact values need integer numerators over a positive integer")
+            keys, denominator = table[0], table[2]
+            values = _numerators(table[1], denominator, max(np.size(table[1]), 1))[0]
         elif exact:
             raise GraphError("an exact table needs a mapping, (keys, values) or "
                              "(keys, numerators, denominator)")
@@ -142,11 +138,8 @@ class Correlation:
         # wraps negative indices
         if len(keys) and (keys.min() < 0 or keys.max() >= N):
             raise GraphError(f"correlation key outside [0, {N})")
-        if exact:
-            peak = max(denominator, -int(values.min(initial=0)), int(values.max(initial=0)))
-            values = values.astype(_int_dtype(peak * max(len(values), 1)))
         # every verifier tests `value > tol`, which is False for NaN
-        elif not np.isfinite(values).all():
+        if not exact and not np.isfinite(values).all():
             raise GraphError("correlation table has a non-finite entry")
         index = np.ravel_multi_index(tuple(keys.T), (N,) * 4)
         order = np.argsort(index)
@@ -166,19 +159,6 @@ class Correlation:
 
     def effective_tol(self):
         return 0 if self.mode == "exact" else self.tol
-
-
-def _common_denominator(values):
-    """Exact values as (integer numerators, int64 where they fit, their lcm)."""
-    try:
-        if not all(isinstance(v, Real) for v in values):
-            raise ValueError
-        values = [v if isinstance(v, Rational) else Fraction(v) for v in values]
-    except (ValueError, OverflowError):
-        raise GraphError("exact correlation values must be finite numbers") from None
-    denominator = math.lcm(*{v.denominator for v in values})
-    nums = [v.numerator * (denominator // v.denominator) for v in values]
-    return np.array(nums, _int_dtype(max([denominator, *map(abs, nums)]))), denominator
 
 
 def _grouped(corr: Correlation, *columns):
@@ -300,14 +280,10 @@ def pr_box():
 
 
 def ns_iso(g: Graph, h: Graph):
-    """Decide non-signalling isomorphism via fractional isomorphism.
-
-    Returns None for NO; for YES returns (cep, correlation) with the
-    correlation verified as a distribution, non-signalling, and perfect
-    before returning.
-    """
-    cep = common_equitable_partition(g, h)
-    if cep is None:
+    """Decide non-signalling isomorphism via fractional isomorphism: None for
+    NO; for YES (cep, correlation), the correlation verified as a
+    distribution, non-signalling and perfect."""
+    if (cep := common_equitable_partition(g, h)) is None:
         return None
     corr = build_ns_correlation(g, h, cep)
     for ok, violation in (verify_distribution(corr), verify_nonsignalling(corr),
@@ -318,14 +294,18 @@ def ns_iso(g: Graph, h: Graph):
 
 
 def correlation_to_ds_witness(corr: Correlation, g: Graph, h: Graph):
-    """Extract D[g][h] = p(h, h | g, g) from a perfect NS correlation."""
+    """Extract D[g][h] = p(h, h | g, g) from a perfect NS correlation, as (M, L):
+    in float mode each value's nearest fraction with denominator <= 10^9."""
+    if corr.size != g.n + h.n:
+        raise GraphError("correlation token count does not match V(G) + V(H)")
     x_a, x_b, y_a, y_b = corr.table.coords.T
     diag = np.flatnonzero((x_a == x_b) & (y_a == y_b) & (x_a < g.n) & (y_a >= g.n))
-    D = [[Fraction(0)] * h.n for _ in range(g.n)]
-    for gv, hv, v in zip(x_a[diag].tolist(), y_a[diag].tolist(), corr.table.data[diag].tolist()):
-        v = corr.table.value(v)
-        D[gv][hv - g.n] = v if corr.mode == "exact" else Fraction(v).limit_denominator(10**9)
-    return D
+    nums, L = corr.table.data[diag], corr.table.denominator
+    if corr.mode == "float":
+        nums, L = _common_denominator([Fraction(v).limit_denominator(10**9) for v in nums.tolist()])
+    M = np.zeros((g.n, h.n), nums.dtype)
+    M[x_a[diag], y_a[diag] - g.n] = nums
+    return M, L
 
 
 def format_correlation(corr: Correlation):

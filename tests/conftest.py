@@ -551,6 +551,56 @@ def oracle_common_equitable_partition(g, h):
     return CommonEquitablePartition(cells_g, cells_h, pg.c)
 
 
+# --- Fraction-list doubly stochastic witnesses -------------------------------
+# A witness was a list of lists of Fractions before it became the pair (M, L)
+# of integer numerators over one denominator.  The helpers convert between
+# the two forms; the Fraction-loop checker and writer that the integer pair
+# replaced are kept as the oracle for its verdicts, messages and file bytes.
+
+def ds_pair(rows):
+    """A list of lists of Fractions (or ints) as (M, L), L the lcm of their
+    denominators."""
+    L = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    nums = [[Fraction(x).numerator * (L // Fraction(x).denominator) for x in row] for row in rows]
+    big = any(abs(x) >= 2 ** 62 for row in nums for x in row)
+    return np.array(nums, dtype=object if big else np.int64).reshape(len(rows), -1), L
+
+
+def ds_rows(D):
+    """(M, L) as a list of lists of Fractions."""
+    M, L = D
+    return [[Fraction(int(x), L) for x in row] for row in M]
+
+
+def oracle_verify_ds_witness(g, h, D):
+    for i, row in enumerate(D):
+        for j, x in enumerate(row):
+            if x < 0:
+                return False, f"negative entry at ({i}, {j})"
+    for i, row in enumerate(D):
+        if sum(row) != 1:
+            return False, f"row {i} sums to {sum(row)}"
+    for j in range(h.n):
+        s = sum(D[i][j] for i in range(g.n))
+        if s != 1:
+            return False, f"column {j} sums to {s}"
+    for i in range(g.n):
+        for j in range(h.n):
+            lhs = sum(D[int(u)][j] for u in g.neighbors(i))
+            rhs = sum(D[i][int(w)] for w in h.neighbors(j))
+            if lhs != rhs:
+                return False, f"A_G D != D A_H at ({i}, {j}): {lhs} vs {rhs}"
+    return True, None
+
+
+def oracle_format_ds_witness(D):
+    rows, cols = len(D), len(D[0])
+    lines = [f"ds {rows} {cols}"]
+    for row in D:
+        lines.append(" ".join(f"{x.numerator}/{x.denominator}" for x in row))
+    return "\n".join(lines) + "\n"
+
+
 # --- fractionally isomorphic pair generator --------------------------------
 
 def _circulant_offsets(n, degree, rng):

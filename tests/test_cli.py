@@ -122,6 +122,13 @@ def test_graph_fractional_iso(graph_files, tmp_path, capsys):
     assert out.read_text().startswith("ds 6 6")
 
 
+def test_graph_fractional_iso_witness_file_is_pinned(magic_graph_files, tmp_path):
+    out = tmp_path / "d.ds"
+    assert main(["--out", str(out), "graph", "fractional-iso", *magic_graph_files]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "44e5fae49146ac52a94c95667c6b521dbf0a4d58451d858a0f66795c2822729b")
+
+
 def test_graph_cospectral(magic_graph_files):
     assert main(["graph", "cospectral", *magic_graph_files]) == 0
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     cep_pair,
     cycle,
+    ds_rows,
     empty,
     graph_from_bits,
     oracle_distribution,
@@ -155,6 +156,21 @@ class TestBuildNsCorrelation:
         D = correlation_to_ds_witness(self.corr, self.g, self.h)
         ok, violation = verify_ds_witness(self.g, self.h, D)
         assert ok, violation
+
+    def test_float_correlation_gives_the_same_witness(self):
+        table = self.corr.table
+        floats = Correlation(self.corr.inputs, "float",
+                             (table.coords, table.data / table.denominator))
+        D = correlation_to_ds_witness(floats, self.g, self.h)
+        assert D[1] == 6 and ds_rows(D) == ds_rows(correlation_to_ds_witness(
+            self.corr, self.g, self.h))
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_witness_of_graphs_of_another_order_raises(self, n):
+        # 12 tokens read against two C3s (6) or two C8s (16)
+        with pytest.raises(GraphError, match=re.escape(
+                "correlation token count does not match V(G) + V(H)")):
+            correlation_to_ds_witness(self.corr, cycle(n), cycle(n))
 
 
 class TestGeneratedPairs:
@@ -613,7 +629,7 @@ class TestBuilderMatchesSixLoops:
             assert _parsed(parse_correlation, text) == _parsed(oracle_parse_correlation, text)
             assert parse_correlation(text).table == table.table
         n = g.n
-        assert correlation_to_ds_witness(corr, g, h) == [
+        assert ds_rows(correlation_to_ds_witness(corr, g, h)) == [
             [oracle.get((a, a, b + n, b + n), 0) for b in range(h.n)] for a in range(n)]
 
     def test_regular_pairs(self):

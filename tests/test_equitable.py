@@ -1,3 +1,5 @@
+import math
+import random
 import re
 from fractions import Fraction
 
@@ -10,9 +12,13 @@ from conftest import (
     cep_pair,
     complete,
     cycle,
+    ds_pair,
+    ds_rows,
     empty,
     oracle_common_equitable_partition,
+    oracle_format_ds_witness,
     oracle_ns_table,
+    oracle_verify_ds_witness,
     oracle_verify_equitable,
     path,
     permuted_copy,
@@ -21,7 +27,7 @@ from conftest import (
     two_k3,
 )
 from qgiso import equitable as eqmod
-from qgiso.correlations import ns_iso
+from qgiso.correlations import correlation_to_ds_witness, ns_iso
 from qgiso.equitable import (
     NotAPartitionError,
     build_ds_witness,
@@ -33,7 +39,7 @@ from qgiso.equitable import (
     verify_ds_witness,
     verify_equitable,
 )
-from qgiso.graphs import Graph, ParseError, find_isomorphism, from_edges
+from qgiso.graphs import Graph, GraphError, ParseError, find_isomorphism, from_edges
 
 
 class TestColorRefinement:
@@ -129,7 +135,7 @@ class TestCommonEquitablePartition:
 class TestFractionalIso:
     def test_c6_and_2k3_uniform_witness(self):
         cep, D = fractional_iso(cycle(6), two_k3())
-        assert all(x == Fraction(1, 6) for row in D for x in row)
+        assert all(x == Fraction(1, 6) for row in ds_rows(D) for x in row)
 
     def test_star_vs_path_no(self):
         assert fractional_iso(star(3), path(4)) is None
@@ -165,12 +171,12 @@ class TestDsWitness:
         h = permuted_copy(g, rng)
         phi = find_isomorphism(g, h)
         D = [[Fraction(1 if phi(i) == j else 0) for j in range(g.n)] for i in range(g.n)]
-        ok, violation = verify_ds_witness(g, h, D)
+        ok, violation = verify_ds_witness(g, h, ds_pair(D))
         assert ok, violation
 
     def test_uniform_ok_for_c6_2k3(self):
         D = [[Fraction(1, 6)] * 6 for _ in range(6)]
-        ok, _ = verify_ds_witness(cycle(6), two_k3(), D)
+        ok, _ = verify_ds_witness(cycle(6), two_k3(), ds_pair(D))
         assert ok
 
     def test_uniform_fails_for_irregular_pair(self):
@@ -178,17 +184,17 @@ class TestDsWitness:
             ["c", "l0", "l1", "l2", "i0", "i1"], [("c", "l0"), ("c", "l1"), ("c", "l2")]
         )
         D = [[Fraction(1, 6)] * 6 for _ in range(6)]
-        ok, violation = verify_ds_witness(cycle(6), h, D)
+        ok, violation = verify_ds_witness(cycle(6), h, ds_pair(D))
         assert not ok and "A_G D" in violation
 
     def test_row_sum_violation_reported(self):
         D = [[Fraction(0)] * 6 for _ in range(6)]
-        ok, violation = verify_ds_witness(cycle(6), two_k3(), D)
+        ok, violation = verify_ds_witness(cycle(6), two_k3(), ds_pair(D))
         assert not ok and "row 0" in violation
 
     def test_round_trip(self):
         _, D = fractional_iso(cycle(6), two_k3())
-        assert parse_ds_witness(format_ds_witness(D)) == D
+        assert ds_rows(parse_ds_witness(format_ds_witness(D))) == ds_rows(D)
 
     @pytest.mark.parametrize("text, named", [
         ("ds x 2\n1 0\n", "'ds x 2'"),
@@ -208,28 +214,6 @@ class TestDsWitness:
             D = build_ds_witness(cep)
             ok, violation = verify_ds_witness(g, h, D)
             assert ok, violation
-
-
-def _oracle_verify_ds_witness(g, h, D):
-    """The Fraction-loop check that the integer-array one replaced."""
-    for i, row in enumerate(D):
-        for j, x in enumerate(row):
-            if x < 0:
-                return False, f"negative entry at ({i}, {j})"
-    for i, row in enumerate(D):
-        if sum(row) != 1:
-            return False, f"row {i} sums to {sum(row)}"
-    for j in range(h.n):
-        s = sum(D[i][j] for i in range(g.n))
-        if s != 1:
-            return False, f"column {j} sums to {s}"
-    for i in range(g.n):
-        for j in range(h.n):
-            lhs = sum(D[int(u)][j] for u in g.neighbors(i))
-            rhs = sum(D[i][int(w)] for w in h.neighbors(j))
-            if lhs != rhs:
-                return False, f"A_G D != D A_H at ({i}, {j}): {lhs} vs {rhs}"
-    return True, None
 
 
 def _mutations(D, rng):
@@ -254,6 +238,15 @@ def _mutations(D, rng):
     yield [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
 
 
+def _exchanged(p):
+    """C6 vs 2K3's uniform witness 1/6 with a 2 x 2 exchange of 1/p: still
+    doubly stochastic, but no longer intertwining."""
+    D = [[Fraction(1, 6)] * 6 for _ in range(6)]
+    for i, j, s in ((0, 0, 1), (0, 1, -1), (1, 0, -1), (1, 1, 1)):
+        D[i][j] += s * Fraction(1, p)
+    return D
+
+
 class TestDsWitnessMatchesFractionLoops:
     def _pairs(self, rng):
         yield cycle(6), two_k3()
@@ -266,24 +259,108 @@ class TestDsWitnessMatchesFractionLoops:
         seen = set()
         for g, h in self._pairs(rng):
             _, D = fractional_iso(g, h)
-            for M in _mutations(D, rng):
-                got = verify_ds_witness(g, h, M)
-                assert got == _oracle_verify_ds_witness(g, h, M)
+            for M in _mutations(ds_rows(D), rng):
+                got = verify_ds_witness(g, h, ds_pair(M))
+                assert got == oracle_verify_ds_witness(g, h, M)
                 seen.add(got[1].split()[0] if not got[0] else "ok")
         assert seen == {"ok", "negative", "row", "column", "A_G"}
 
     def test_object_fallback(self):
-        # a 2 x 2 exchange of 1/p keeps C6 vs 2K3's witness doubly
-        # stochastic; p is prime, so the lcm 6p times n overflows int64
-        p = 2 ** 61 - 1
-        D = [[Fraction(1, 6)] * 6 for _ in range(6)]
-        for i, j, s in ((0, 0, 1), (0, 1, -1), (1, 0, -1), (1, 1, 1)):
-            D[i][j] += s * Fraction(1, p)
+        # p is prime, so the lcm 6p times n overflows int64
+        D = _exchanged(2 ** 61 - 1)
         g, h = cycle(6), two_k3()
-        got = verify_ds_witness(g, h, D)
-        assert not got[0] and got == _oracle_verify_ds_witness(g, h, D)
+        got = verify_ds_witness(g, h, ds_pair(D))
+        assert not got[0] and got == oracle_verify_ds_witness(g, h, D)
         D[0][0] = -D[0][0]
-        assert verify_ds_witness(g, h, D) == _oracle_verify_ds_witness(g, h, D)
+        assert verify_ds_witness(g, h, ds_pair(D)) == oracle_verify_ds_witness(g, h, D)
+
+
+def _uniform_exchanged(n, q, e):
+    """The n x n witness q / (n q) with the 2 x 2 exchange +e, -e, -e, +e at
+    its top left, as (M, L)."""
+    M = np.full((n, n), q, dtype=np.int64)
+    M[:2, :2] += np.array([[e, -e], [-e, e]])
+    return M, n * q
+
+
+def _two_c4():
+    labels = [f"c{i}" for i in range(8)]
+    return from_edges(labels, [(labels[b + i], labels[b + (i + 1) % 4]) for b in (0, 4)
+                               for i in range(4)])
+
+
+class TestDsWitnessExactness:
+    """A_G M and M A_H are taken in float64 only while n max(L, |M|) < 2^53,
+    so that every partial sum is an exact integer."""
+
+    @pytest.mark.parametrize("q", [2 ** 47 - 1, 2 ** 47],
+                             ids=["n peak = 2^53 - 64", "n peak = 2^53"])
+    @pytest.mark.parametrize("e, extra, kind", [
+        (0, 0, "ok"), (1, 0, "A_G"), (None, 0, "negative"), (0, 1, "row"),
+    ], ids=["doubly stochastic", "exchange of 1", "negative", "row off by 1"])
+    def test_both_sides_of_the_boundary_match_the_fraction_loops(self, q, e, extra, kind):
+        # C8 vs 2C4 on 8 vertices: L = 8q, so n L is 2^53 - 64 or 2^53
+        g, h = cycle(8), _two_c4()
+        M, L = _uniform_exchanged(8, q, q + 1 if e is None else e)
+        M[0, 0] += extra
+        assert 8 * max(L, int(abs(M).max())) == 64 * q
+        got = verify_ds_witness(g, h, (M, L))
+        assert got == oracle_verify_ds_witness(g, h, ds_rows((M, L)))
+        assert (got[1] or "ok").split()[0] == kind
+
+    def test_a_difference_of_one_past_2_53_is_seen(self):
+        # entries near 2^53 + 3 differ by 1 between the two products, which
+        # float64 (spacing 2 there) would round to the same value
+        g, h = cycle(6), two_k3()
+        M, L = _uniform_exchanged(6, 2 ** 52 + 2, 1)
+        lhs, rhs = g.adj.astype(np.int64) @ M, M @ h.adj.astype(np.int64)
+        assert (lhs != rhs).any() and lhs[lhs != rhs].min() >= 2 ** 53
+        Mf = M.astype(np.float64)
+        assert np.array_equal(g.adj.astype(np.float64) @ Mf, Mf @ h.adj.astype(np.float64))
+        got = verify_ds_witness(g, h, (M, L))
+        assert not got[0] and got[1].startswith("A_G")
+        assert got == oracle_verify_ds_witness(g, h, ds_rows((M, L)))
+
+    @pytest.mark.parametrize("D", [
+        (np.full((6, 6), 1.0), 6),
+        (np.ones((6, 6), dtype=bool), 6),
+        (np.ones((6, 6), dtype=complex), 6),
+        (np.full((6, 6), Fraction(1, 6), dtype=object), 1),
+        (np.ones((5, 6), dtype=np.int64), 6),
+        (np.ones((6, 6, 1), dtype=np.int64), 6),
+        *((np.ones((6, 6), dtype=np.int64), L) for L in (0, -1, True, 1.5, "6")),
+        [[Fraction(1, 6)] * 6 for _ in range(6)],
+        (np.ones((6, 6), dtype=np.int64),),
+        ([[1] * 6] * 5 + [[1] * 5], 6),
+    ], ids=["float", "bool", "complex", "object Fractions", "5 rows", "3 axes",
+            "denominator 0", "denominator -1", "denominator True", "denominator 1.5",
+            "denominator '6'", "Fraction rows", "no denominator", "ragged rows"])
+    def test_malformed_pair_raises(self, D):
+        with pytest.raises(GraphError):
+            verify_ds_witness(cycle(6), two_k3(), D)
+
+
+class TestDsWitnessFile:
+    @pytest.mark.parametrize("case", ["C6 vs 2K3", "128-vertex discrete", "unreduced denominator",
+                                      "object fallback"])
+    def test_bytes_match_the_fraction_writer(self, case):
+        if case == "C6 vs 2K3":
+            D = fractional_iso(cycle(6), two_k3())[1]
+        elif case == "128-vertex discrete":
+            rng = random.Random(7)
+            g = random_graph(128, 0.5, rng)
+            cep, D = fractional_iso(g, permuted_copy(g, rng))
+            assert cep.k == 128  # refinement is discrete
+        elif case == "unreduced denominator":
+            g, h = cycle(6), two_k3()
+            D = correlation_to_ds_witness(ns_iso(g, h)[1], g, h)
+            assert D[1] == 36 and math.gcd(*D[0].ravel().tolist(), D[1]) == 6
+        else:
+            D = ds_pair(_exchanged(2 ** 61 - 1))
+        rows = ds_rows(D)
+        text = format_ds_witness(D)
+        assert text == oracle_format_ds_witness(rows)
+        assert ds_rows(parse_ds_witness(text)) == rows
 
 
 def _random_cells(n, rng):
@@ -355,7 +432,7 @@ class TestMatchesLoopOracles:
             result = fractional_iso(g, h)
             assert (result is None) == (want is None or g.n != h.n)
             if result is not None:
-                assert result[1] == build_ds_witness(want)
+                assert ds_rows(result[1]) == ds_rows(build_ds_witness(want))
             yes, no = yes + (result is not None), no + (result is None)
         assert yes >= 40 and no >= 40
 
