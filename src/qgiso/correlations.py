@@ -4,7 +4,8 @@ A Correlation stores the four-index table p(y_A, y_B | x_A, x_B) over a
 common input = output token set as one coordinate list of its stored
 entries.  Exact mode keeps integer numerators over a common denominator and
 verifies with tolerance zero; floating mode keeps floats and a tolerance.
-Both modes go through the same verifiers.
+Both modes go through the same verifiers.  The table is bound by memory, so
+every pass over it holds the table plus at most one chunk of CHUNK_ENTRIES.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .graphs import Graph, GraphError, ParseError, SizeLimitError
 
 DEFAULT_TOL = 1e-9
 MAX_EXHAUSTIVE_VERTICES = 32
+CHUNK_ENTRIES = 1 << 16  # entries per chunk of a table pass; the reader slices 16 characters each
 
 
 def check_tolerance(tol):
@@ -33,6 +35,16 @@ def check_tolerance(tol):
     if not (math.isfinite(tol) and tol >= 0):
         raise GraphError(f"tolerance must be a finite number >= 0, got {tol!r}")
     return tol
+
+
+def _chunks(n):
+    """Slices of range(n), CHUNK_ENTRIES at a time."""
+    return (slice(s, s + CHUNK_ENTRIES) for s in range(0, n, CHUNK_ENTRIES))
+
+
+def _increasing(index):
+    """Whether ``index`` strictly increases, compared one chunk at a time."""
+    return all((np.diff(index[s.start:s.stop + 1]) > 0).all() for s in _chunks(len(index) - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,8 +57,8 @@ class CooTable(Mapping):
     ``data[k] / denominator``: floats over 1 in float mode; in exact mode
     integer numerators over one common denominator, int64 while no sum of
     nnz of them can overflow (``equitable._numerators``), else Python ints.
-    As a read-only mapping it is {key tuple: value}, values made on request
-    (``Fraction`` in exact mode).
+    The three arrays are read-only.  As a read-only mapping it is {key tuple:
+    value}, values made on request (``Fraction`` in exact mode).
     """
 
     size: int
@@ -75,7 +87,7 @@ class CooTable(Mapping):
         return self.value(self.data[i])
 
     def __iter__(self):
-        return map(tuple, self.coords.tolist())
+        return (tuple(k) for s in _chunks(len(self)) for k in self.coords[s].tolist())
 
     def __len__(self):
         return len(self.index)
@@ -142,11 +154,15 @@ class Correlation:
         if not exact and not np.isfinite(values).all():
             raise GraphError("correlation table has a non-finite entry")
         index = np.ravel_multi_index(tuple(keys.T), (N,) * 4)
-        order = np.argsort(index)
-        index = index[order]
-        if np.any(index[1:] == index[:-1]):
-            raise GraphError("correlation table repeats a key")
-        return CooTable(N, keys[order], values[order], index, denominator)
+        if not _increasing(index):  # built tables and written files come sorted, kept as given
+            order = np.argsort(index)
+            index, keys, values = index[order], keys[order], values[order]
+            if not _increasing(index):
+                raise GraphError("correlation table repeats a key")
+        table = CooTable(N, keys.view(), values.view(), index, denominator)
+        for a in (table.coords, table.data, table.index):
+            a.setflags(write=False)  # views, so the caller's arrays stay writable
+        return table
 
     @property
     def size(self):
@@ -166,9 +182,10 @@ def _grouped(corr: Correlation, *columns):
     own dtype, as a dense array with one axis per column; absent groups sum
     to 0."""
     N, table = corr.size, corr.table
-    flat = np.ravel_multi_index(tuple(table.coords[:, c] for c in columns), (N,) * len(columns))
     sums = np.zeros(N ** len(columns), dtype=table.data.dtype)
-    np.add.at(sums, flat, table.data)
+    for s in _chunks(len(table)):
+        np.add.at(sums, np.ravel_multi_index(tuple(table.coords[s, c] for c in columns),
+                                             (N,) * len(columns)), table.data[s])
     return sums.reshape((N,) * len(columns))
 
 
@@ -220,16 +237,18 @@ def verify_perfect_iso_strategy(corr: Correlation, g: Graph, h: Graph):
     """Check that p vanishes on every losing tuple of the isomorphism game.
 
     Returns (True, None) or (False, (x_a, x_b, y_a, y_b, p)) for the losing
-    tuple of largest |p|.
+    tuple of largest |p|, the first in key order.
     """
     if corr.size != g.n + h.n:
         raise GraphError("correlation token count does not match V(G) + V(H)")
-    table = corr.table
-    losing = np.flatnonzero(~iso_game_wins(g, h, *table.coords.T))
-    if len(losing):
-        worst = losing[np.abs(table.data[losing]).argmax()]
-        if abs(table.data[worst]) > corr.effective_tol():
-            return False, (*table.coords[worst].tolist(), table.value(table.data[worst]))
+    table, worst = corr.table, None
+    for s in _chunks(len(table)):
+        losing = np.flatnonzero(~iso_game_wins(g, h, *table.coords[s].T)) + s.start
+        if len(losing):
+            k = losing[np.abs(table.data[losing]).argmax()]
+            worst = k if worst is None or abs(table.data[k]) > abs(table.data[worst]) else worst
+    if worst is not None and abs(table.data[worst]) > corr.effective_tol():
+        return False, (*table.coords[worst].tolist(), table.value(table.data[worst]))
     return True, None
 
 
@@ -243,33 +262,38 @@ def build_ns_correlation(g: Graph, h: Graph, cep: CommonEquitablePartition):
     reflections put G and H tokens in four different positions (GGHH, GHHG,
     HGGH, HHGG), so no tuple is reached twice.  Values are stored exactly, as
     numerators over L, the lcm of every n_i, n_i c_ij and n_i cbar_ij in use.
+    Each entry is one flat key, sorted once and spread into the columns.
     """
     if not verify_common_equitable(g, h, cep):
         raise GraphError("common equitable partition fails verification for this pair")
     if g.n > MAX_EXHAUSTIVE_VERTICES:
         raise SizeLimitError(f"exhaustive correlation table capped at "
                              f"{MAX_EXHAUSTIVE_VERTICES} vertices")
-    n, sizes, cbar = g.n, cep.sizes(), cep.cbar()
-    # the denominator of each relation code (equal, adjacent, distinct
-    # non-adjacent) between cells i and j; 0 where the code cannot occur
-    dens = [[(sizes[i], sizes[i] * cep.c[i][j], sizes[i] * cbar[i][j]) for j in range(cep.k)]
-            for i in range(cep.k)]
-    L = math.lcm(*(den for row in dens for triple in row for den in triple if den))
-    rel_g, rel_h = rel_codes(g), rel_codes(h)
-    keys, nums = [np.empty((0, 4), np.int64)], [np.empty(0, _int_dtype(L))]
-    for i in range(cep.k):
-        for j in range(cep.k):
-            gi, gj = np.array(cep.cells_g[i]), np.array(cep.cells_g[j])
-            hi, hj = np.array(cep.cells_h[i]), np.array(cep.cells_h[j])
-            codes = rel_g[np.ix_(gi, gj)]
-            a, b, c, d = np.nonzero(codes[:, :, None, None] == rel_h[np.ix_(hi, hj)])
-            gv, gw, hv, hw = gi[a], gj[b], hi[c] + n, hj[d] + n
-            for key in ((gv, gw, hv, hw), (gv, hw, hv, gw), (hv, gw, gv, hw), (hv, hw, gv, gw)):
-                keys.append(np.stack(key, axis=1))
-            by_code = np.array([L // den if den else 0 for den in dens[i][j]], dtype=_int_dtype(L))
-            nums += [by_code[codes[a, b]]] * 4
-    return Correlation(iso_game_tokens(g, h), "exact",
-                       (np.concatenate(keys), np.concatenate(nums), L))
+    n, N, (cell_g, cell_h) = g.n, g.n + h.n, cep.cell_of()
+    # match[v, w, x, y]: G vertices v, w and H vertices x, y related alike, in aligned cells
+    match = rel_codes(g)[:, :, None, None] == rel_codes(h)
+    match &= cell_g[:, None, None, None] == cell_h[:, None]
+    match &= cell_g[:, None, None] == cell_h
+    den = match.sum(axis=(2, 3))  # the matches of (v, w): n_i, n_i c_ij or n_i cbar_ij
+    L = math.lcm(*set(den.ravel().tolist()))  # not np.unique: numpy 2.4 keeps 0.6 MiB after its first call
+    by_pair = L // den.astype(_int_dtype(L))  # the numerator of each pair of G tokens
+    v, w, x, y = np.nonzero(match)
+    x, y = x + n, y + n
+    # each temporary is freed once used, so the peak is the finished table
+    flat = np.concatenate([((p * N + q) * N + r) * N + t for p, q, r, t in
+                           ((v, w, x, y), (v, y, x, w), (x, w, v, y), (x, y, v, w))])
+    del match, v, w, x, y
+    flat.sort()
+    coords = np.empty((len(flat), 4), np.int64)
+    for col in range(4):
+        np.floor_divide(flat, N ** (3 - col), out=coords[:, col])
+        np.remainder(coords[:, col], N, out=coords[:, col])
+    del flat
+    nums = np.empty(len(coords), by_pair.dtype)
+    for s in _chunks(len(coords)):
+        x_a, x_b, y_a, y_b = coords[s].T
+        nums[s] = by_pair[np.minimum(x_a, y_a), np.minimum(x_b, y_b)]
+    return Correlation(iso_game_tokens(g, h), "exact", (coords, nums, L))
 
 
 def pr_box():
@@ -309,19 +333,30 @@ def correlation_to_ds_witness(corr: Correlation, g: Graph, h: Graph):
 
 
 def format_correlation(corr: Correlation):
-    """Serialize: 'corr <N> <mode>', token list, sparse nonzero lines."""
-    table, keep = corr.table, corr.table.data != 0
-    distinct, which = np.unique(table.data[keep], return_inverse=True)
-    texts = [f"{v.numerator}/{v.denominator}" if corr.mode == "exact" else repr(v)
-             for v in map(table.value, distinct.tolist())]
-    rows = zip(table.coords[keep].tolist(), which.tolist())
-    return "\n".join([f"corr {corr.size} {corr.mode}", " ".join(corr.inputs),
-                      *(f"{a} {b} {c} {d} {texts[i]}" for (a, b, c, d), i in rows), ""])
+    """Serialize: 'corr <N> <mode>', token list, sparse nonzero lines, written
+    a chunk at a time with each distinct value of the chunk formatted once."""
+    table, pieces = corr.table, [f"corr {corr.size} {corr.mode}\n{' '.join(corr.inputs)}\n"]
+    for s in _chunks(len(table)):
+        keep = table.data[s] != 0
+        distinct, which = np.unique(table.data[s][keep], return_inverse=True)
+        texts = [f"{v.numerator}/{v.denominator}" if corr.mode == "exact" else repr(v)
+                 for v in map(table.value, distinct.tolist())]
+        pieces.append("".join(f"{a} {b} {c} {d} {texts[i]}\n" for (a, b, c, d), i
+                              in zip(table.coords[s][keep].tolist(), which.tolist())))
+    return "".join(pieces)
 
 
 def _data_lines(text):
-    """(number, line, fields) of each line that is not blank or a comment."""
-    return ((n, s, f) for n, s in enumerate(text.splitlines(), 1) if (f := s.split()) and s[0] != "#")
+    """(number, line, fields) of each line that is not blank or a comment, by
+    ``splitlines`` on slices of about 16 CHUNK_ENTRIES characters, each
+    ending just after a newline."""
+    start, number = 0, 0
+    while start < len(text):
+        stop = text.find("\n", start + 16 * CHUNK_ENTRIES) + 1 or len(text)
+        for number, s in enumerate(text[start:stop].splitlines(), number + 1):
+            if (f := s.split()) and s[0] != "#":
+                yield number, s, f
+        start = stop
 
 
 def parse_correlation(text, tol=DEFAULT_TOL):
@@ -341,24 +376,34 @@ def parse_correlation(text, tol=DEFAULT_TOL):
         raise ParseError("the header is not followed by a token line", head_no)
     if len(inputs) != N:
         raise ParseError(f"expected {N} tokens, found {len(inputs)}", token_no)
-    keys, which, seen, values = [], [], {}, []  # which[r]: line r's value in values
+    rows = sum(map(text.count, "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")) + 1  # splitlines' breaks
+    coords, which = np.empty((rows, 4), np.int64), np.empty(rows, np.intp)
+    stored, seen, values = 0, {}, []  # which[r]: line r's value in values
     try:
-        for lineno, line, parts in lines:
-            x_a, x_b, y_a, y_b, token = parts  # ValueError unless 5 fields
-            i = seen.setdefault(token, len(seen))  # each distinct value is parsed once
-            if i == len(values):
-                values.append(float(Fraction(token)) if mode == "float" else Fraction(token))
-            keys += (int(x_a), int(x_b), int(y_a), int(y_b))
-            which.append(i)
-        line = None
-        coords = np.array(keys, np.int64).reshape(-1, 4)  # OverflowError: a key past int64
+        while True:  # a chunk of lines at a time, then its keys and picks into the arrays
+            keys, picks = [], []
+            for lineno, line, parts in itertools.islice(lines, CHUNK_ENTRIES):
+                x_a, x_b, y_a, y_b, token = parts  # ValueError unless 5 fields
+                i = seen.setdefault(token, len(seen))  # each distinct value is parsed once
+                if i == len(values):
+                    values.append(float(Fraction(token)) if mode == "float" else Fraction(token))
+                keys += (int(x_a), int(x_b), int(y_a), int(y_b))
+                picks.append(i)
+            line, end = None, stored + len(picks)
+            coords[stored:end] = np.array(keys, np.int64).reshape(-1, 4)  # OverflowError: past int64
+            which[stored:end], stored = picks, end
+            if len(picks) < CHUNK_ENTRIES:
+                break
         distinct = (np.array(values),) if mode == "float" else _common_denominator(values)
-        return Correlation(inputs, mode, (coords, distinct[0][which], *distinct[1:]), tol=tol)
+        table = (coords[:stored], distinct[0][which[:stored]], *distinct[1:])
+        del which
+        return Correlation(inputs, mode, table, tol=tol)
     except (ValueError, ZeroDivisionError, OverflowError) as e:  # GraphError is a ValueError
         error = e if line is None else ParseError(f"malformed correlation line: {line!r}", lineno)
     done = set()  # a key out of range or repeated before the error is the first bad line
-    for (lineno, line, _), key in zip(itertools.islice(_data_lines(text), 2, None),
-                                      zip(*[iter(keys)] * 4)):
+    read = itertools.chain((tuple(k) for s in _chunks(stored) for k in coords[s].tolist()),
+                           zip(*[iter(keys)] * 4))
+    for (lineno, line, _), key in zip(itertools.islice(_data_lines(text), 2, None), read):
         if key in done or not all(0 <= k < N for k in key):
             raise ParseError(f"repeated index {key}" if key in done
                              else f"index out of range [0, {N}): {line!r}", lineno)

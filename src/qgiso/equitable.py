@@ -94,6 +94,12 @@ class CommonEquitablePartition:
     def sizes(self):
         return tuple(len(cell) for cell in self.cells_g)
 
+    def cell_of(self):
+        """The cell index of each vertex of G and of H, as two arrays."""
+        which = np.repeat(np.arange(self.k), self.sizes())
+        return tuple(which[np.argsort(np.array([v for cell in cells for v in cell], np.intp))]
+                     for cells in (self.cells_g, self.cells_h))
+
     def cbar(self):
         """Non-neighbor counts: cbar[i][j] = n_j - c[i][j] - delta_ij."""
         sizes = self.sizes()
@@ -139,7 +145,8 @@ def _int_dtype(bound):
 def _numerators(values, denominator, terms):
     """Integer numerators over a positive int, in the ``_int_dtype`` of a sum
     of ``terms`` of them, and that bound; GraphError for other numbers."""
-    values = np.asarray(values)
+    # numpy reads [-1, 2**63] as float64 and [True, 1] as int64: check lists number by number
+    values = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
     if not (isinstance(denominator, Integral) and not isinstance(denominator, bool)
             and denominator > 0 and (values.dtype.kind in "iu" or values.dtype == object and all(
                 isinstance(v, Integral) and not isinstance(v, bool) for v in values.flat))):
@@ -191,10 +198,8 @@ def verify_ds_witness(g: Graph, h: Graph, D):
 def build_ds_witness(cep: CommonEquitablePartition):
     """Blockwise doubly stochastic witness (M, L): 1/n_i on aligned cells,
     else 0, as numerators over L, the lcm of the cell sizes."""
-    sizes = cep.sizes()
-    L, which = math.lcm(*sizes), np.repeat(np.arange(cep.k), sizes)
-    cell_g, cell_h = (which[np.argsort(np.array([v for cell in cells for v in cell], np.intp))]
-                      for cells in (cep.cells_g, cep.cells_h))  # the cell of each vertex
+    sizes, (cell_g, cell_h) = cep.sizes(), cep.cell_of()
+    L = math.lcm(*sizes)
     weights = np.array([L // s for s in sizes], _int_dtype(L))[cell_g]
     return np.where(cell_g[:, None] == cell_h, weights[:, None], 0), L
 

@@ -25,20 +25,18 @@ def iso_game_wins(g: Graph, h: Graph, x_a, x_b, y_a, y_b):
     V(G) + V(H) with H offset by |V(G)|, win the isomorphism game: each
     answer is from the other graph than its question, and the two G vertices
     relate as the two H vertices do.  A bool array."""
-    tokens = np.stack([np.asarray(t, dtype=np.int64) for t in (x_a, x_b, y_a, y_b)])
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= g.n + h.n):
+    x_a, x_b, y_a, y_b = (np.asarray(t, dtype=np.int64) for t in (x_a, x_b, y_a, y_b))
+    if any(t.size and (t.min() < 0 or t.max() >= g.n + h.n) for t in (x_a, x_b, y_a, y_b)):
         raise GraphError("token outside V(G) + V(H)")
     n = g.n
-    x_a, x_b, y_a, y_b = tokens
     # each answer must come from the other graph; then the smaller token of a
     # player's (question, answer) pair is its G vertex
     win = ((x_a < n) != (y_a < n)) & ((x_b < n) != (y_b < n))
-    g_a, h_a = np.minimum(x_a, y_a), np.maximum(x_a, y_a) - n
-    g_b, h_b = np.minimum(x_b, y_b), np.maximum(x_b, y_b) - n
     # on losing rows the flat indices may leave the matrices: clipped, they
     # read some entry that ``win`` discards
-    win &= (rel_codes(g).take(g_a * g.n + g_b, mode="clip")
-            == rel_codes(h).take(h_a * h.n + h_b, mode="clip"))
+    g_rel = rel_codes(g).take(np.minimum(x_a, y_a) * g.n + np.minimum(x_b, y_b), mode="clip")
+    win &= g_rel == rel_codes(h).take((np.maximum(x_a, y_a) - n) * h.n
+                                      + (np.maximum(x_b, y_b) - n), mode="clip")
     return win
 
 

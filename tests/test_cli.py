@@ -129,6 +129,14 @@ def test_graph_fractional_iso_witness_file_is_pinned(magic_graph_files, tmp_path
         "44e5fae49146ac52a94c95667c6b521dbf0a4d58451d858a0f66795c2822729b")
 
 
+def test_ns_build_correlation_file_is_pinned(magic_graph_files, tmp_path):
+    # 640,512 entries, about ten chunks of the writer
+    out = tmp_path / "p.corr"
+    assert main(["--out", str(out), "ns", "build", *magic_graph_files]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b50ecb0ba704cab03a16a0c56e0a0cbf4c731695174e43b29e59d26ba1055dd7")
+
+
 def test_graph_cospectral(magic_graph_files):
     assert main(["graph", "cospectral", *magic_graph_files]) == 0
 

@@ -13,6 +13,7 @@ from conftest import (
     ds_rows,
     empty,
     graph_from_bits,
+    iso_game_predicate,
     oracle_distribution,
     oracle_format_exact,
     oracle_nonsignalling,
@@ -24,6 +25,7 @@ from conftest import (
     star,
     two_k3,
 )
+from qgiso import correlations
 from qgiso.correlations import (
     Correlation,
     build_ns_correlation,
@@ -338,6 +340,7 @@ class TestFloatTableValidation:
         shuffled = table(np.random.default_rng(11).permutation(len(keys)))
         for field in ("coords", "data", "index"):
             assert np.array_equal(getattr(shuffled, field), getattr(ordered, field))
+        assert np.shares_memory(ordered.coords, keys)  # sorted keys are stored as given
 
 # The dense float verifiers that the coordinate-list ones replaced, kept as
 # the oracle for their verdicts.
@@ -454,6 +457,20 @@ class TestExactTableValidation:
         keys, values = map(list, zip(*sorted(pr_box().table.items())))
         with pytest.raises(GraphError, match="repeats"):
             Correlation(("0", "1"), "exact", (keys + [keys[3]], values + [Fraction(0)]))
+
+    @pytest.mark.parametrize("numerators", [[1, 2 ** 63], [-1, 2 ** 63]])
+    def test_plain_int_numerators_past_int64(self, numerators):
+        # numpy infers float64 for both lists
+        corr = Correlation(("a", "b"), "exact", ([(0, 0, 0, 0), (0, 1, 0, 1)], numerators, 2 ** 64))
+        assert corr.table.data.dtype == object
+        assert dict(corr.table) == {(0, 0, 0, 0): Fraction(numerators[0], 2 ** 64),
+                                    (0, 1, 0, 1): Fraction(1, 2)}
+
+    @pytest.mark.parametrize("numerators", [[1.0, 2 ** 63], [True, 2 ** 63], [True, 1],
+                                            [Fraction(1), 2 ** 63], [-1.5, 2 ** 63]])
+    def test_other_numerators_in_a_list_are_refused(self, numerators):
+        with pytest.raises(GraphError, match="integer numerators"):
+            Correlation(("a", "b"), "exact", ([(0, 0, 0, 0), (0, 1, 0, 1)], numerators, 2 ** 64))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1/2", None, 1j])
     def test_bad_value(self, value):
@@ -726,3 +743,142 @@ class TestParserMatchesLineLoop:
         text = f"corr 2 exact\na b\n0 0 0 0 {2 ** 70}\n0 1 0 0 1/{3 ** 41}\n"
         assert _parsed(parse_correlation, text)[4] == object
         assert _parsed(parse_correlation, text) == _parsed(oracle_parse_correlation, text)
+
+
+class TestParserMatchesLineLoopInSmallChunks(TestParserMatchesLineLoop):
+    """The same cases with the reader's chunks of 7 lines and text slices of
+    112 characters, so that most generated files cross both."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def small_chunks(self):
+        saved, correlations.CHUNK_ENTRIES = correlations.CHUNK_ENTRIES, 7
+        yield
+        correlations.CHUNK_ENTRIES = saved
+
+    # hypothesis refuses one test function run from two classes
+    @settings(max_examples=600, deadline=None)
+    @given(text=_correlation_files(), tol=st.sampled_from([1e-9, float("nan")]))
+    def test_generated_files(self, text, tol):
+        assert _parsed(parse_correlation, text, tol) == _parsed(oracle_parse_correlation, text, tol)
+
+
+# --- chunked passes and sorted input ------------------------------------------
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(correlations, "CHUNK_ENTRIES", 7)
+
+
+def _worst_losing(table, g, h):
+    """The losing tuple of largest |p|, the first in key order, by the scalar rule."""
+    losing = [(*k, v) for k, v in sorted(table.items()) if v and not iso_game_predicate(g, h, *k)]
+    return max(losing, key=lambda t: abs(t[4]), default=None)
+
+
+class TestChunkBoundaries:
+    """Every pass over a table works CHUNK_ENTRIES entries at a time; with 7,
+    the C6 / 2K3 table (2,016 entries) spans 288 chunks."""
+
+    def test_build_write_read_match_the_loop_oracles(self, small_chunks):
+        TestBuilderMatchesSixLoops()._check(cycle(6), two_k3())
+
+    def test_writer_skips_zeros_across_chunks(self, small_chunks):
+        corr = ns_iso(cycle(6), two_k3())[1]
+        numerators = corr.table.data.copy()
+        numerators[[3, 9, 10, 30]] = 0
+        zeroed = Correlation(corr.inputs, "exact", (corr.table.coords, numerators, 36))
+        table = dict(zeroed.table)
+        assert format_correlation(zeroed) == oracle_format_exact(corr.inputs, table)
+        assert dict(parse_correlation(format_correlation(zeroed)).table) == {
+            k: v for k, v in table.items() if v}
+
+    @pytest.mark.parametrize("name", sorted(_MUTATIONS))
+    def test_bad_line_in_the_second_chunk(self, small_chunks, name):
+        lines = format_correlation(ns_iso(cycle(6), two_k3())[1]).splitlines()
+        # data line 11 (file line 13) is the fourth of the second chunk; a
+        # repeated key repeats line 5's, in the first chunk
+        lines[12] = _MUTATIONS[name](12, tuple(map(int, lines[4].split()[:4])))
+        text = "\n".join(lines) + "\n"
+        err = _parsed(parse_correlation, text)
+        assert err == _parsed(oracle_parse_correlation, text) and err[2] == 13
+
+    @pytest.mark.parametrize("first, second", [("key past int64", "6 fields"),
+                                               ("6 fields", "key past int64"),
+                                               ("key past int64", "repeated key")])
+    def test_first_bad_line_across_chunks(self, small_chunks, first, second):
+        # a key past int64 fails when its chunk is stored, after later lines
+        # of the same chunk were read
+        lines = format_correlation(ns_iso(cycle(6), two_k3())[1]).splitlines()
+        lines[12] = _MUTATIONS[first](12, tuple(map(int, lines[4].split()[:4])))
+        lines[20] = _MUTATIONS[second](12, tuple(map(int, lines[4].split()[:4])))
+        text = "\n".join(lines) + "\n"
+        err = _parsed(parse_correlation, text)
+        assert err == _parsed(oracle_parse_correlation, text) and err[2] == 13
+
+    @pytest.mark.parametrize("brk", ["\r", "\r\n", "\v", "\f", "\x1c", "\x85", "\u2028"])
+    def test_every_line_break_of_splitlines(self, small_chunks, brk):
+        text = brk.join(format_correlation(ns_iso(cycle(6), two_k3())[1]).splitlines()) + brk
+        assert _parsed(parse_correlation, text) == _parsed(oracle_parse_correlation, text)
+        assert len(parse_correlation(text).table) == 2016
+
+    def test_key_repeated_across_two_chunks(self, small_chunks):
+        lines = format_correlation(ns_iso(cycle(6), two_k3())[1]).splitlines()
+        text = "\n".join(lines[:20] + lines[4:5] + lines[20:]) + "\n"
+        err = _parsed(parse_correlation, text)
+        assert err == _parsed(oracle_parse_correlation, text)
+        assert err[1].startswith("line 21: repeated index") and err[2] == 21
+
+    @pytest.mark.parametrize("later", [Fraction(1, 4), Fraction(1, 3)], ids=["tie", "larger"])
+    def test_worst_losing_tuple_across_chunks(self, small_chunks, later):
+        g, h = cycle(6), two_k3()
+        table = dict(ns_iso(g, h)[1].table)
+        losing = [k for k in np.ndindex((12,) * 4)
+                  if k not in table and not iso_game_predicate(g, h, *k)]
+        table[losing[40]], table[losing[500]] = Fraction(-1, 4), later
+        table[losing[41]] = Fraction(1, 5)
+        corr = Correlation(iso_game_tokens(g, h), "exact", table)
+        rows = np.searchsorted(corr.table.index, [np.ravel_multi_index(losing[i], (12,) * 4)
+                                                  for i in (40, 500)])
+        assert rows[0] // 7 != rows[1] // 7  # the two largest lie in different chunks
+        got = verify_perfect_iso_strategy(corr, g, h)
+        assert got == (False, _worst_losing(table, g, h)) and not oracle_perfect(table, g, h)
+        assert got[1][:4] == (losing[40] if later == Fraction(1, 4) else losing[500])
+
+    def test_verifiers_match_the_loop_oracles(self, small_chunks):
+        g, h = cycle(6), two_k3()
+        table = dict(ns_iso(g, h)[1].table)
+        key = sorted(table)[100]
+        for change in (Fraction(0), Fraction(1, 7), -table[key]):
+            changed = {**table, key: table[key] + change}
+            corr = Correlation(iso_game_tokens(g, h), "exact", changed)
+            assert dict(corr.table) == changed
+            assert verify_distribution(corr)[0] == oracle_distribution(changed, 12)
+            assert verify_nonsignalling(corr)[0] == oracle_nonsignalling(changed, 12)
+            assert verify_perfect_iso_strategy(corr, g, h)[0] == oracle_perfect(changed, g, h)
+            _assert_real_violation(corr, changed, None)
+
+
+class TestSortedAndUnsortedKeys:
+    """Keys that come sorted are stored as given, others sorted once; a
+    repeated key is refused either way."""
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("rows", [[*range(4), 3, *range(4, 30)], [*range(30), 3]],
+                             ids=["adjacent in sorted keys", "unsorted"])
+    def test_repeated_key_is_refused(self, mode, rows):
+        keys = np.indices((5,) * 4).reshape(4, -1).T[::4][rows]
+        values = (np.ones(len(rows), int), 7) if mode == "exact" else (np.ones(len(rows)) / 7,)
+        with pytest.raises(GraphError, match="repeats a key"):
+            Correlation(tuple(map(str, range(5))), mode, (keys, *values))
+
+    def test_stored_arrays_are_read_only(self):
+        keys = np.indices((5,) * 4).reshape(4, -1).T[::4]
+        given = Correlation(tuple(map(str, range(5))), "exact", (keys, np.ones(len(keys), int), 7))
+        assert keys.flags.writeable  # the caller's array is not frozen
+        for table in (given.table, ns_iso(cycle(6), two_k3())[1].table,
+                      parse_correlation(format_correlation(pr_box())).table):
+            for field in ("coords", "data", "index"):
+                array = getattr(table, field)
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]

@@ -321,6 +321,23 @@ class TestDsWitnessExactness:
         assert not got[0] and got[1].startswith("A_G")
         assert got == oracle_verify_ds_witness(g, h, ds_rows((M, L)))
 
+    @pytest.mark.parametrize("low, kind", [(1, "ok"), (-1, "negative")])
+    def test_plain_int_rows_past_int64(self, low, kind):
+        # numpy infers float64 for [1, 2**63] and [-1, 2**63]; K2 against K2
+        # swaps rows on one side and columns on the other
+        rows = [[low, 2 ** 63], [2 ** 63, low]]
+        L = low + 2 ** 63
+        got = verify_ds_witness(complete(2), complete(2), (rows, L))
+        assert got == oracle_verify_ds_witness(
+            complete(2), complete(2), [[Fraction(v, L) for v in row] for row in rows])
+        assert (got[1] or "ok").split()[0] == kind
+
+    @pytest.mark.parametrize("first", [1.0, True, Fraction(1)], ids=["float", "bool", "Fraction"])
+    def test_other_numbers_in_rows_past_int64_raise(self, first):
+        with pytest.raises(GraphError, match="integer numerators"):
+            verify_ds_witness(complete(2), complete(2), ([[first, 2 ** 63], [2 ** 63, first]],
+                                                         2 ** 63 + 1))
+
     @pytest.mark.parametrize("D", [
         (np.full((6, 6), 1.0), 6),
         (np.ones((6, 6), dtype=bool), 6),
