@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,9 +157,10 @@ class Correlation:
         index = np.ravel_multi_index(tuple(keys.T), (N,) * 4)
         if not _increasing(index):  # built tables and written files come sorted, kept as given
             order = np.argsort(index)
-            index, keys, values = index[order], keys[order], values[order]
-            if not _increasing(index):
+            index = index[order]
+            if not _increasing(index):  # before the keys and values are copied
                 raise GraphError("correlation table repeats a key")
+            keys, values = keys[order], values[order]
         table = CooTable(N, keys.view(), values.view(), index, denominator)
         for a in (table.coords, table.data, table.index):
             a.setflags(write=False)  # views, so the caller's arrays stay writable
@@ -346,20 +348,126 @@ def format_correlation(corr: Correlation):
     return "".join(pieces)
 
 
-def _data_lines(text):
-    """(number, line, fields) of each line that is not blank or a comment, by
-    ``splitlines`` on slices of about 16 CHUNK_ENTRIES characters, each
-    ending just after a newline."""
-    start, number = 0, 0
+def _slices(text):
+    """Slices of ``text`` of about 16 CHUNK_ENTRIES characters, each ending
+    just after a newline, so that no line break is cut."""
+    start = 0
     while start < len(text):
         stop = text.find("\n", start + 16 * CHUNK_ENTRIES) + 1 or len(text)
-        for number, s in enumerate(text[start:stop].splitlines(), number + 1):
-            if (f := s.split()) and s[0] != "#":
-                yield number, s, f
+        yield text[start:stop]
         start = stop
 
 
+def _data_lines(text):
+    """(number, line, fields) of each line that is not blank or a comment,
+    numbered by ``splitlines`` over the slices."""
+    number = 0
+    for piece in _slices(text):
+        for number, s in enumerate(piece.splitlines(), number + 1):
+            if (f := s.split()) and s[0] != "#":
+                yield number, s, f
+
+
+def _stored(coords, which, values, mode):
+    """The table Correlation takes from the keys and ``values[which]``:
+    floats, or exact numerators over their common denominator."""
+    distinct = (np.array(values),) if mode == "float" else _common_denominator(values)
+    return (coords, distinct[0][which], *distinct[1:])
+
+
+class _Ids(dict):
+    """Each token's number in order of first sight; ``map(ids.__getitem__,
+    tokens)`` numbers a column in C, calling Python only on new tokens."""
+
+    def __missing__(self, token):
+        self[token] = i = len(self)
+        return i
+
+
+# all five fields of a line, so that one of 4 or 6 is refused; the value as an
+# object, since a fixed-width string field would cut a long token short
+_ROW = np.dtype([("key", np.int64, 4), ("value", object)])
+
+
+def _read_table(text, skip, mode, rows):
+    """The table of the lines after the first ``skip``, read by one
+    ``np.loadtxt`` per slice into preallocated arrays, each distinct value
+    token parsed once.  ValueError, ZeroDivisionError or OverflowError on a
+    line that read or ``Fraction`` refuses, even one the line loop accepts."""
+    coords, which, ids, stored = np.empty((rows, 4), np.int64), np.empty(rows, np.intp), _Ids(), 0
+    for piece in _slices(text):
+        lines = piece.splitlines()
+        lines, skip = lines[skip:], max(skip - len(lines), 0)
+        if "#" in piece:
+            lines = [s for s in lines if s[:1] != "#"]
+        if any(map(str.strip, lines)):  # loadtxt warns on a slice with no data
+            with warnings.catch_warnings():  # older numpy reads a key "1.0" as 1, with this warning
+                warnings.simplefilter("error", DeprecationWarning)
+                # comments=None: a "#" after the data is a field, as for str.split
+                read = np.loadtxt(lines, _ROW, comments=None, ndmin=1, encoding=None)
+            end = stored + len(read)
+            coords[stored:end] = read["key"]
+            which[stored:end], stored = list(map(ids.__getitem__, read["value"])), end
+            del read
+        del lines  # freed before the next slice's are made
+    # each value token must be str.split's fifth field, whatever whitespace loadtxt splits at
+    if any([token] != token.split() for token in ids):
+        raise ValueError("a value token holds whitespace")
+    values = [float(Fraction(t)) if mode == "float" else Fraction(t) for t in ids]
+    return _stored(coords[:stored], which[:stored], values, mode)
+
+
+def _first_repeat(coords, N):
+    """The first row whose key repeats an earlier row's, or None: the
+    earliest second occurrence in a stable sort of the flat keys."""
+    flat = np.ravel_multi_index(tuple(coords.T), (N,) * 4)
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    later = order[1:][flat[1:] == flat[:-1]]
+    return int(later.min()) if len(later) else None
+
+
+def _read_lines(text, N, mode, rows):
+    """The table of the data lines after the token line, read one line at a
+    time, or ParseError naming the first bad line: malformed or out of range
+    as it is read, a repeated key from the keys read before."""
+    lines, bad = itertools.islice(_data_lines(text), 2, None), None
+    coords, which = np.empty((rows, 4), np.int64), np.empty(rows, np.intp)
+    stored, seen, values = 0, {}, []  # which[r]: line r's value in values
+    while bad is None:  # a chunk of lines at a time, then its keys and picks into the arrays
+        keys, picks = [], []
+        for lineno, line, parts in itertools.islice(lines, CHUNK_ENTRIES):
+            try:
+                x_a, x_b, y_a, y_b, token = parts  # ValueError unless 5 fields
+                key = int(x_a), int(x_b), int(y_a), int(y_b)
+                i = seen.setdefault(token, len(seen))  # each distinct value is parsed once
+                if i == len(values):
+                    values.append(float(Fraction(token)) if mode == "float" else Fraction(token))
+            except (ValueError, ZeroDivisionError, OverflowError):
+                bad = ParseError(f"malformed correlation line: {line!r}", lineno)
+                break
+            if not (0 <= min(key) and max(key) < N):
+                bad = ParseError(f"index out of range [0, {N}): {line!r}", lineno)
+                break
+            keys += key
+            picks.append(i)
+        end = stored + len(picks)
+        coords[stored:end] = np.array(keys, np.int64).reshape(-1, 4)
+        which[stored:end], stored = picks, end
+        if len(picks) < CHUNK_ENTRIES:
+            break
+    if (r := _first_repeat(coords[:stored], N)) is not None:
+        lineno = next(itertools.islice(_data_lines(text), 2 + r, None))[0]
+        raise ParseError(f"repeated index {tuple(coords[r].tolist())}", lineno)
+    if bad is not None:
+        raise bad
+    return _stored(coords[:stored], which[:stored], values, mode)
+
+
 def parse_correlation(text, tol=DEFAULT_TOL):
+    """Read a correlation file, as ``format_correlation`` writes it, by one C
+    read per slice; a file that read refuses goes to the line loop, which
+    reads it or names its first bad line."""
     lines = _data_lines(text)
     head_no, _, head = next(lines, (None, None, None))
     if head is None:
@@ -376,36 +484,10 @@ def parse_correlation(text, tol=DEFAULT_TOL):
         raise ParseError("the header is not followed by a token line", head_no)
     if len(inputs) != N:
         raise ParseError(f"expected {N} tokens, found {len(inputs)}", token_no)
+    del lines  # its slice of lines
     rows = sum(map(text.count, "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")) + 1  # splitlines' breaks
-    coords, which = np.empty((rows, 4), np.int64), np.empty(rows, np.intp)
-    stored, seen, values = 0, {}, []  # which[r]: line r's value in values
     try:
-        while True:  # a chunk of lines at a time, then its keys and picks into the arrays
-            keys, picks = [], []
-            for lineno, line, parts in itertools.islice(lines, CHUNK_ENTRIES):
-                x_a, x_b, y_a, y_b, token = parts  # ValueError unless 5 fields
-                i = seen.setdefault(token, len(seen))  # each distinct value is parsed once
-                if i == len(values):
-                    values.append(float(Fraction(token)) if mode == "float" else Fraction(token))
-                keys += (int(x_a), int(x_b), int(y_a), int(y_b))
-                picks.append(i)
-            line, end = None, stored + len(picks)
-            coords[stored:end] = np.array(keys, np.int64).reshape(-1, 4)  # OverflowError: past int64
-            which[stored:end], stored = picks, end
-            if len(picks) < CHUNK_ENTRIES:
-                break
-        distinct = (np.array(values),) if mode == "float" else _common_denominator(values)
-        table = (coords[:stored], distinct[0][which[:stored]], *distinct[1:])
-        del which
-        return Correlation(inputs, mode, table, tol=tol)
-    except (ValueError, ZeroDivisionError, OverflowError) as e:  # GraphError is a ValueError
-        error = e if line is None else ParseError(f"malformed correlation line: {line!r}", lineno)
-    done = set()  # a key out of range or repeated before the error is the first bad line
-    read = itertools.chain((tuple(k) for s in _chunks(stored) for k in coords[s].tolist()),
-                           zip(*[iter(keys)] * 4))
-    for (lineno, line, _), key in zip(itertools.islice(_data_lines(text), 2, None), read):
-        if key in done or not all(0 <= k < N for k in key):
-            raise ParseError(f"repeated index {key}" if key in done
-                             else f"index out of range [0, {N}): {line!r}", lineno)
-        done.add(key)
-    raise error
+        return Correlation(inputs, mode, _read_table(text, token_no, mode, rows), tol=tol)
+    except (ValueError, ZeroDivisionError, OverflowError):  # GraphError is a ValueError
+        pass  # out of the handler, the fast read's arrays are freed
+    return Correlation(inputs, mode, _read_lines(text, N, mode, rows), tol=tol)

@@ -360,7 +360,10 @@ def _bits(mask):
 
 
 def _neighbour_lists(g: Graph):
-    return [np.flatnonzero(row).tolist() for row in g.adj]
+    """Each vertex's neighbours, ascending: one ``np.nonzero`` cut at row bounds."""
+    rows, cols = np.nonzero(g.adj)
+    bounds, cols = np.cumsum(np.bincount(rows, minlength=g.n)).tolist(), cols.tolist()
+    return [cols[a:b] for a, b in zip([0, *bounds], bounds)]
 
 
 def _refine(nbrs, colors, cells, split=None, touched=None):

@@ -611,6 +611,20 @@ def _family_to_json(d, entries):
         for keys, mat in entries]}, indent=1)
 
 
+def _stacked(matrices, d):
+    """The matrices as one (K, d, d) complex array, read bit for bit from
+    one float64 array of their [re, im] pairs; None unless every one is d
+    rows of d pairs of finite numbers that fit float64."""
+    try:
+        pairs = np.array(matrices)
+    except ValueError:  # ragged
+        return None
+    if pairs.dtype.kind not in "biuf" or pairs.shape != (len(matrices), d, d, 2):
+        return None
+    mats = np.ascontiguousarray(pairs, dtype=np.float64).view(complex)[..., 0]
+    return mats if np.isfinite(mats).all() else None
+
+
 def _family_from_json(text, keys):
     """Dimension and entries of a matrix-family document
     ``{"d": int, "entries": [{<keys>..., "matrix": [[[re, im], ...], ...]}, ...]}``.
@@ -630,9 +644,13 @@ def _family_from_json(text, keys):
         raise ParseError(f'"d" must be an integer in [1, {MAX_BLOCK_DIM}], got {d!r}')
     if not isinstance(data.get("entries"), list):
         raise ParseError('"entries" must be a list')
-    parsed = []
-    for i, entry in enumerate(data["entries"]):
-        if not isinstance(entry, dict) or not {*keys, "matrix"} <= entry.keys():
+    entries, need = data["entries"], {*keys, "matrix"}
+    if all(isinstance(entry, dict) and need <= entry.keys() for entry in entries):
+        if (mats := _stacked([entry["matrix"] for entry in entries], d)) is not None:
+            return d, list(zip(range(len(entries)), entries, mats))
+    parsed = []  # any other document entry by entry, so that an error names the entry
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not need <= entry.keys():
             raise ParseError(f"entry {i}: needs the keys {', '.join(keys)} and matrix")
         try:
             mat = np.array([[complex(re, im) for re, im in row] for row in entry["matrix"]])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from enum import Enum
@@ -18,7 +19,7 @@ from qgiso.equitable import (
 )
 from qgiso.games import rel_codes
 from qgiso.graphs import Graph, GraphError, ParseError, from_edges
-from qgiso.quantum import BCSQuantumStrategy
+from qgiso.quantum import MAX_BLOCK_DIM, BCSQuantumStrategy
 
 
 def cycle(n, prefix="v"):
@@ -354,6 +355,38 @@ def oracle_parse_correlation(text, tol=1e-9):
             raise ParseError(f"repeated index {key}", lineno)
         table[key] = value
     return Correlation(inputs, mode, table, tol=tol)
+
+
+# --- the per-entry matrix reader -----------------------------------------------
+# The certificate and packing reader before it read all matrices as one array:
+# each entry's matrix made from complex(re, im) of every pair.
+
+def oracle_family_from_json(text, keys):
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    d = data.get("d") if isinstance(data, dict) else None
+    if type(d) is not int or not 1 <= d <= MAX_BLOCK_DIM:
+        raise ParseError(f'"d" must be an integer in [1, {MAX_BLOCK_DIM}], got {d!r}')
+    if not isinstance(data.get("entries"), list):
+        raise ParseError('"entries" must be a list')
+    parsed = []
+    for i, entry in enumerate(data["entries"]):
+        if not isinstance(entry, dict) or not {*keys, "matrix"} <= entry.keys():
+            raise ParseError(f"entry {i}: needs the keys {', '.join(keys)} and matrix")
+        try:
+            mat = np.array([[complex(re, im) for re, im in row] for row in entry["matrix"]])
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(f"entry {i}: matrix must be rows of [re, im] number pairs") from None
+        if mat.shape != (d, d):
+            raise ParseError(f"entry {i}: matrix shape {mat.shape} does not match dimension {d}")
+        if not np.isfinite(mat).all():
+            raise ParseError(f"entry {i}: non-finite matrix value")
+        parsed.append((i, entry, mat))
+    return d, parsed
 
 
 # --- line-loop graph conversions ----------------------------------------------

@@ -1,6 +1,8 @@
 import dataclasses
 import re
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -760,6 +762,84 @@ class TestParserMatchesLineLoopInSmallChunks(TestParserMatchesLineLoop):
     @given(text=_correlation_files(), tol=st.sampled_from([1e-9, float("nan")]))
     def test_generated_files(self, text, tol):
         assert _parsed(parse_correlation, text, tol) == _parsed(oracle_parse_correlation, text, tol)
+
+
+_SPELLINGS = (  # a key k as int() reads it and a C read may not: +3, 03, 1_0, ٣
+    lambda k: f"+{k}", lambda k: f"0{k}", lambda k: f"0_{k}", lambda k: f"1_{k}",
+    lambda k: "".join(chr(0x660 + int(c)) for c in str(k)))
+_SEPARATORS = ("\xa0", "\x1f", "\u3000")  # whitespace to str.split
+
+
+@st.composite
+def _respelled_files(draw):
+    """Generated files with some data lines respelt: a key in another
+    spelling, fields parted by other whitespace, a trailing \u3000 or a
+    trailing comment, which the line loop refuses."""
+    head, tokens, *body = draw(_correlation_files()).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        data = [r for r, line in enumerate(body) if len(line.split(" ")) == 5]
+        if not data:
+            break
+        r = draw(st.sampled_from(data))
+        fields = body[r].split(" ")
+        change = draw(st.sampled_from(["key", "gap", "trailing", "comment"]))
+        if change == "key" and fields[c := draw(st.integers(0, 3))].isdigit():
+            fields[c] = draw(st.sampled_from(_SPELLINGS))(int(fields[c]))
+        gaps = [draw(st.sampled_from([" ", *_SEPARATORS]) if change == "gap" else st.just(" "))
+                for _ in range(4)]
+        body[r] = "".join(f + g for f, g in zip(fields, gaps + [""]))
+        body[r] += {"trailing": "\u3000", "comment": " # note"}.get(change, "")
+    return "\n".join([head, tokens, *body]) + "\n"
+
+
+class TestRespelledLines:
+    """Lines that ``int`` and ``str.split`` read but the C read may refuse give
+    the line loop's table, or its error and line, at both chunk sizes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_respelled_files(), tol=st.sampled_from([1e-9, float("nan")]))
+    def test_generated_files(self, text, tol):
+        expected = _parsed(oracle_parse_correlation, text, tol)
+        assert _parsed(parse_correlation, text, tol) == expected
+        with mock.patch.object(correlations, "CHUNK_ENTRIES", 7):
+            assert _parsed(parse_correlation, text, tol) == expected
+
+    @pytest.mark.parametrize("key", ["1_0", "\u0663"])
+    def test_refused_keys_take_the_line_loop(self, key):
+        text = f"corr 11 exact\n{' '.join('abcdefghijk')}\n0 0 0 0 1/2\n{key} 0 0 0 1/2\n"
+        with mock.patch.object(correlations, "_read_lines", wraps=correlations._read_lines) as loop:
+            assert _parsed(parse_correlation, text) == _parsed(oracle_parse_correlation, text)
+        assert loop.call_count == 1
+        assert dict(parse_correlation(text).table) == {(0, 0, 0, 0): Fraction(1, 2),
+                                                       (int(key), 0, 0, 0): Fraction(1, 2)}
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 7])
+    def test_comments_and_a_late_token_line_skip_the_line_loop(self, chunk):
+        # with 7, the 20 comment lines put the header and token line in a later slice
+        head, tokens, *body = format_correlation(ns_iso(cycle(6), two_k3())[1]).splitlines()
+        body[5:5] = ["# a comment", "", "  "]
+        text = "\r\n".join(["# note"] * 20 + [head, "", tokens, *body]) + "\r\n"
+        with mock.patch.object(correlations, "CHUNK_ENTRIES", chunk), mock.patch.object(
+                correlations, "_read_lines", wraps=correlations._read_lines) as loop:
+            assert _parsed(parse_correlation, text) == _parsed(oracle_parse_correlation, text)
+        assert loop.call_count == 0
+
+    @pytest.mark.parametrize("body", ["", "# only a comment\n", "\n   \n\x1f\n#0 0 0 0 1\n"])
+    @pytest.mark.parametrize("chunk", [1 << 16, 7])
+    def test_no_data_raises_no_warning(self, body, chunk):
+        text = f"corr 2 float\na b\n{body}"
+        with warnings.catch_warnings(), mock.patch.object(correlations, "CHUNK_ENTRIES", chunk):
+            warnings.simplefilter("error")
+            assert len(parse_correlation(text).table) == 0
+
+    def test_slice_without_data_raises_no_warning(self, small_chunks):
+        data = format_correlation(pr_box()).splitlines()
+        text = "\n".join(data[:4] + ["# a comment line of forty characters .."] * 8 + data[4:])
+        assert any(not [s for s in piece.splitlines() if s[:1] != "#"]
+                   for piece in correlations._slices(text))  # one slice holds comments only
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dict(parse_correlation(text).table) == dict(pr_box().table)
 
 
 # --- chunked passes and sorted input ------------------------------------------

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (PENTAGRAM, classical_bcs_strategy, complete, cycle, oracle_ppm,
-                      oracle_qiso_certificate, pentagram_observables, permuted_copy,
-                      random_graph, rel)
+from conftest import (PENTAGRAM, classical_bcs_strategy, complete, cycle,
+                      oracle_family_from_json, oracle_ppm, oracle_qiso_certificate,
+                      pentagram_observables, permuted_copy, random_graph, rel)
 from qgiso import bcs as bcsmod
 from qgiso import quantum as qmod
 from qgiso.bcs import (
@@ -22,7 +24,8 @@ from qgiso.bcs import (
     solve_or_refute,
 )
 from qgiso.correlations import Correlation, verify_nonsignalling, verify_perfect_iso_strategy
-from qgiso.graphs import GraphError, find_isomorphism, from_edges
+from qgiso.cli import main
+from qgiso.graphs import GraphError, find_isomorphism, format_graph, from_edges
 from qgiso.quantum import (
     BCSQuantumStrategy,
     ProjectivePacking,
@@ -1021,6 +1024,101 @@ class TestJsonRoundTrip:
         packing = strategy_packing(strat, bg)
         back = packing_from_json(packing_to_json(packing, bg.graph), bg.graph)
         assert verify_packing(bg.graph, back)["value"] == 6
+
+
+# --- the one-array matrix reader against the per-entry loop it replaced --------
+
+_NUMBERS = st.one_of(  # what a JSON number pair may hold: floats with -0.0, ints past int64, bools
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2 ** 65, 2 ** 65),
+    st.sampled_from([-0.0, 2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1, 2 ** 70, True, False]))
+_DEFECTS = {  # one change to matrix row 0 of an entry, or to the entry
+    "string": lambda m, e: m[0][0].__setitem__(0, "1"),
+    "null": lambda m, e: m[0][0].__setitem__(1, None),
+    "nan": lambda m, e: m[0][0].__setitem__(0, float("nan")),
+    "inf": lambda m, e: m[0][0].__setitem__(1, float("-inf")),
+    "past float": lambda m, e: m[0][0].__setitem__(0, 10 ** 400),
+    "short row": lambda m, e: m[0].pop(),
+    "short pair": lambda m, e: m[0][0].pop(),
+    "long pair": lambda m, e: m[0][0].append(0),
+    "extra row": lambda m, e: m.append(m[0]),
+    "flat row": lambda m, e: m.__setitem__(0, 1.0),
+    "no matrix key": lambda m, e: e.pop("matrix"),
+}
+
+
+@st.composite
+def _matrix_documents(draw):
+    d = draw(st.integers(1, 3))
+    entries = [{"g": f"v{k}", "h": "w", "matrix": [[[draw(_NUMBERS), draw(_NUMBERS)]
+                                                     for _ in range(d)] for _ in range(d)]}
+               for k in range(draw(st.integers(0, 3)))]
+    names = draw(st.lists(st.sampled_from(sorted(_DEFECTS)), max_size=2))
+    for name, entry in zip(names, draw(st.permutations(entries))):  # one defect an entry
+        _DEFECTS[name](entry["matrix"], entry)
+    return json.dumps({"d": d, "entries": entries})
+
+
+def _read_family(reader, text):
+    """d and each entry's index, keys and matrix bytes, or the ParseError text."""
+    try:
+        d, entries = reader(text, ("g", "h"))
+    except GraphError as e:
+        return str(e)
+    return d, [(i, entry, mat.dtype, mat.shape, mat.tobytes()) for i, entry, mat in entries]
+
+
+class TestMatrixReaderMatchesEntryLoop:
+    """The same matrices, bit for bit, or the same ParseError naming the same
+    entry, as the reader that took each pair by complex(re, im)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_matrix_documents())
+    def test_generated_documents(self, text):
+        assert (_read_family(qmod._family_from_json, text)
+                == _read_family(oracle_family_from_json, text))
+
+    @pytest.mark.parametrize("pair", [[-0.0, -0.0], [0, -0.0], [2 ** 70, -1], [True, False],
+                                      [2 ** 63, -(2 ** 63)], [5e-324, -1.7976931348623157e308]])
+    def test_bit_identical_entries(self, pair):
+        text = _certificate_doc(1, {"g": "a", "h": "b", "matrix": [[pair]]})
+        got = _read_family(qmod._family_from_json, text)
+        assert got == _read_family(oracle_family_from_json, text)
+        assert got[1][0][4] == np.array(complex(*pair)).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_DEFECTS))
+    def test_defects_name_the_entry(self, name):
+        entries = [{"g": "a", "h": "b", "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+                   for _ in range(3)]
+        _DEFECTS[name](entries[1]["matrix"], entries[1])
+        text = _certificate_doc(2, *entries)
+        got = _read_family(qmod._family_from_json, text)
+        assert got == _read_family(oracle_family_from_json, text)
+        assert got.startswith("entry 1: ")
+
+    def test_written_certificates_take_one_array(self, mermin):
+        _, _, bg, bg0, cert = mermin
+        entries = json.loads(certificate_to_json(cert, bg.graph, bg0.graph))["entries"]
+        assert qmod._stacked([e["matrix"] for e in entries], cert.d).shape == (len(entries), 4, 4)
+
+    def test_certify_output_unchanged(self, mermin, tmp_path, capsys, monkeypatch):
+        _, _, bg, bg0, cert = mermin
+        files = [tmp_path / "g.g", tmp_path / "h.g", tmp_path / "cert.json"]
+        files[0].write_text(format_graph(bg.graph))
+        files[1].write_text(format_graph(bg0.graph))
+        rng = np.random.default_rng(3)
+        certs = [cert]
+        for _ in range(5):  # one block entry moved, as the cli-verify benchmark does
+            blocks = cert.blocks.copy()
+            blocks[tuple(rng.integers(s) for s in blocks.shape)] += 0.5 * np.exp(2j * rng.random())
+            certs.append(QuantumIsoCertificate(cert.d, blocks))
+        for each in certs:
+            files[2].write_text(certificate_to_json(each, bg.graph, bg0.graph))
+            runs = []
+            for reader in (qmod._family_from_json, oracle_family_from_json):
+                monkeypatch.setattr(qmod, "_family_from_json", reader)
+                runs.append((main(["quantum", "certify", *map(str, files)]), capsys.readouterr()))
+            assert runs[0] == runs[1] and runs[0][0] == (0 if each is cert else 1)
 
 
 def _certificate_doc(d, *entries):
