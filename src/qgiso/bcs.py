@@ -86,8 +86,6 @@ def parse_bcs(text):
             if too_long or int(digits) > MAX_VARIABLES:
                 raise BCSError(f"line {lineno}: variable {term} exceeds cap x{MAX_VARIABLES}")
             support.append(int(digits) - 1)
-        if not support:
-            raise BCSError(f"line {lineno}: empty support")
         if len(set(support)) != len(support):
             raise BCSError(f"line {lineno}: repeated variable")
         max_var = max(max_var, max(support) + 1)

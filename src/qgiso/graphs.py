@@ -156,8 +156,8 @@ def complement(g: Graph):
     return Graph(g.labels, adj)
 
 
-def disjoint_union(g: Graph, h: Graph, tags=("G:", "H:")):
-    """Disjoint union; labels are prefixed with the part tags to stay distinct.
+def disjoint_union(g: Graph, h: Graph):
+    """Disjoint union; labels are prefixed with "G:" and "H:" to stay distinct.
 
     Returns (graph, offset_g, offset_h).
     """
@@ -165,7 +165,7 @@ def disjoint_union(g: Graph, h: Graph, tags=("G:", "H:")):
     adj = np.zeros((n, n), dtype=bool)
     adj[: g.n, : g.n] = g.adj
     adj[g.n :, g.n :] = h.adj
-    labels = tuple(tags[0] + l for l in g.labels) + tuple(tags[1] + l for l in h.labels)
+    labels = tuple("G:" + l for l in g.labels) + tuple("H:" + l for l in h.labels)
     return Graph(labels, adj), 0, g.n
 
 
@@ -430,6 +430,19 @@ def _root(g, h=None):
     return (nbrs, colors, cells) if balanced and _refine(nbrs, colors, cells, split) else None
 
 
+def _component_labels(a, b, n):
+    """The connected-components kernel: the smallest node of each node's
+    component in the graph on range(n) with edges (a[k], b[k]).  Minima
+    spread along the edges both ways, then pointers jump, to a fixed point."""
+    label, old = np.arange(n), None
+    while not np.array_equal(label, old):
+        old, label = label, label.copy()
+        np.minimum.at(label, a, old[b])
+        np.minimum.at(label, b, old[a])
+        label = label[label]
+    return label
+
+
 class _Automorphisms:
     """Automorphisms of h, found on first use by the search on (h, h).
 
@@ -444,25 +457,16 @@ class _Automorphisms:
         self.found = None
 
     def orbits(self, prefix):
-        """Orbit label of each vertex of h under the automorphisms found so
-        far that fix ``prefix`` pointwise."""
+        """Orbit label (its smallest vertex) of each vertex of h under the
+        automorphisms found so far that fix ``prefix`` pointwise."""
         if self.found is None:
             self.found = []
             _search(self.h, self.h, *_root(self.h, self.h), (), self, first_path=True)
-        label = list(range(self.h.n))
-
-        def find(x):
-            while label[x] != x:
-                label[x] = x = label[label[x]]
-            return x
-
-        for s in self.found:
-            if all(s[x] == x for x in prefix):
-                for x, y in enumerate(s):
-                    if x != y:
-                        a, b = find(x), find(y)
-                        label[max(a, b)] = min(a, b)
-        return [find(x) for x in range(self.h.n)]
+        n, fixed = self.h.n, list(prefix)
+        maps = np.array(self.found, dtype=np.intp).reshape(-1, n)
+        maps = maps[(maps[:, fixed] == fixed).all(axis=1)]
+        k, x = np.nonzero(maps != np.arange(n))  # moved points only
+        return _component_labels(x, maps[k, x], n).tolist()
 
 
 def _search(g, h, nbrs, colors, cells, prefix, autos, first_path=False):

@@ -34,7 +34,7 @@ from .bcs import (LinBCS, bcs_graph, classical_reduction_report, homogenize, mag
 from .correlations import (DEFAULT_TOL, Correlation, check_tolerance, iso_game_tokens,
                            verify_perfect_iso_strategy)
 from .games import bcs_game_wins, rel_codes
-from .graphs import Graph, GraphError, ParseError, cospectral_mates
+from .graphs import Graph, GraphError, ParseError, _component_labels, cospectral_mates
 
 MAX_BLOCK_DIM = 64
 PRODUCT_CHUNK_BYTES = 1 << 18  # operand bytes per chunk of _product_norm
@@ -107,22 +107,6 @@ def _class_mismatch(g, h, cert):
     return member.T @ _rel_mismatch(g, h, nz_g, nz_h).astype(np.float32) @ member > 0
 
 
-def _components(rows, cols, n):
-    """Component labels of the rows and columns of an n x n block grid in
-    which each block (rows[k], cols[k]) joins its row and column: the
-    smallest row index of the component, found by propagating minima.  A
-    column with no block gets n; a row with no block keeps its own index."""
-    label = np.arange(n)
-    while True:
-        col_label = np.full(n, n)
-        np.minimum.at(col_label, cols, label[rows])
-        new = label.copy()
-        np.minimum.at(new, rows, col_label[cols])
-        if np.array_equal(new, label):
-            return label, col_label
-        label = new
-
-
 def verify_ppm(blocks, tol=DEFAULT_TOL):
     """Projective-permutation-matrix check, both characterizations.
 
@@ -152,7 +136,8 @@ def _ppm_report(cert, tol):
     idem, herm = projector_residuals(cert.ops)
     nz = cert.ops[classes]
     row, col = _sum_residual(nz, rows, n), _sum_residual(nz, cols, n)
-    row_label, col_label = _components(rows, cols, n)
+    # rows are nodes 0..n-1 and columns n..2n-1; a block joins its row and column
+    row_label, col_label = np.split(_component_labels(rows, n + cols, 2 * n), [n])
     occupied = np.bincount(rows, minlength=n) > 0
     unit_sq = d * np.count_nonzero(~occupied)
     for c in np.flatnonzero(occupied & (row_label == np.arange(n))):
@@ -522,13 +507,11 @@ def strategy_to_certificate(bcs: LinBCS, strat: BCSQuantumStrategy):
     (f xor g satisfies the original constraint), zero otherwise.
     """
     bg, bg0 = bcs_graph(bcs), bcs_graph(homogenize(bcs))
-    return bg, bg0, _strategy_certificate(bcs, strat, bg, bg0)
+    return bg, bg0, _strategy_certificate(bcs, strat, bg)
 
 
-def _strategy_certificate(bcs, strat, bg, bg0):
-    owner, owner0 = (np.array([l for l, _ in meta]) for meta in (bg.vertex_meta, bg0.vertex_meta))
-    if not np.array_equal(owner, owner0):
-        raise GraphError("graph and homogenized graph have different sizes")
+def _strategy_certificate(bcs, strat, bg):
+    owner = np.array([l for l, _ in bg.vertex_meta])
     stack = _strategy_stack(strat, bg.vertex_meta, bcs.m)
     # constraint l lists its assignments of parity b in lexicographic order,
     # one per setting of all bits but the last, in G_F and G_F0 alike: so its
@@ -567,7 +550,7 @@ def quantum_reduction_report(bcs: LinBCS, strat=None, tol=DEFAULT_TOL):
             )
     strat_report = verify_bcs_strategy(bcs, strat, tol)
     bg, bg0 = classical["bcs_graphs"]
-    cert = _strategy_certificate(bcs, strat, bg, bg0)
+    cert = _strategy_certificate(bcs, strat, bg)
     g, h = bg.graph, bg0.graph
     cert_report = verify_qiso_certificate(g, h, cert, tol)
     (ns_ok, ns_violation), (perfect_ok, losing) = verify_certificate_correlation(

@@ -517,6 +517,46 @@ def oracle_qiso_certificate(g, h, cert, tol=1e-9):
             "consistent": consistent and ppm["consistent"], "residuals": residuals}
 
 
+# --- connected-component oracles ---------------------------------------------
+# The union-find over automorphism cycles and the row/column minimum loop over
+# a certificate's block grid that the shared kernel ``graphs._component_labels``
+# replaced; kept as the oracle for orbit and block-component labels.
+
+def oracle_orbits(found, prefix, n):
+    """Orbit label (smallest vertex) of each of n vertices under the maps in
+    ``found`` that fix ``prefix`` pointwise, by union-find."""
+    label = list(range(n))
+
+    def find(x):
+        while label[x] != x:
+            label[x] = x = label[label[x]]
+        return x
+
+    for s in found:
+        if all(s[x] == x for x in prefix):
+            for x, y in enumerate(s):
+                if x != y:
+                    a, b = find(x), find(y)
+                    label[max(a, b)] = min(a, b)
+    return [find(x) for x in range(n)]
+
+
+def oracle_block_components(rows, cols, n):
+    """Component labels of the rows and columns of an n x n block grid in
+    which each block (rows[k], cols[k]) joins its row and column: the
+    smallest row index of the component, found by propagating minima.  A
+    column with no block gets n; a row with no block keeps its own index."""
+    label = np.arange(n)
+    while True:
+        col_label = np.full(n, n)
+        np.minimum.at(col_label, cols, label[rows])
+        new = label.copy()
+        np.minimum.at(new, rows, col_label[cols])
+        if np.array_equal(new, label):
+            return label, col_label
+        label = new
+
+
 # --- loop oracles for the equitable-partition checks ------------------------
 # The per-(vertex, cell) set-intersection check with its k x k counting
 # identity loop, and the common partition refined on a label-prefixed union

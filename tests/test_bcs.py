@@ -32,8 +32,10 @@ class TestParse:
         assert parse_bcs(text) == magic_square()
 
     def test_malformed_term(self):
-        with pytest.raises(BCSError):
-            parse_bcs("x1 + = 0\n")
+        # every split of the left side yields a term, so an empty one is named
+        for text in (" = 1\n", "+ = 1\n", "x1 + = 0\n"):
+            with pytest.raises(BCSError, match="line 1: malformed variable ''"):
+                parse_bcs(text)
 
     def test_bad_rhs(self):
         with pytest.raises(BCSError):
@@ -48,6 +50,16 @@ class TestParse:
         # satisfying assignments, read with x1 once, do not respect
         with pytest.raises(BCSError, match="repeated variable in a support"):
             LinBCS(2, (((0, 0, 1), 1), ((1,), 1)))
+
+    @pytest.mark.parametrize("n, constraints, message", [
+        (2, (), "a BCS needs at least one constraint"),
+        (2, (((), 1),), "empty constraint support"),
+        (2, (((0, 1), 2),), "right-hand side 2 not a bit"),
+        (2, (((0, 2), 1),), "variable index out of range"),
+    ], ids=["no-constraint", "empty-support", "rhs-not-a-bit", "index-out-of-range"])
+    def test_linbcs_refusals(self, n, constraints, message):
+        with pytest.raises(BCSError, match=message):
+            LinBCS(n, constraints)
 
     def test_comments_ignored(self):
         bcs = parse_bcs("# header\nx1 + x3 = 0  # trailing\n")
@@ -278,6 +290,18 @@ class TestVerifyRefutation:
         bcs = magic_square()
         ok, why = verify_refutation(bcs, y, bcs_graph(bcs), bcs_graph(homogenize(bcs)))
         assert not ok and why
+
+    def test_zero_y_has_even_parity(self):
+        bcs = magic_square()
+        ok, why = verify_refutation(bcs, (0,) * 6, bcs_graph(bcs), bcs_graph(homogenize(bcs)))
+        assert (ok, why) == (False, "y^T b is not 1 mod 2")
+
+    def test_metadata_one_entry_short_rejected(self):
+        system = magic_square()
+        bg, bg0 = bcs_graph(system), bcs_graph(homogenize(system))
+        short = BCSGraph(bg.graph, bg.vertex_meta[:-1])
+        assert verify_refutation(system, (1,) * 6, short, bg0) == (
+            False, "G_F has 24 vertices but 23 metadata entries")
 
     def test_edge_removed_or_added_rejected(self, refuted):
         system, bg, bg0 = refuted

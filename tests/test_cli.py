@@ -201,6 +201,35 @@ def test_bcs_check_variable_cap(tmp_path, capsys, index, code):
     assert ("line 1" in err) == (code == 2) and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, code, out, err", [
+    ("x1 + x2\n", 2, "", "error: line 1: missing '='\n"),
+    ("# a comment\n   # and another\n", 2, "", "error: no constraints found\n"),
+    ("x1 + x2 = 1\n", 0, "bcs check: SATISFIABLE\n  witnesses: {'assignment': [1, 0]}\n", ""),
+], ids=["missing-equals", "comments-only", "satisfiable"])
+def test_bcs_check_outcomes(tmp_path, capsys, text, code, out, err):
+    bcs_file = tmp_path / "f.bcs"
+    bcs_file.write_text(text)
+    assert main(["bcs", "check", str(bcs_file)]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_ns_build_past_the_table_cap_exits_2(tmp_path, capsys):
+    g = tmp_path / "c33.g"
+    g.write_text(format_graph(cycle(33)))
+    assert main(["ns", "build", str(g), str(g)]) == 2
+    assert capsys.readouterr() == ("", "error: exhaustive correlation table capped at 32 vertices\n")
+
+
+@pytest.mark.parametrize("command, verdict", [("graph fractional-iso", "NOT FRACTIONALLY ISOMORPHIC"),
+                                              ("ns build", "NOT NON-SIGNALLING ISOMORPHIC")])
+def test_different_edge_counts_are_refuted(tmp_path, capsys, command, verdict):
+    files = [tmp_path / "p2k1.g", tmp_path / "3k1.g"]
+    files[0].write_text(format_graph(from_edges(["a", "b", "c"], [("a", "b")])))
+    files[1].write_text(format_graph(from_edges(["a", "b", "c"], [])))
+    assert main([*command.split(), *map(str, files)]) == 1
+    assert capsys.readouterr().out == f"{command}: {verdict}\n"
+
+
 def test_bcs_check_unicode_digit_exits_2(tmp_path, capsys):
     # str.isdigit accepts the superscript, int does not
     bcs_file = tmp_path / "super.bcs"
@@ -618,6 +647,13 @@ def test_deeply_nested_json_exits_2(magic_graph_files, tmp_path, command):
     proc = _run_qiso("quantum", command, *graphs, str(path))
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
     assert "nested too deeply" in proc.stderr
+
+
+def test_deeply_nested_json_exits_2_in_process(magic_graph_files, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert main(["quantum", "certify", *magic_graph_files, str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: JSON nested too deeply\n")
 
 
 def test_mermin_demo_under_optimize_flag(capsys):

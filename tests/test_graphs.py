@@ -18,6 +18,7 @@ from conftest import (
     graph_from_bits,
     oracle_bitmasks,
     oracle_format_graph,
+    oracle_orbits,
     oracle_parse_graph,
     oracle_refine,
     path,
@@ -50,6 +51,7 @@ from qgiso.graphs import (
     _Automorphisms,
     _char_polys,
     _coefficient_bound,
+    _component_labels,
     _neighbour_lists,
     _refine,
     _root,
@@ -69,6 +71,20 @@ class TestParse:
     def test_self_loop_rejected(self):
         with pytest.raises(ParseError, match="self-loop"):
             parse_graph("v a\ne a a\n")
+
+    def test_from_edges_refuses_a_self_loop(self):
+        with pytest.raises(GraphError, match="self-loop at 'a'"):
+            from_edges(["a", "b"], [("a", "a")])
+
+    @pytest.mark.parametrize("labels, adj, message", [
+        (("a", "b"), np.zeros((2, 3), dtype=bool), r"adjacency shape \(2, 3\) does not match 2 labels"),
+        (("a", "b"), np.array([[0, 1], [0, 0]], dtype=bool), "adjacency matrix is not symmetric"),
+        (("a", "b"), np.eye(2, dtype=bool), "self-loop on the diagonal"),
+        (("a", "a"), np.zeros((2, 2), dtype=bool), "labels are not pairwise distinct"),
+    ], ids=["shape", "asymmetric", "diagonal", "repeated-label"])
+    def test_graph_refusals(self, labels, adj, message):
+        with pytest.raises(GraphError, match=message):
+            Graph(labels, adj)
 
     def test_from_edges_names_an_unknown_label(self):
         with pytest.raises(GraphError, match="edge names unknown vertex 'b'"):
@@ -504,6 +520,68 @@ def _petersen():
                       outer + inner + spokes)
 
 
+def _bfs_labels(edges, n):
+    """The smallest node of each node's component, by breadth-first search."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    label = [None] * n
+    for s in range(n):
+        if label[s] is None:
+            label[s], queue = s, [s]
+            for v in queue:
+                for u in adj[v]:
+                    if label[u] is None:
+                        label[u] = s
+                        queue.append(u)
+    return label
+
+
+@st.composite
+def _edge_lists(draw):
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    loops = draw(st.lists(node, max_size=3).map(lambda vs: [(v, v) for v in vs]))
+    edges = draw(st.lists(st.tuples(node, node), max_size=60)) + loops
+    return draw(st.permutations(edges)), n
+
+
+class TestComponentLabels:
+    @staticmethod
+    def labels(edges, n):
+        a, b = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        return _component_labels(a, b, n).tolist()
+
+    @given(_edge_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_breadth_first_search(self, case):
+        edges, n = case
+        assert self.labels(edges, n) == _bfs_labels(edges, n)
+
+    def test_no_edges_and_self_loops(self):
+        assert self.labels([], 5) == [0, 1, 2, 3, 4]
+        assert self.labels([(3, 3), (1, 1)], 5) == [0, 1, 2, 3, 4]
+        assert self.labels([(4, 3), (3, 3), (2, 4)], 5) == [0, 1, 2, 2, 2]
+
+    def test_long_path_in_reverse_order(self):
+        # minima travel against the edge order; pointer jumping shortens the walk
+        n = 200
+        edges = [(v, v + 1) for v in reversed(range(n - 1))]
+        assert self.labels(edges, n) == [0] * n
+
+
+def _copies(g, k):
+    """k disjoint copies of g."""
+    return Graph(tuple(f"{c}.{l}" for c in range(k) for l in g.labels),
+                 np.kron(np.eye(k, dtype=int), g.adj).astype(bool))
+
+
+def _cube():
+    return Graph(tuple(f"q{i}" for i in range(8)),
+                 np.array([[bin(i ^ j).count("1") == 1 for j in range(8)] for i in range(8)]))
+
+
 class TestPrunedSearch:
     """Symmetric inputs, where candidates are pruned by automorphisms."""
 
@@ -544,6 +622,32 @@ class TestPrunedSearch:
                     # merged only if truly in one orbit; the whole group is found
                     assert in_orbit or label[x] != label[y]
                     assert prefix or in_orbit == (label[x] == label[y])
+
+    def test_orbits_match_union_find_on_every_search_call(self, monkeypatch, rng):
+        calls = []
+        orbits = _Automorphisms.orbits
+
+        def checked(autos, prefix):
+            label = orbits(autos, prefix)
+            assert type(label) is list
+            assert label == oracle_orbits(autos.found, prefix, autos.h.n)
+            calls.append(prefix)
+            return label
+
+        monkeypatch.setattr(_Automorphisms, "orbits", checked)
+        # the graphs of test_orbits_match_brute_force, whose searches stop at
+        # a first candidate, are asked at that test's prefixes
+        for g in [cycle(6), path(6), two_k3()] + [random_graph(6, rng.random(), rng) for _ in range(12)]:
+            autos = _Automorphisms(g)
+            for prefix in [(), (0,), (2,), (0, 1), (1, 4)]:
+                autos.orbits(prefix)
+            assert find_isomorphism(g, permuted_copy(g, rng)) is not None
+        assert len(calls) >= 75
+        for g, h, count in [(cycle(64), _two_cycles(32), 8),
+                            (_copies(complete(4), 32), _copies(_cube(), 16), 96)]:
+            before = len(calls)
+            assert find_isomorphism(g, h) is None
+            assert len(calls) - before == count
 
     def test_agrees_with_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -592,6 +696,12 @@ class TestIndependenceNumber:
 
 def test_charpoly_str():
     assert str(char_poly(complete(3))) == "x^3-3x-2"
+    assert str(CharPoly((0, -1, 0, 1))) == "x^3-x"
+
+
+def test_charpoly_must_be_monic():
+    with pytest.raises(GraphError, match="must be monic"):
+        CharPoly((1, 2))
 
 
 def test_vertex_map_validator_rejects_non_bijection():

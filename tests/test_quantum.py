@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (PENTAGRAM, classical_bcs_strategy, complete, cycle,
+from conftest import (PENTAGRAM, classical_bcs_strategy, complete, cycle, oracle_block_components,
                       oracle_family_from_json, oracle_ppm, oracle_qiso_certificate,
                       pentagram_observables, permuted_copy, random_graph, rel)
 from qgiso import bcs as bcsmod
@@ -91,6 +91,45 @@ class TestVerifyPpm:
     def test_non_square_grid_raises(self):
         with pytest.raises(GraphError, match="square"):
             verify_ppm(np.zeros((2, 3, 1, 1)))
+
+    @pytest.mark.parametrize("blocks, message", [
+        (np.zeros((2, 2, 1)), "expected an n x m array of square blocks"),
+        (np.zeros((1, 1, 65, 65)), "block dimension 65 exceeds cap 64"),
+    ], ids=["three-axes", "d=65"])
+    def test_block_shape_refusals(self, blocks, message):
+        with pytest.raises(GraphError, match=message):
+            verify_ppm(blocks)
+
+    def test_certificate_refuses_blocks_of_another_dimension(self):
+        with pytest.raises(GraphError, match="block dimension does not match d"):
+            QuantumIsoCertificate(3, np.zeros((2, 2, 4, 4)))
+
+    def test_block_components_match_row_column_loop(self, monkeypatch):
+        # unitarity takes one product per component of the block support:
+        # rows are kernel nodes 0..n-1, columns n..2n-1
+        seen = []
+        kernel = qmod._component_labels
+
+        def spy(a, b, nodes):
+            seen.append(kernel(a, b, nodes))
+            return seen[-1]
+
+        monkeypatch.setattr(qmod, "_component_labels", spy)
+        rng = np.random.default_rng(27)
+        for _ in range(300):
+            n, d = int(rng.integers(1, 10)), int(rng.integers(1, 3))
+            mask = rng.random((n, n)) < rng.uniform(0.0, 0.5)
+            mask[int(rng.integers(n))] = False  # an empty row
+            mask[:, int(rng.integers(n))] = False  # and an empty column
+            blocks = mask[:, :, None, None] * (rng.normal(size=(n, n, d, d))
+                                               + 1j * rng.normal(size=(n, n, d, d)))
+            _assert_matches_oracle(verify_ppm(blocks), oracle_ppm(blocks))
+            row_label, col_label = oracle_block_components(*np.nonzero(mask), n)
+            label = seen.pop()
+            assert label.tolist()[:n] == row_label.tolist()
+            occupied = mask.any(axis=0)
+            assert label[n:][occupied].tolist() == col_label[occupied].tolist()
+            assert (label[n:][~occupied] >= n).all()
 
 
 def _assert_matches_oracle(report, oracle):
@@ -1119,6 +1158,11 @@ class TestMatrixReaderMatchesEntryLoop:
                 monkeypatch.setattr(qmod, "_family_from_json", reader)
                 runs.append((main(["quantum", "certify", *map(str, files)]), capsys.readouterr()))
             assert runs[0] == runs[1] and runs[0][0] == (0 if each is cert else 1)
+
+
+def test_report_without_a_strategy_refuses_an_unsatisfiable_system():
+    with pytest.raises(GraphError, match="no strategy available"):
+        quantum_reduction_report(PENTAGRAM)
 
 
 def _certificate_doc(d, *entries):
