@@ -165,6 +165,17 @@ def satisfying_assignments(support, b):
     return out
 
 
+def _family_index(meta):
+    """Per BCS-graph vertex of ``meta``: its constraint, its family's first
+    vertex and its place k in the family, as int arrays.  The assignments of
+    parity b are the binary numbers k on all bits but the last, so in G_F and
+    G_F0 alike the k-th of parity b xor the k'-th of parity b' is the
+    (k ^ k')-th of parity b xor b'."""
+    owner = np.array([l for l, _ in meta], dtype=np.intp)
+    first = np.searchsorted(owner, owner)
+    return owner, first, np.arange(len(owner)) - first
+
+
 def vertex_label(l, support, f):
     return f"c{l}:" + "".join(str(f[i]) for i in support)
 
@@ -269,12 +280,11 @@ def classical_reduction_report(bcs: LinBCS):
     bg0 = bcs_graph(homogenize(bcs))
     phi = None
     if assignment is not None:
-        index = {label: i for i, label in enumerate(bg0.graph.labels)}
-        image = []
-        for l, f in bg.vertex_meta:
-            s = bcs.constraints[l][0]
-            image.append(index[vertex_label(l, s, {i: f[i] ^ assignment[i] for i in s})])
-        phi = VertexMap(tuple(image))
+        owner, first, k = _family_index(bg.vertex_meta)
+        # x|S's place: x's bits on S but its last variable, read as a binary number
+        place = np.array([sum(assignment[i] << j for j, i in enumerate(reversed(s[:-1])))
+                          for s, _ in bcs.constraints])
+        phi = VertexMap(first + (k ^ place[owner]))
         if not is_isomorphism(bg.graph, bg0.graph, phi):
             raise AssertionError("explicit shift map is not an isomorphism")
     else:

@@ -35,12 +35,6 @@ EXIT_ERROR = 2
 def _jsonable(x):
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, gmod.CharPoly):
-        return str(x)
-    if isinstance(x, gmod.VertexMap):
-        return list(x.image)
-    if isinstance(x, (np.integer,)):
-        return int(x)
     if isinstance(x, (float, np.floating)):
         x = float(x)
         return x if math.isfinite(x) else str(x)  # JSON has no NaN or infinity literal

@@ -486,8 +486,11 @@ def parse_correlation(text, tol=DEFAULT_TOL):
         raise ParseError(f"expected {N} tokens, found {len(inputs)}", token_no)
     del lines  # its slice of lines
     rows = sum(map(text.count, "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")) + 1  # splitlines' breaks
-    try:
-        return Correlation(inputs, mode, _read_table(text, token_no, mode, rows), tol=tol)
+    try:  # at the default tolerance, so that only a parse error leads to the line loop
+        corr = Correlation(inputs, mode, _read_table(text, token_no, mode, rows))
     except (ValueError, ZeroDivisionError, OverflowError):  # GraphError is a ValueError
-        pass  # out of the handler, the fast read's arrays are freed
-    return Correlation(inputs, mode, _read_lines(text, N, mode, rows), tol=tol)
+        corr = None  # out of the handler, the fast read's arrays are freed
+    if corr is None:
+        corr = Correlation(inputs, mode, _read_lines(text, N, mode, rows))
+    corr.tol = check_tolerance(tol)
+    return corr

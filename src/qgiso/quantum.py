@@ -29,8 +29,8 @@ from itertools import combinations, zip_longest
 
 import numpy as np
 
-from .bcs import (LinBCS, bcs_graph, classical_reduction_report, homogenize, magic_square,
-                  satisfying_assignments)
+from .bcs import (LinBCS, _family_index, bcs_graph, classical_reduction_report, homogenize,
+                  magic_square, satisfying_assignments)
 from .correlations import (DEFAULT_TOL, Correlation, check_tolerance, iso_game_tokens,
                            verify_perfect_iso_strategy)
 from .games import bcs_game_wins, rel_codes
@@ -92,19 +92,14 @@ def _support(grid):
     return rows, cols, grid[rows, cols]
 
 
-def _rel_mismatch(g, h, nz_g, nz_h):
-    """K x K mask of the block pairs (a, b) whose G vertices nz_g[a], nz_g[b]
-    relate otherwise than their H vertices nz_h[a], nz_h[b]."""
-    # rows then columns: a tenth of the time of one np.ix_ gather at K = 320
-    return rel_codes(g)[nz_g][:, nz_g] != rel_codes(h)[nz_h][:, nz_h]
-
-
 def _class_mismatch(g, h, cert):
-    """U x U mask of the class pairs holding a block pair of ``_rel_mismatch``:
-    that mask between the class-membership matrices, as float32 counts."""
+    """U x U mask of the class pairs holding a block pair whose G vertices
+    relate otherwise than its H vertices, from float32 counts of such pairs."""
     nz_g, nz_h, classes = _support(cert.grid)
+    # rows then columns: a tenth of the time of one np.ix_ gather at K = 320
+    mismatch = rel_codes(g)[nz_g][:, nz_g] != rel_codes(h)[nz_h][:, nz_h]
     member = np.eye(len(cert.ops), dtype=np.float32)[classes]  # K x U
-    return member.T @ _rel_mismatch(g, h, nz_g, nz_h).astype(np.float32) @ member > 0
+    return member.T @ mismatch.astype(np.float32) @ member > 0
 
 
 def verify_ppm(blocks, tol=DEFAULT_TOL):
@@ -511,13 +506,8 @@ def strategy_to_certificate(bcs: LinBCS, strat: BCSQuantumStrategy):
 
 
 def _strategy_certificate(bcs, strat, bg):
-    owner = np.array([l for l, _ in bg.vertex_meta])
+    owner, first, k = _family_index(bg.vertex_meta)
     stack = _strategy_stack(strat, bg.vertex_meta, bcs.m)
-    # constraint l lists its assignments of parity b in lexicographic order,
-    # one per setting of all bits but the last, in G_F and G_F0 alike: so its
-    # k-th assignment in G_F xor its k'-th in G_F0 is its (k ^ k')-th in G_F
-    first = np.searchsorted(owner, owner)
-    k = np.arange(len(owner)) - first
     rows, cols = np.nonzero(owner[:, None] == owner)
     blocks = np.zeros((len(owner), len(owner), strat.d, strat.d), dtype=complex)
     blocks[rows, cols] = stack[first[rows] + (k[rows] ^ k[cols])]

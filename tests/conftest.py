@@ -220,6 +220,20 @@ def oracle_bcs_graph(bcs):
     return BCSGraph(from_edges(labels, edges), tuple(meta))
 
 
+# --- shift map oracle -----------------------------------------------------------
+# The label lookup that ``classical_reduction_report`` made before it read the
+# family index: each shifted vertex's label, found among G_F0's labels.
+
+def oracle_shift_map(bcs, assignment, bg, bg0):
+    """The image of (l, f) -> (l, f xor x|S) from G_F to G_F0, as a tuple."""
+    index = {label: i for i, label in enumerate(bg0.graph.labels)}
+    image = []
+    for l, f in bg.vertex_meta:
+        s = bcs.constraints[l][0]
+        image.append(index[vertex_label(l, s, {i: f[i] ^ assignment[i] for i in s})])
+    return tuple(image)
+
+
 # --- d = 1 strategy oracle ---------------------------------------------------
 # The loop that built a satisfiable system's strategy before the report
 # used ``observable_strategy`` on the 1 x 1 observables (-1)^(x_i).

@@ -19,6 +19,7 @@ from conftest import (
     cep_pair,
     cycle,
     graph_from_bits,
+    oracle_shift_map,
     permuted_copy,
     random_graph,
     two_k3,
@@ -38,7 +39,8 @@ from qgiso.equitable import (
     verify_ds_witness,
     verify_equitable,
 )
-from qgiso.graphs import Graph, cospectral_mates, find_isomorphism, independence_number
+from qgiso.graphs import (Graph, cospectral_mates, find_isomorphism, independence_number,
+                          is_isomorphism)
 from qgiso import quantum as qmod
 
 TOL = 1e-9
@@ -103,10 +105,15 @@ def test_3_satisfiability_three_way_agreement(report, rng):
             (tuple(sorted(rng.sample(range(n), 3))), rng.randint(0, 1))
             for _ in range(m)
         )
-        r = classical_reduction_report(LinBCS(n, cons))
+        system = LinBCS(n, cons)
+        r = classical_reduction_report(system)
         bg, bg0 = r["bcs_graphs"]
         searched = find_isomorphism(bg.graph, bg0.graph) is not None
-        if r["satisfiable"] == r["graphs_isomorphic"] == r["alpha_equals_m"] == searched:
+        # a shift map must be the label lookup's and an isomorphism
+        shift_ok = r["isomorphism"] is None or (
+            r["isomorphism"].image == oracle_shift_map(system, r["assignment"], bg, bg0)
+            and is_isomorphism(bg.graph, bg0.graph, r["isomorphism"]))
+        if r["satisfiable"] == r["graphs_isomorphic"] == r["alpha_equals_m"] == searched and shift_ok:
             agreements += 1
     report(f"3 (three-way agreement on {agreements}/{total} random systems)", agreements == total)
 

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import PENTAGRAM, oracle_bcs_graph
+from conftest import PENTAGRAM, oracle_bcs_graph, oracle_shift_map
 from qgiso.bcs import (
     MAX_VARIABLES,
     BCSError,
@@ -19,6 +19,7 @@ from qgiso.bcs import (
     solve_or_refute,
     verify_refutation,
 )
+from qgiso.games import bcs_game_wins
 from qgiso.graphs import Graph, find_isomorphism, independence_number, is_isomorphism
 
 
@@ -254,6 +255,22 @@ class TestClassicalReductionReport:
             bg, bg0 = report["bcs_graphs"]
             assert report["graphs_isomorphic"] == (find_isomorphism(bg.graph, bg0.graph) is not None)
 
+    def test_shift_map_matches_label_lookup(self):
+        # random satisfiable systems: supports of 1 to 5 variables, right-hand
+        # sides read off a random assignment
+        rng = random.Random(28)
+        for _ in range(500):
+            n = rng.randint(1, 8)
+            x = [rng.randint(0, 1) for _ in range(n)]
+            supports = [tuple(sorted(rng.sample(range(n), rng.randint(1, min(5, n)))))
+                        for _ in range(rng.randint(1, 6))]
+            system = LinBCS(n, tuple((s, sum(x[i] for i in s) % 2) for s in supports))
+            report = classical_reduction_report(system)
+            bg, bg0 = report["bcs_graphs"]
+            phi = report["isomorphism"]
+            assert phi.image == oracle_shift_map(system, report["assignment"], bg, bg0)
+            assert is_isomorphism(bg.graph, bg0.graph, phi)
+
 
 def _with_edge_flipped(bg, a, b):
     adj = bg.graph.adj.copy()
@@ -319,6 +336,17 @@ class TestVerifyRefutation:
         zeros = [v for v, (_, f) in enumerate(bg0.vertex_meta) if not any(f.values())]
         ok, why = verify_refutation(system, (1,) * 6, bg, _with_edge_flipped(bg0, *zeros[:2]))
         assert not ok and "G_F0" in why
+
+    def test_repeated_vertex_breaks_its_clique(self):
+        # (l, f) again under a new label: consistent with its twin, so not adjacent
+        system = magic_square()
+        bg, bg0 = bcs_graph(system), bcs_graph(homogenize(system))
+        meta = bg.vertex_meta + bg.vertex_meta[:1]
+        adj = ~bcs_game_wins(system, meta)
+        np.fill_diagonal(adj, False)
+        twin = BCSGraph(Graph(bg.graph.labels + ("twin",), adj), meta)
+        assert verify_refutation(system, (1,) * 6, twin, bg0) == (
+            False, "a constraint class of G_F is not a clique")
 
     @pytest.mark.parametrize("vertex", [(6, {0: 0, 1: 0, 2: 0}), (0, {0: 0, 1: 0, 2: 2}),
                                         (0, {0: 0, 1: 0}), (0, {0: 1, 1: 0, 2: 0})],

@@ -824,6 +824,18 @@ class TestRespelledLines:
             assert _parsed(parse_correlation, text) == _parsed(oracle_parse_correlation, text)
         assert loop.call_count == 0
 
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_bad_tolerance_skips_the_line_loop(self, mode):
+        # the C read accepts the file: only the tolerance is refused, once read
+        text = f"corr 2 {mode}\n0 1\n0 0 0 0 0.5\n1 0 1 1 0.5\n"
+        with pytest.raises(GraphError) as direct:
+            Correlation(("0", "1"), mode, {(0, 0, 0, 0): 0.5}, tol=float("nan"))
+        with mock.patch.object(correlations, "_read_lines", wraps=correlations._read_lines) as loop:
+            with pytest.raises(GraphError) as parsed:
+                parse_correlation(text, tol=float("nan"))
+        assert str(parsed.value) == str(direct.value) == "tolerance must be a finite number >= 0, got nan"
+        assert loop.call_count == 0
+
     @pytest.mark.parametrize("body", ["", "# only a comment\n", "\n   \n\x1f\n#0 0 0 0 1\n"])
     @pytest.mark.parametrize("chunk", [1 << 16, 7])
     def test_no_data_raises_no_warning(self, body, chunk):

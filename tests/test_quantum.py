@@ -1022,6 +1022,19 @@ class TestQuantumReductionReport:
         corr = certificate_correlation(report["witness"], g, h)
         assert verify_perfect_iso_strategy(corr, g, h) == (False, report["losing_tuple"])
 
+    def test_doubled_operator_reports_a_signalling_violation(self):
+        # twice the first operator of constraint 0: Alice's marginal on one
+        # question no longer depends only on her own question
+        strat = mermin_bcs_strategy()
+        (f0, op0), *rest = strat.ops[0]
+        bad = BCSQuantumStrategy(strat.d, (((f0, 2 * op0), *rest), *strat.ops[1:]))
+        report = quantum_reduction_report(magic_square(), bad)
+        assert not report["ok"] and not report["correlation_nonsignalling"]
+        assert report["nonsignalling_violation"] == ("A", 0, 24, 4, 0, 0.5, 1.0)
+        g, h = report["graphs"]
+        corr = certificate_correlation(report["witness"], g, h, 10 * 1e-9)
+        assert verify_nonsignalling(corr) == (False, report["nonsignalling_violation"])
+
     def test_builds_each_bcs_graph_once(self, monkeypatch):
         calls = []
         original = bcsmod.bcs_graph
