@@ -15,6 +15,7 @@ from qgiso import (
     correlation_to_ds_witness,
     fractional_iso,
     from_edges,
+    verify_distribution,
     verify_ds_witness,
     verify_nonsignalling,
     verify_perfect_iso_strategy,
@@ -38,7 +39,8 @@ corr = build_ns_correlation(c6, two_k3, cep)
 print("nonzero correlation entries:", len(corr.table))
 print("p(edge answer | edge question) =", corr.get(0, 1, 6, 7))
 
-print("distribution + non-signalling:", verify_nonsignalling(corr)[0])
+print("distribution + non-signalling:",
+      verify_distribution(corr)[0] and verify_nonsignalling(corr)[0])
 print("wins the isomorphism game:   ", verify_perfect_iso_strategy(corr, c6, two_k3)[0])
 
 # converse direction: diagonal entries of the correlation recover a witness

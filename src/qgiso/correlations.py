@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -176,7 +177,9 @@ class Correlation:
         return self.table.get((x_a, x_b, y_a, y_b), self.table.value(0))
 
     def effective_tol(self):
-        return 0 if self.mode == "exact" else self.tol
+        """0 in exact mode, else ``tol``, checked again: it may be set after construction."""
+        tol = check_tolerance(self.tol)
+        return 0 if self.mode == "exact" else tol
 
 
 def _grouped(corr: Correlation, *columns):
@@ -215,13 +218,14 @@ def verify_nonsignalling(corr: Correlation):
     the other player's input.  Returns (True, None) or
     (False, (side, x, y, x_other, x_other_alt, value, value_alt)).
     """
+    t = corr.effective_tol()
     if corr.size == 0:
         return True, None
     # marginal [x, y, x_other] of each side, over every x_other
     for side, columns in (("A", (0, 2, 1)), ("B", (1, 3, 0))):
         marg = _grouped(corr, *columns)
         spread = marg.max(axis=2) - marg.min(axis=2)
-        if spread.max() > corr.effective_tol():
+        if spread.max() > t:
             x, y = np.unravel_index(int(spread.argmax()), spread.shape)
             col = marg[x, y]
             lo, hi = int(col.argmin()), int(col.argmax())
@@ -243,13 +247,13 @@ def verify_perfect_iso_strategy(corr: Correlation, g: Graph, h: Graph):
     """
     if corr.size != g.n + h.n:
         raise GraphError("correlation token count does not match V(G) + V(H)")
-    table, worst = corr.table, None
+    t, table, worst = corr.effective_tol(), corr.table, None
     for s in _chunks(len(table)):
         losing = np.flatnonzero(~iso_game_wins(g, h, *table.coords[s].T)) + s.start
         if len(losing):
             k = losing[np.abs(table.data[losing]).argmax()]
             worst = k if worst is None or abs(table.data[k]) > abs(table.data[worst]) else worst
-    if worst is not None and abs(table.data[worst]) > corr.effective_tol():
+    if worst is not None and abs(table.data[worst]) > t:
         return False, (*table.coords[worst].tolist(), table.value(table.data[worst]))
     return True, None
 
@@ -350,10 +354,11 @@ def format_correlation(corr: Correlation):
 
 def _slices(text):
     """Slices of ``text`` of about 16 CHUNK_ENTRIES characters, each ending
-    just after a newline, so that no line break is cut."""
-    start = 0
+    just after one of ``str.splitlines``' line breaks, "\\r\\n" kept whole."""
+    breaks, start = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"), 0
     while start < len(text):
-        stop = text.find("\n", start + 16 * CHUNK_ENTRIES) + 1 or len(text)
+        found = breaks.search(text, start + 16 * CHUNK_ENTRIES)
+        stop = found.end() if found else len(text)
         yield text[start:stop]
         start = stop
 

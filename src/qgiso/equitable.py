@@ -100,12 +100,6 @@ class CommonEquitablePartition:
         return tuple(which[np.argsort(np.array([v for cell in cells for v in cell], np.intp))]
                      for cells in (self.cells_g, self.cells_h))
 
-    def cbar(self):
-        """Non-neighbor counts: cbar[i][j] = n_j - c[i][j] - delta_ij."""
-        sizes = self.sizes()
-        return tuple(tuple(sizes[j] - c_ij - (i == j) for j, c_ij in enumerate(row))
-                     for i, row in enumerate(self.c))
-
 
 def verify_common_equitable(g: Graph, h: Graph, cep: CommonEquitablePartition):
     """Re-verify both sides of a common equitable partition with the same c."""

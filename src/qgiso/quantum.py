@@ -40,15 +40,6 @@ MAX_BLOCK_DIM = 64
 PRODUCT_CHUNK_BYTES = 1 << 18  # operand bytes per chunk of _product_norm
 
 
-def _as_blocks(blocks):
-    a = np.ascontiguousarray(blocks, dtype=complex)
-    if a.ndim != 4 or a.shape[2] != a.shape[3]:
-        raise GraphError("expected an n x m array of square blocks")
-    if a.shape[2] > MAX_BLOCK_DIM:
-        raise GraphError(f"block dimension {a.shape[2]} exceeds cap {MAX_BLOCK_DIM}")
-    return a
-
-
 def projector_residuals(a):
     """Max Frobenius residuals (idempotence, hermiticity) over a block array."""
     idem = np.linalg.norm(a @ a - a, axis=(-2, -1)).max(initial=0.0)
@@ -102,8 +93,8 @@ def _class_mismatch(g, h, cert):
     return member.T @ mismatch.astype(np.float32) @ member > 0
 
 
-def verify_ppm(blocks, tol=DEFAULT_TOL):
-    """Projective-permutation-matrix check, both characterizations.
+def verify_ppm(cert, tol=DEFAULT_TOL):
+    """Projective-permutation-matrix check of a certificate, both characterizations.
 
     Blocks must all be projectors with every block-row and block-column
     summing to the identity; equivalently the assembled matrix is unitary
@@ -117,16 +108,9 @@ def verify_ppm(blocks, tol=DEFAULT_TOL):
     the block support, and a row with no block adds ||I||^2 = d.
     """
     check_tolerance(tol)
-    a = _as_blocks(blocks)
-    if a.shape[0] != a.shape[1]:
+    n, m, d, _ = cert.blocks.shape
+    if n != m:
         raise GraphError("projective permutation matrices must be square block arrays")
-    # a copy: the certificate marks its blocks read-only
-    return _ppm_report(QuantumIsoCertificate(a.shape[2], a.copy()), tol)
-
-
-def _ppm_report(cert, tol):
-    """``verify_ppm`` on a certificate with a square block grid."""
-    n, _, d, _ = cert.blocks.shape
     rows, cols, classes = _support(cert.grid)
     idem, herm = projector_residuals(cert.ops)
     nz = cert.ops[classes]
@@ -173,7 +157,11 @@ class QuantumIsoCertificate:
     grid: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        a = _as_blocks(self.blocks)
+        a = np.ascontiguousarray(self.blocks, dtype=complex)
+        if a.ndim != 4 or a.shape[2] != a.shape[3]:
+            raise GraphError("expected an n x m array of square blocks")
+        if a.shape[2] > MAX_BLOCK_DIM:
+            raise GraphError(f"block dimension {a.shape[2]} exceeds cap {MAX_BLOCK_DIM}")
         if a.shape[2] != self.d:
             raise GraphError("block dimension does not match d")
         rows, cols = np.nonzero(np.any(a != 0, axis=(2, 3)))
@@ -191,7 +179,7 @@ class QuantumIsoCertificate:
 def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol=DEFAULT_TOL):
     """Full certificate report: projector, sum, orthogonality, and
     intertwining residuals, plus the projective-permutation-matrix cross
-    check.
+    check of ``verify_ppm``, whose residuals it shares.
 
     The sum/orthogonality conditions and the intertwining form are
     equivalent, so the report flags any disagreement between the two code
@@ -202,7 +190,7 @@ def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol
         return {"ok": False, "reason": "vertex counts differ", "residuals": {}}
     _certificate_blocks(cert, g, h)
     n, d = g.n, cert.d
-    ppm = _ppm_report(cert, tol)
+    ppm = verify_ppm(cert, tol)
     r = ppm["residuals"]
     idem, herm, row, col = r["projector"], r["hermitian"], r["row_sum"], r["col_sum"]
 
@@ -576,7 +564,7 @@ def quantum_reduction_report(bcs: LinBCS, strat=None, tol=DEFAULT_TOL):
 # --- JSON round trip -------------------------------------------------------
 
 def _family_to_json(d, entries):
-    """The matrix-family document ``_family_from_json`` reads, from
+    """The matrix-family document ``_blocks_from_json`` reads, from
     (keys, matrix) pairs."""
     return json.dumps({"d": d, "entries": [
         {**keys, "matrix": [[[float(z.real), float(z.imag)] for z in row]
@@ -598,13 +586,20 @@ def _stacked(matrices, d):
     return mats if np.isfinite(mats).all() else None
 
 
-def _family_from_json(text, keys):
-    """Dimension and entries of a matrix-family document
-    ``{"d": int, "entries": [{<keys>..., "matrix": [[[re, im], ...], ...]}, ...]}``.
+def certificate_to_json(cert: QuantumIsoCertificate, g: Graph, h: Graph):
+    return _family_to_json(cert.d, (
+        ({"g": g.labels[i], "h": h.labels[j]}, cert.ops[c])
+        for i, j, c in zip(*_certificate_blocks(cert, g, h))))
 
-    Returns d and (index, entry, matrix) triples, each matrix a finite
-    d x d complex array.  A malformed document raises ParseError naming
-    the entry.
+
+def _blocks_from_json(text, graphs, keys, what):
+    """Dimension and block array of a matrix-family document
+    ``{"d": int, "entries": [{<keys>..., "matrix": [[[re, im], ...], ...]}, ...]}``
+    whose entries name a vertex of each graph under the matching key.
+
+    Every entry's keys and matrix, a finite d x d complex array, are checked
+    before any label; a malformed entry, an unknown label or a repeated
+    ``what`` raises ParseError naming the entry.
     """
     try:
         data = json.loads(text)
@@ -617,40 +612,28 @@ def _family_from_json(text, keys):
         raise ParseError(f'"d" must be an integer in [1, {MAX_BLOCK_DIM}], got {d!r}')
     if not isinstance(data.get("entries"), list):
         raise ParseError('"entries" must be a list')
-    entries, need = data["entries"], {*keys, "matrix"}
+    entries, need, mats = data["entries"], {*keys, "matrix"}, None
     if all(isinstance(entry, dict) and need <= entry.keys() for entry in entries):
-        if (mats := _stacked([entry["matrix"] for entry in entries], d)) is not None:
-            return d, list(zip(range(len(entries)), entries, mats))
-    parsed = []  # any other document entry by entry, so that an error names the entry
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or not need <= entry.keys():
-            raise ParseError(f"entry {i}: needs the keys {', '.join(keys)} and matrix")
-        try:
-            mat = np.array([[complex(re, im) for re, im in row] for row in entry["matrix"]])
-        except (TypeError, ValueError, OverflowError):
-            raise ParseError(f"entry {i}: matrix must be rows of [re, im] number pairs") from None
-        if mat.shape != (d, d):
-            raise ParseError(f"entry {i}: matrix shape {mat.shape} does not match dimension {d}")
-        if not np.isfinite(mat).all():
-            raise ParseError(f"entry {i}: non-finite matrix value")
-        parsed.append((i, entry, mat))
-    return d, parsed
-
-
-def certificate_to_json(cert: QuantumIsoCertificate, g: Graph, h: Graph):
-    return _family_to_json(cert.d, (
-        ({"g": g.labels[i], "h": h.labels[j]}, cert.ops[c])
-        for i, j, c in zip(*_certificate_blocks(cert, g, h))))
-
-
-def _blocks_from_json(text, graphs, keys, what):
-    """Dimension and block array of a matrix-family document whose entries
-    name a vertex of each graph under the matching key; an unknown label or
-    a repeated ``what`` raises ParseError naming the entry."""
-    d, entries = _family_from_json(text, keys)
+        mats = _stacked([entry["matrix"] for entry in entries], d)
+    if mats is None:  # any other document entry by entry, so that an error names the entry
+        mats = []
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict) or not need <= entry.keys():
+                raise ParseError(f"entry {i}: needs the keys {', '.join(keys)} and matrix")
+            try:
+                mat = np.array([[complex(re, im) for re, im in row] for row in entry["matrix"]])
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(
+                    f"entry {i}: matrix must be rows of [re, im] number pairs") from None
+            if mat.shape != (d, d):
+                raise ParseError(
+                    f"entry {i}: matrix shape {mat.shape} does not match dimension {d}")
+            if not np.isfinite(mat).all():
+                raise ParseError(f"entry {i}: non-finite matrix value")
+            mats.append(mat)
     blocks = np.zeros((*(graph.n for graph in graphs), d, d), dtype=complex)
     seen = set()
-    for i, entry, mat in entries:
+    for i, (entry, mat) in enumerate(zip(entries, mats)):
         try:
             index = tuple(graph.index(entry[key]) for graph, key in zip(graphs, keys))
         except GraphError as exc:

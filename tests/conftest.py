@@ -289,7 +289,9 @@ def oracle_perfect(table, g, h):
 def oracle_ns_table(g, h, cep):
     n = g.n
     sizes = cep.sizes()
-    cbar = cep.cbar()
+    # non-neighbour counts: cbar[i][j] = n_j - c[i][j] - delta_ij
+    cbar = [[sizes[j] - c_ij - (i == j) for j, c_ij in enumerate(row)]
+            for i, row in enumerate(cep.c)]
     table = {}
 
     def put(key, value):
@@ -372,8 +374,9 @@ def oracle_parse_correlation(text, tol=1e-9):
 
 
 # --- the per-entry matrix reader -----------------------------------------------
-# The certificate and packing reader before it read all matrices as one array:
-# each entry's matrix made from complex(re, im) of every pair.
+# The certificate and packing reader before it read all matrices as one array
+# and in one function: each entry's matrix made from complex(re, im) of every
+# pair, then each entry's labels placed in the block array.
 
 def oracle_family_from_json(text, keys):
     try:
@@ -401,6 +404,22 @@ def oracle_family_from_json(text, keys):
             raise ParseError(f"entry {i}: non-finite matrix value")
         parsed.append((i, entry, mat))
     return d, parsed
+
+
+def oracle_blocks_from_json(text, graphs, keys, what):
+    d, entries = oracle_family_from_json(text, keys)
+    blocks = np.zeros((*(graph.n for graph in graphs), d, d), dtype=complex)
+    seen = set()
+    for i, entry, mat in entries:
+        try:
+            index = tuple(graph.index(entry[key]) for graph, key in zip(graphs, keys))
+        except GraphError as exc:
+            raise ParseError(f"entry {i}: {exc}") from None
+        if index in seen:
+            raise ParseError(f"entry {i}: repeated {what}")
+        seen.add(index)
+        blocks[index] = mat
+    return d, blocks
 
 
 # --- line-loop graph conversions ----------------------------------------------

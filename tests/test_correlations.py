@@ -42,7 +42,7 @@ from qgiso.correlations import (
     verify_perfect_iso_strategy,
 )
 from qgiso.equitable import common_equitable_partition, fractional_iso, verify_ds_witness
-from qgiso.graphs import GraphError, ParseError, find_isomorphism
+from qgiso.graphs import GraphError, ParseError, find_isomorphism, from_edges
 
 
 @pytest.mark.parametrize("call, message", [
@@ -281,6 +281,18 @@ class TestNonFinite:
             Correlation(("0", "1"), mode, {(0, 0, 0, 0): 5}, tol=tol)
         with pytest.raises(GraphError, match="tolerance"):
             parse_correlation(f"corr 2 {mode}\n0 1\n0 0 0 0 5\n", tol=tol)
+        # and each verifier refuses one set after construction
+        k2 = from_edges(["a", "b"], [("a", "b")])
+        unnormalized = Correlation(("0", "1"), mode, {(1, 1, 0, 0): 5})  # inputs (1, 1) sum to 5
+        losing = Correlation(iso_game_tokens(k2, k2), mode, {(0, 1, 2, 2): 1})
+        checks = (lambda: verify_distribution(unnormalized),
+                  lambda: verify_nonsignalling(unnormalized),
+                  lambda: verify_perfect_iso_strategy(losing, k2, k2))
+        assert not any(check()[0] for check in checks)
+        unnormalized.tol = losing.tol = tol
+        for check in checks:
+            with pytest.raises(GraphError, match="tolerance must be a finite number >= 0"):
+                check()
 
 
 def _pr_box_coordinates():
@@ -909,9 +921,19 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("brk", ["\r", "\r\n", "\v", "\f", "\x1c", "\x85", "\u2028"])
     def test_every_line_break_of_splitlines(self, small_chunks, brk):
-        text = brk.join(format_correlation(ns_iso(cycle(6), two_k3())[1]).splitlines()) + brk
-        assert _parsed(parse_correlation, text) == _parsed(oracle_parse_correlation, text)
-        assert len(parse_correlation(text).table) == 2016
+        # each slice ends at a break and holds 16 CHUNK_ENTRIES characters plus
+        # at most one line; the table and a bad line's number are the "\n" file's
+        lines = format_correlation(ns_iso(cycle(6), two_k3())[1]).splitlines()
+        for each in (lines, lines[:300] + ["0 0 0 0 x"] + lines[301:]):
+            text = brk.join(each) + brk
+            pieces = list(correlations._slices(text))
+            assert "".join(pieces) == text and all(piece.endswith(brk) for piece in pieces)
+            assert max(map(len, pieces)) <= 16 * 7 + max(map(len, each)) + len(brk)
+            got = _parsed(parse_correlation, text)
+            assert got == _parsed(oracle_parse_correlation, text)
+            assert got == _parsed(parse_correlation, "\n".join(each) + "\n")
+        assert got[1].startswith("line 301: malformed") and got[2] == 301
+        assert len(parse_correlation(brk.join(lines) + brk).table) == 2016
 
     def test_key_repeated_across_two_chunks(self, small_chunks):
         lines = format_correlation(ns_iso(cycle(6), two_k3())[1]).splitlines()

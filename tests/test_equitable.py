@@ -118,8 +118,11 @@ class TestCommonEquitablePartition:
             assert (a is None) == (b is None)
 
     def test_cbar(self):
-        cep = common_equitable_partition(cycle(6), two_k3())
-        assert cep.cbar() == ((3,),)
+        # a distinct non-adjacent pair in the one cell: 1 / (n_1 cbar_11), cbar_11 = 6 - 2 - 1
+        g, h = cycle(6), two_k3()
+        assert not g.adj[0, 2] and not h.adj[0, 3]
+        table = oracle_ns_table(g, h, common_equitable_partition(g, h))
+        assert table[(0, 2, 6, 9)] == Fraction(1, 18)
 
     def test_misaligned_kernel_cells_raise(self, monkeypatch):
         # every partition of K4 is equitable, but these sides' sizes differ: a

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (PENTAGRAM, classical_bcs_strategy, complete, cycle, oracle_block_components,
-                      oracle_family_from_json, oracle_ppm, oracle_qiso_certificate,
+                      oracle_blocks_from_json, oracle_ppm, oracle_qiso_certificate,
                       pentagram_observables, permuted_copy, random_graph, rel)
 from qgiso import bcs as bcsmod
 from qgiso import quantum as qmod
@@ -70,27 +70,27 @@ class TestVerifyPpm:
         perm = np.zeros((3, 3, 1, 1))
         for i, j in enumerate([2, 0, 1]):
             perm[i, j, 0, 0] = 1.0
-        assert verify_ppm(perm)["ok"]
+        assert verify_ppm(QuantumIsoCertificate(1, perm))["ok"]
 
     def test_diagonal_blocks(self):
         d0, d1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         blocks = np.array([[d0, d1], [d1, d0]])
-        report = verify_ppm(blocks)
+        report = verify_ppm(QuantumIsoCertificate(2, blocks))
         assert report["ok"] and report["consistent"]
 
     def test_all_identity_blocks_fail(self):
         blocks = np.array([[np.eye(2)] * 2] * 2)
-        report = verify_ppm(blocks)
+        report = verify_ppm(QuantumIsoCertificate(2, blocks))
         assert not report["ok"] and report["residuals"]["row_sum"] > 0.5
 
     def test_non_projector_block_fails(self):
         blocks = np.zeros((1, 1, 2, 2), dtype=complex)
         blocks[0, 0] = [[0.5, 0], [0, 0.5]]
-        assert not verify_ppm(blocks)["ok"]
+        assert not verify_ppm(QuantumIsoCertificate(2, blocks))["ok"]
 
     def test_non_square_grid_raises(self):
         with pytest.raises(GraphError, match="square"):
-            verify_ppm(np.zeros((2, 3, 1, 1)))
+            verify_ppm(QuantumIsoCertificate(1, np.zeros((2, 3, 1, 1))))
 
     @pytest.mark.parametrize("blocks, message", [
         (np.zeros((2, 2, 1)), "expected an n x m array of square blocks"),
@@ -98,7 +98,7 @@ class TestVerifyPpm:
     ], ids=["three-axes", "d=65"])
     def test_block_shape_refusals(self, blocks, message):
         with pytest.raises(GraphError, match=message):
-            verify_ppm(blocks)
+            QuantumIsoCertificate(blocks.shape[-1], blocks)
 
     def test_certificate_refuses_blocks_of_another_dimension(self):
         with pytest.raises(GraphError, match="block dimension does not match d"):
@@ -123,7 +123,8 @@ class TestVerifyPpm:
             mask[:, int(rng.integers(n))] = False  # and an empty column
             blocks = mask[:, :, None, None] * (rng.normal(size=(n, n, d, d))
                                                + 1j * rng.normal(size=(n, n, d, d)))
-            _assert_matches_oracle(verify_ppm(blocks), oracle_ppm(blocks))
+            cert = QuantumIsoCertificate(d, blocks)
+            _assert_matches_oracle(verify_ppm(cert), oracle_ppm(blocks))
             row_label, col_label = oracle_block_components(*np.nonzero(mask), n)
             label = seen.pop()
             assert label.tolist()[:n] == row_label.tolist()
@@ -153,7 +154,7 @@ class TestBlockwiseChecksMatchDenseOracle:
         cert = QuantumIsoCertificate(d, blocks)
         _assert_matches_oracle(verify_qiso_certificate(g, h, cert),
                                oracle_qiso_certificate(g, h, cert))
-        _assert_matches_oracle(verify_ppm(blocks), oracle_ppm(blocks))
+        _assert_matches_oracle(verify_ppm(cert), oracle_ppm(blocks))
 
     @staticmethod
     def variants(blocks, trials, seed):
@@ -194,6 +195,39 @@ class TestBlockwiseChecksMatchDenseOracle:
                 self.check(g, h, 1, blocks)
 
 
+def test_verify_ppm_is_the_reports_check(monkeypatch, mermin, pentagram, rng):
+    """On the built certificates and 200 perturbed copies, each moved in one
+    block entry as perfbench's cli-verify certificates are, verify_ppm
+    matches the dense oracle, and verify_qiso_certificate calls it and
+    reports its residuals."""
+    g = random_graph(7, 0.4, rng)
+    h = permuted_copy(g, rng)
+    pairs = [(bg.graph, bg0.graph, cert) for _, _, bg, bg0, cert in (mermin, pentagram)]
+    pairs.append((g, h, classical_certificate(g, h, find_isomorphism(g, h))))
+    calls = []
+
+    def spy(cert, *args):
+        calls.append(cert)
+        return verify_ppm(cert, *args)
+
+    monkeypatch.setattr(qmod, "verify_ppm", spy)
+    perturb = np.random.default_rng(29)
+    for t in range(len(pairs) + 200):
+        g, h, cert = pairs[t % len(pairs)]
+        if t >= len(pairs):
+            blocks = cert.blocks.copy()
+            idx = tuple(int(perturb.integers(s)) for s in blocks.shape)
+            blocks[idx] += perturb.uniform(1e-3, 1.0) * np.exp(1j * perturb.uniform(0, 2 * np.pi))
+            cert = QuantumIsoCertificate(cert.d, blocks)
+        ppm = verify_ppm(cert)
+        _assert_matches_oracle(ppm, oracle_ppm(cert.blocks))
+        assert ppm["ok"] == (t < len(pairs))
+        report = verify_qiso_certificate(g, h, cert)
+        assert calls == [cert] and report["ok"] == ppm["ok"]
+        assert {key: report["residuals"][key] for key in ppm["residuals"]} == ppm["residuals"]
+        calls.clear()
+
+
 class TestVerifyCertificate:
     def test_classical_certificate_accepted(self, rng):
         g = random_graph(6, 0.5, rng)
@@ -219,8 +253,9 @@ class TestVerifyCertificate:
         blocks = cert.blocks.copy()
         blocks[0, 0, 0, 0] = np.nan
         monkeypatch.setattr(qmod, "projector_residuals", lambda a: (0.0, 0.0))
-        assert not verify_ppm(blocks)["ok"]
-        report = verify_qiso_certificate(bg.graph, bg0.graph, QuantumIsoCertificate(4, blocks))
+        nan_cert = QuantumIsoCertificate(4, blocks)
+        assert not verify_ppm(nan_cert)["ok"]
+        report = verify_qiso_certificate(bg.graph, bg0.graph, nan_cert)
         assert not report["ok"] and np.isnan(report["residuals"]["row_sum"])
 
     def test_size_mismatch(self):
@@ -498,7 +533,7 @@ class TestVerifyCertificateCorrelation:
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
 @pytest.mark.parametrize("check", [
-    lambda bcs, strat, bg, bg0, cert, tol: verify_ppm(cert.blocks, tol),
+    lambda bcs, strat, bg, bg0, cert, tol: verify_ppm(cert, tol),
     lambda bcs, strat, bg, bg0, cert, tol: verify_qiso_certificate(bg.graph, bg0.graph, cert, tol),
     lambda bcs, strat, bg, bg0, cert, tol: certificate_correlation(cert, bg.graph, bg0.graph, tol),
     lambda bcs, strat, bg, bg0, cert, tol: verify_certificate_correlation(cert, bg.graph,
@@ -1097,56 +1132,87 @@ _DEFECTS = {  # one change to matrix row 0 of an entry, or to the entry
     "flat row": lambda m, e: m.__setitem__(0, 1.0),
     "no matrix key": lambda m, e: e.pop("matrix"),
 }
+_LABELS = st.sampled_from(["a", "b", "z"])  # "z" is no vertex of _PAIR
 
 
 @st.composite
-def _matrix_documents(draw):
+def _matrix_documents(draw, keys):
     d = draw(st.integers(1, 3))
-    entries = [{"g": f"v{k}", "h": "w", "matrix": [[[draw(_NUMBERS), draw(_NUMBERS)]
-                                                     for _ in range(d)] for _ in range(d)]}
-               for k in range(draw(st.integers(0, 3)))]
+    entries = [{**{key: draw(_LABELS) for key in keys},
+                "matrix": [[[draw(_NUMBERS), draw(_NUMBERS)] for _ in range(d)] for _ in range(d)]}
+               for _ in range(draw(st.integers(0, 3)))]
     names = draw(st.lists(st.sampled_from(sorted(_DEFECTS)), max_size=2))
     for name, entry in zip(names, draw(st.permutations(entries))):  # one defect an entry
         _DEFECTS[name](entry["matrix"], entry)
     return json.dumps({"d": d, "entries": entries})
 
 
-def _read_family(reader, text):
-    """d and each entry's index, keys and matrix bytes, or the ParseError text."""
-    try:
-        d, entries = reader(text, ("g", "h"))
-    except GraphError as e:
-        return str(e)
-    return d, [(i, entry, mat.dtype, mat.shape, mat.tobytes()) for i, entry, mat in entries]
+_PAIR = from_edges(["a", "b"], [("a", "b")])
+_READERS = {  # keys: the public reader, its graphs and what a repeat names
+    ("g", "h"): (lambda text: certificate_from_json(text, _PAIR, _PAIR), (_PAIR, _PAIR),
+                 "vertex pair"),
+    ("vertex",): (lambda text: packing_from_json(text, _PAIR), (_PAIR,), "vertex"),
+}
+
+
+def _read_both(text, keys=("g", "h")):
+    """What certificate_from_json (keys g, h) or packing_from_json (key
+    vertex) makes of the document, d and the blocks' shape and bytes or the
+    ParseError text, checked against the two-layer oracle."""
+    read, graphs, what = _READERS[keys]
+
+    def oracle(t):
+        return ProjectivePacking(*oracle_blocks_from_json(t, graphs, keys, what))
+
+    outcomes = []
+    for reader in (read, oracle):
+        try:
+            got = reader(text)
+            outcomes.append((got.d, got.blocks.shape, got.blocks.tobytes()))
+        except GraphError as e:
+            outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
 
 
 class TestMatrixReaderMatchesEntryLoop:
-    """The same matrices, bit for bit, or the same ParseError naming the same
-    entry, as the reader that took each pair by complex(re, im)."""
+    """The same blocks, bit for bit, or the same ParseError naming the same
+    entry, as the reader that took each pair by complex(re, im) and then
+    placed each entry by its labels."""
 
+    @pytest.mark.parametrize("keys", sorted(_READERS), ids=["certificate", "packing"])
     @settings(max_examples=200, deadline=None)
-    @given(text=_matrix_documents())
-    def test_generated_documents(self, text):
-        assert (_read_family(qmod._family_from_json, text)
-                == _read_family(oracle_family_from_json, text))
+    @given(data=st.data())
+    def test_generated_documents(self, keys, data):
+        _read_both(data.draw(_matrix_documents(keys)), keys)
 
     @pytest.mark.parametrize("pair", [[-0.0, -0.0], [0, -0.0], [2 ** 70, -1], [True, False],
                                       [2 ** 63, -(2 ** 63)], [5e-324, -1.7976931348623157e308]])
     def test_bit_identical_entries(self, pair):
         text = _certificate_doc(1, {"g": "a", "h": "b", "matrix": [[pair]]})
-        got = _read_family(qmod._family_from_json, text)
-        assert got == _read_family(oracle_family_from_json, text)
-        assert got[1][0][4] == np.array(complex(*pair)).tobytes()
+        _read_both(text)
+        assert (certificate_from_json(text, _PAIR, _PAIR).blocks[0, 1].tobytes()
+                == np.array(complex(*pair)).tobytes())
 
     @pytest.mark.parametrize("name", sorted(_DEFECTS))
     def test_defects_name_the_entry(self, name):
+        # every entry names the same vertex pair: the matrices are checked first
         entries = [{"g": "a", "h": "b", "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
                    for _ in range(3)]
         _DEFECTS[name](entries[1]["matrix"], entries[1])
-        text = _certificate_doc(2, *entries)
-        got = _read_family(qmod._family_from_json, text)
-        assert got == _read_family(oracle_family_from_json, text)
-        assert got.startswith("entry 1: ")
+        assert _read_both(_certificate_doc(2, *entries)).startswith("entry 1: ")
+
+    def test_labels_after_every_matrix(self):
+        good = [[[1, 0]]]
+        for entries, message in (
+                ([{"g": "z", "h": "a", "matrix": good}, {"g": "a", "h": "b", "matrix": [[1]]}],
+                 "entry 1: matrix must be rows of [re, im] number pairs"),
+                ([{"g": "z", "h": "a", "matrix": good}, {"g": "a", "h": "b", "matrix": good}],
+                 "entry 0: unknown vertex label 'z'"),
+                ([{"g": "a", "h": "b", "matrix": good}] * 2, "entry 1: repeated vertex pair")):
+            assert _read_both(_certificate_doc(1, *entries)) == message
+        twice = _certificate_doc(1, *[{"vertex": "b", "matrix": good}] * 2)
+        assert _read_both(twice, ("vertex",)) == "entry 1: repeated vertex"
 
     def test_written_certificates_take_one_array(self, mermin):
         _, _, bg, bg0, cert = mermin
@@ -1167,8 +1233,8 @@ class TestMatrixReaderMatchesEntryLoop:
         for each in certs:
             files[2].write_text(certificate_to_json(each, bg.graph, bg0.graph))
             runs = []
-            for reader in (qmod._family_from_json, oracle_family_from_json):
-                monkeypatch.setattr(qmod, "_family_from_json", reader)
+            for reader in (qmod._blocks_from_json, oracle_blocks_from_json):
+                monkeypatch.setattr(qmod, "_blocks_from_json", reader)
                 runs.append((main(["quantum", "certify", *map(str, files)]), capsys.readouterr()))
             assert runs[0] == runs[1] and runs[0][0] == (0 if each is cert else 1)
 
