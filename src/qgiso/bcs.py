@@ -190,19 +190,30 @@ class BCSGraph:
 
 
 def bcs_graph(bcs: LinBCS):
-    """Two vertices are adjacent when they set some variable differently:
-    built one variable at a time, its 0-setters against its 1-setters."""
-    meta, labels = [], []
-    setters = [([], []) for _ in range(bcs.n)]  # per variable: the vertices setting it to 0, to 1
+    """Two vertices are adjacent when they set some variable differently.
+
+    Each vertex's (variable, bit) entries are listed once and grouped by one
+    stable sort, each variable's 0-setters before its 1-setters; every
+    (0-setter, 1-setter) pair of every variable is then set by one symmetric
+    scatter into ``adj``, sum over i of |Z_i| |O_i| writes, no V x n array."""
+    meta, labels, size, var, bit = [], [], [], [], []
     for l, (s, b) in enumerate(bcs.constraints):
         for f in satisfying_assignments(s, b):
-            for i in s:
-                setters[i][f[i]].append(len(meta))
             meta.append((l, f))
             labels.append(vertex_label(l, s, f))
+            size.append(len(s))
+            var += s
+            bit += f.values()  # in support order
+    key = 2 * np.array(var, dtype=np.intp) + np.array(bit, dtype=np.intp)
+    setter = np.repeat(np.arange(len(meta)), size)[np.argsort(key, kind="stable")]
+    zeros, ones = np.bincount(key, minlength=2 * bcs.n).reshape(bcs.n, 2).T
+    pairs = zeros * ones  # per variable
+    v = np.repeat(np.arange(bcs.n), pairs)  # the variable of each pair
+    p = np.arange(len(v)) - np.repeat(np.cumsum(pairs) - pairs, pairs)  # its place among them
+    first_one = (np.cumsum(zeros + ones) - ones)[v]  # in the sorted setters
+    u, w = setter[first_one - zeros[v] + p // ones[v]], setter[first_one + p % ones[v]]
     adj = np.zeros((len(meta), len(meta)), dtype=bool)
-    for zeros, ones in setters:
-        adj[np.ix_(zeros, ones)] = adj[np.ix_(ones, zeros)] = True
+    adj[np.concatenate([u, w]), np.concatenate([w, u])] = True
     return BCSGraph(Graph(tuple(labels), adj), tuple(meta))
 
 

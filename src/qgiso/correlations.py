@@ -490,7 +490,9 @@ def parse_correlation(text, tol=DEFAULT_TOL):
     if len(inputs) != N:
         raise ParseError(f"expected {N} tokens, found {len(inputs)}", token_no)
     del lines  # its slice of lines
-    rows = sum(map(text.count, "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")) + 1  # splitlines' breaks
+    # splitlines' breaks; an ASCII text (an O(1) test) holds none of the last three
+    breaks = "\n\r\v\f\x1c\x1d\x1e" + ("" if text.isascii() else "\x85\u2028\u2029")
+    rows = sum(map(text.count, breaks)) + 1
     try:  # at the default tolerance, so that only a parse error leads to the line loop
         corr = Correlation(inputs, mode, _read_table(text, token_no, mode, rows))
     except (ValueError, ZeroDivisionError, OverflowError):  # GraphError is a ValueError

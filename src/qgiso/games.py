@@ -46,20 +46,27 @@ def bcs_game_wins(bcs, meta):
     constraint's support, satisfies it, and the two agree where they overlap.
 
     Each assignment becomes a row of ones and a row of zeros over the
-    variables it assigns; two assignments disagree on a shared variable
-    exactly when one's ones meet the other's zeros.
+    variables that occur in ``meta``, each filled by one scatter of the
+    (row, variable, bit) entries; two assignments disagree on a shared
+    variable exactly when one's ones meet the other's zeros.
     """
-    ones = np.zeros((len(meta), bcs.n), dtype=np.int64)
-    zeros = np.zeros_like(ones)
-    satisfied = np.zeros(len(meta), dtype=bool)
+    rows, cols, bits, satisfied = [], [], [], []
     for a, (l, f) in enumerate(meta):
         s, b = bcs.constraints[l]
         if set(f) != set(s):
             raise ValueError("assignment domain does not match the constraint support")
         if any(f[i] not in (0, 1) for i in s):
             raise ValueError("assignment values must be bits")
-        bits = np.array([f[i] for i in s])
-        ones[a, list(s)], zeros[a, list(s)] = bits, 1 - bits
-        satisfied[a] = bits.sum() % 2 == b
+        values = [f[i] for i in s]
+        rows += [a] * len(s)
+        cols += s
+        bits += values
+        satisfied.append(sum(values) % 2 == b)
+    used, column = np.unique(np.array(cols, dtype=np.intp), return_inverse=True)
+    ones = np.zeros((len(meta), len(used)), dtype=np.int64)
+    zeros = np.zeros_like(ones)
+    bits = np.array(bits, dtype=np.int64)
+    ones[rows, column], zeros[rows, column] = bits, 1 - bits
     clash = ones @ zeros.T
+    satisfied = np.array(satisfied, dtype=bool)
     return satisfied[:, None] & satisfied[None, :] & (clash + clash.T == 0)

@@ -239,13 +239,23 @@ def _prime(bits, i):
     return p
 
 
-def _coefficient_bound(g):
-    """A proven bound on every |c_k| of det(xI - A), as char_poly states it."""
-    n, two_m, delta = g.n, int(g.adj.sum()), int(g.adj.sum(axis=1).max(initial=0))
+def _degree_profile(g):
+    """(n, 2m, Delta): all of a graph that its coefficient bound reads."""
+    degrees = g.adj.sum(axis=1)
+    return g.n, int(degrees.sum()), int(degrees.max(initial=0))
+
+
+def _profile_bound(n, two_m, delta):
+    """A proven bound on every |c_k| of det(xI - A) for the degree profile
+    (n, 2m, Delta), as char_poly states it."""
     u = two_m + math.isqrt((n - 1) * two_m * (n * n - two_m)) + 1  # n E < u when 2m >= n
     return max(math.comb(n, k) * min(math.isqrt(min(delta, k) ** k) + 1,
                                      -(-u ** k // n ** (2 * k)) if two_m >= n else math.inf)
                for k in range(n + 1))
+
+
+def _coefficient_bound(g):
+    return _profile_bound(*_degree_profile(g))
 
 
 def char_poly(g: Graph):
@@ -280,7 +290,7 @@ def _char_polys(graphs):
     polys = [None] * len(graphs)
     for n in {g.n for g in graphs}:
         batch = [i for i, g in enumerate(graphs) if g.n == n]
-        bound = max(_coefficient_bound(graphs[i]) for i in batch)
+        bound = max(_profile_bound(*p) for p in {_degree_profile(graphs[i]) for i in batch})
         primes = []
         while math.prod(primes) <= 2 * bound:
             primes.append(_prime(52 - n.bit_length(), len(primes)))

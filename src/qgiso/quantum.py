@@ -61,11 +61,20 @@ def _product_norm(a, i, j):
 
 
 def _sum_residual(ops, group, count):
-    """max over g < count of ||sum of the ops k with group[k] = g, minus I||_F;
-    each group is summed in stack order."""
+    """max over g < count of ||sum of the ops k with group[k] = g, minus I||_F.
+
+    Each group is summed from 0 in stack order, as ``np.add.at`` sums it, so
+    every residual keeps its value: pass r adds the r-th op of every group
+    at once, as many passes as the largest group has ops.  (``np.add.reduceat``
+    adds a group's tail pairwise, which moves the last bit.)"""
     d = ops.shape[-1]
+    group = np.asarray(group, dtype=np.intp)
+    order = np.argsort(group, kind="stable")
+    rank = np.arange(len(group)) - np.searchsorted(group[order], group[order])  # place in its group
+    by_pass = order[np.argsort(rank, kind="stable")]
     sums = np.zeros((count, d, d), dtype=complex)
-    np.add.at(sums, group, ops)
+    for k in np.split(by_pass, np.cumsum(np.bincount(rank))[:-1]):
+        sums[group[k]] += ops[k]
     return float(np.linalg.norm(sums - np.eye(d), axis=(-2, -1)).max(initial=0.0))
 
 
@@ -406,6 +415,12 @@ def observable_strategy(bcs: LinBCS, observables):
     Measurement operators are joint-eigenspace projectors of each
     constraint's observables.  The observables are checked against every
     condition at build time rather than trusted.
+
+    The projector of an assignment f of support s is
+    P <- (P @ (I + (-1)^f_i X_i)) / 2 over i in s, from P = I.  It is taken
+    for every vertex at once, one batched product per support position, the
+    factors picked from a table of I + X_i and I - X_i; each operator has the
+    bytes of that fold run one 2-D product at a time.
     """
     obs = np.asarray(observables, dtype=complex)
     d = obs.shape[-1]
@@ -420,20 +435,25 @@ def observable_strategy(bcs: LinBCS, observables):
                             for i, j in combinations(s, 2)], dtype=np.int64).reshape(-1, 3).T
     commute = np.linalg.norm(obs[i] @ obs[j] - obs[j] @ obs[i], axis=(-2, -1)) < 1e-12
     noncommuting = np.bincount(owner[~commute], minlength=bcs.m)
-    ops = []
     for l, (s, b) in enumerate(bcs.constraints):
         if noncommuting[l]:
             raise AssertionError(f"constraint {l}: observables do not commute")
         if not np.linalg.norm(reduce(np.matmul, obs[list(s)]) - (-1.0) ** b * eye) < 1e-12:
             raise AssertionError(f"constraint {l}: observable product is not (-1)^b I")
-        family = []
-        for f in satisfying_assignments(s, b):
-            proj = eye
-            for i in s:
-                proj = proj @ (eye + (-1.0) ** f[i] * obs[i]) / 2
-            family.append((f, proj))
-        ops.append(tuple(family))
-    return BCSQuantumStrategy(d, tuple(ops))
+    meta = [(l, f) for l, (s, b) in enumerate(bcs.constraints) for f in satisfying_assignments(s, b)]
+    size = np.array([len(f) for _, f in meta])
+    width = size.max()
+    code = np.zeros((len(meta), width), dtype=np.intp)  # [v, j]: bit * n + variable, j-th of f
+    code[size[:, None] > np.arange(width)] = [bit * bcs.n + i for _, f in meta for i, bit in f.items()]
+    factors = np.array([eye + (-1.0) ** bit * obs for bit in (0, 1)]).reshape(-1, d, d)
+    proj = np.repeat(eye[None], len(meta), axis=0)
+    for j in range(width):
+        rows = np.flatnonzero(size > j)
+        proj[rows] = proj[rows] @ factors[code[rows, j]] / 2
+    ops = [[] for _ in bcs.constraints]
+    for (l, f), p in zip(meta, proj):
+        ops[l].append((f, p))
+    return BCSQuantumStrategy(d, tuple(map(tuple, ops)))
 
 
 def mermin_bcs_strategy():

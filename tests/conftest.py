@@ -200,8 +200,8 @@ def bcs_game_predicate(bcs, l_a, l_b, f_a, f_b):
 
 
 # --- BCS graph oracle ----------------------------------------------------------
-# The loop over vertex pairs that ``bcs.bcs_graph`` ran before it went one
-# variable at a time, kept as its oracle.
+# The loop over vertex pairs that ``bcs.bcs_graph`` ran before it set every
+# variable's (0-setter, 1-setter) pairs in one scatter, kept as its oracle.
 
 def oracle_bcs_graph(bcs):
     meta = []
@@ -249,6 +249,26 @@ def classical_bcs_strategy(bcs, assignment):
             family.append((f, np.array([[val]], dtype=complex)))
         ops.append(tuple(family))
     return BCSQuantumStrategy(1, tuple(ops))
+
+
+# --- projector loop oracle ---------------------------------------------------
+# The per-assignment loop that ``quantum.observable_strategy`` ran before it
+# built every projector in one stack, kept as its oracle: the same factors in
+# the same order, one 2-D product at a time.
+
+def oracle_observable_strategy(bcs, observables):
+    obs = np.asarray(observables, dtype=complex)
+    eye = np.eye(obs.shape[-1], dtype=complex)
+    ops = []
+    for s, b in bcs.constraints:
+        family = []
+        for f in satisfying_assignments(s, b):
+            proj = eye
+            for i in s:
+                proj = proj @ (eye + (-1.0) ** f[i] * obs[i]) / 2
+            family.append((f, proj))
+        ops.append(tuple(family))
+    return BCSQuantumStrategy(len(eye), tuple(ops))
 
 
 # --- Fraction-loop oracles for the exact correlation path -----------------

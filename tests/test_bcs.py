@@ -178,9 +178,10 @@ class TestBcsGraph:
     def test_matches_pairwise_loop(self):
         rng = random.Random(203)
         systems = [magic_square(), homogenize(magic_square()), PENTAGRAM, homogenize(PENTAGRAM)]
-        for _ in range(200):
-            n = rng.randint(1, 8)
-            systems.append(LinBCS(n, tuple((rng.sample(range(n), rng.randint(1, min(4, n))),
+        for k in range(220):
+            # the last 20 wide: up to 64 variables, supports up to 6
+            n, support = (rng.randint(1, 8), 4) if k < 200 else (rng.randint(8, 64), 6)
+            systems.append(LinBCS(n, tuple((rng.sample(range(n), rng.randint(1, min(support, n))),
                                             rng.randint(0, 1)) for _ in range(rng.randint(1, 6)))))
         for system in systems:
             bg, oracle = bcs_graph(system), oracle_bcs_graph(system)

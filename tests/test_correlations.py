@@ -753,6 +753,14 @@ class TestParserMatchesLineLoop:
         for text in ("corr 0002 exact\na b\n0 0 0 0 1\n", "corr 000 float\n"):
             assert _parsed(parse_correlation, text) == _parsed(oracle_parse_correlation, text)
 
+    @pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029"])
+    def test_breaks_past_ascii_are_counted(self, brk):
+        # the row capacity counts these breaks only in a text that is not ASCII
+        lines = format_correlation(ns_iso(cycle(6), two_k3())[1]).splitlines()
+        want = _parsed(parse_correlation, "\n".join(lines) + "\n")
+        for text in (brk.join(lines) + brk, "\n".join(lines[:300]) + brk + "\n".join(lines[300:])):
+            assert _parsed(parse_correlation, text) == want
+
     def test_numerators_past_int64_take_the_object_path(self):
         text = f"corr 2 exact\na b\n0 0 0 0 {2 ** 70}\n0 1 0 0 1/{3 ** 41}\n"
         assert _parsed(parse_correlation, text)[4] == object

@@ -132,16 +132,18 @@ class TestBcsGamePredicate:
             bcs_game_predicate(bcs, 0, 0, {0: 0}, {0: 0})
 
 
-def _random_system(rng, n=7, m=5):
-    return LinBCS(n, tuple((tuple(rng.sample(range(n), rng.randint(1, 4))), rng.randint(0, 1))
+def _random_system(rng, n=7, m=5, support=4):
+    return LinBCS(n, tuple((tuple(rng.sample(range(n), rng.randint(1, support))), rng.randint(0, 1))
                            for _ in range(m)))
 
 
 class TestBcsGameWins:
-    @pytest.mark.parametrize("system", ["magic square", "pentagram", "random"])
+    @pytest.mark.parametrize("system", ["magic square", "pentagram", "random", "wide"])
     def test_matches_scalar_predicate_on_every_pair(self, system, rng):
+        # "wide": 64 variables, most of which occur in no constraint, supports up to 6
         bcs = {"magic square": magic_square, "pentagram": lambda: PENTAGRAM,
-               "random": lambda: _random_system(rng)}[system]()
+               "random": lambda: _random_system(rng),
+               "wide": lambda: _random_system(rng, n=64, m=4, support=6)}[system]()
         # every assignment of every support, so unsatisfying ones take part too
         meta = [(l, f) for l, (s, _) in enumerate(bcs.constraints)
                 for b in (0, 1) for f in satisfying_assignments(s, b)]
@@ -150,7 +152,11 @@ class TestBcsGameWins:
                     for l_a, f_a in meta]
         assert wins.tolist() == expected
 
-    @pytest.mark.parametrize("f", [{0: 0}, {0: 0, 1: 0, 2: 0, 3: 0}, {0: 2, 1: 0, 2: 0}])
-    def test_malformed_assignment(self, f):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("f, message", [
+        ({0: 0}, "assignment domain does not match the constraint support"),
+        ({0: 0, 1: 0, 2: 0, 3: 0}, "assignment domain does not match the constraint support"),
+        ({0: 2, 1: 0, 2: 0}, "assignment values must be bits"),
+    ])
+    def test_malformed_assignment(self, f, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             bcs_game_wins(magic_square(), [(0, {0: 0, 1: 0, 2: 0}), (0, f)])

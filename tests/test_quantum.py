@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (PENTAGRAM, classical_bcs_strategy, complete, cycle, oracle_block_components,
-                      oracle_blocks_from_json, oracle_ppm, oracle_qiso_certificate,
+                      oracle_blocks_from_json, oracle_observable_strategy, oracle_ppm,
+                      oracle_qiso_certificate,
                       pentagram_observables, permuted_copy, random_graph, rel)
 from qgiso import bcs as bcsmod
 from qgiso import quantum as qmod
@@ -131,6 +132,27 @@ class TestVerifyPpm:
             occupied = mask.any(axis=0)
             assert label[n:][occupied].tolist() == col_label[occupied].tolist()
             assert (label[n:][~occupied] >= n).all()
+
+
+class TestSumResidual:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_add_at_oracle(self, seed):
+        # groups in random order, some empty, and a NaN in one op (odd seeds)
+        rng = np.random.default_rng(seed)
+        k, count, d = int(rng.integers(0, 30)), int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        ops = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+        if seed % 2 and k:
+            ops[int(rng.integers(k)), 0, 0] = np.nan
+        group = rng.integers(0, count, size=k)
+        sums = np.zeros((count, d, d), dtype=complex)
+        np.add.at(sums, group, ops)
+        want = float(np.linalg.norm(sums - np.eye(d), axis=(-2, -1)).max())
+        got = qmod._sum_residual(ops, group, count)
+        assert got == want or np.isnan(got) and np.isnan(want)
+        assert np.isnan(got) == bool(seed % 2 and k)
+
+    def test_empty_group_reads_sqrt_d(self):
+        assert qmod._sum_residual(np.zeros((0, 3, 3)), [], 2) == np.sqrt(3)
 
 
 def _assert_matches_oracle(report, oracle):
@@ -789,6 +811,39 @@ class TestObservableStrategy:
         obs[4] = 2 * obs[4]
         with pytest.raises(AssertionError, match="observable 4 is not a hermitian involution"):
             observable_strategy(magic_square(), obs)
+
+
+def _sign_observables(seed):
+    """A seeded random satisfiable system and its d = 1 operator solution,
+    x_i as the 1 x 1 observable (-1)^(x_i) of a random assignment x."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    x = rng.integers(2, size=n)
+    supports = [rng.choice(n, int(rng.integers(1, min(n, 5) + 1)), replace=False).tolist()
+                for _ in range(int(rng.integers(1, 7)))]
+    bcs = LinBCS(n, tuple((s, int(x[s].sum() % 2)) for s in supports))
+    return bcs, (-1.0) ** x[:, None, None]
+
+
+def _rotated_magic_square():
+    """U X_i U^dagger for one seeded random unitary U: an operator solution
+    with non-dyadic entries, where a reordered product changes the last bit."""
+    rng = np.random.default_rng(11)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return magic_square(), [u @ x @ u.conj().T for x in magic_square_observables()]
+
+
+class TestObservableStrategyMatchesLoopOracle:
+    @pytest.mark.parametrize("system", ["magic square", "pentagram", "rotated", *range(20)])
+    def test_operator_bytes(self, system):
+        bcs, obs = {"magic square": lambda: (magic_square(), magic_square_observables()),
+                    "pentagram": lambda: (PENTAGRAM, pentagram_observables()),
+                    "rotated": _rotated_magic_square}.get(system, lambda: _sign_observables(system))()
+        got, want = observable_strategy(bcs, obs), oracle_observable_strategy(bcs, obs)
+        assert got.d == want.d
+        assert [[f for f, _ in family] for family in got.ops] == [[f for f, _ in family] for family in want.ops]
+        assert [[op.tobytes() for _, op in family] for family in got.ops] == \
+               [[op.tobytes() for _, op in family] for family in want.ops]
 
 
 def _with_family(strat, l, family):
