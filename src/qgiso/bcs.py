@@ -11,6 +11,7 @@ checks the verdict against satisfiability and the independence number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -28,7 +29,8 @@ class BCSError(ValueError):
 
 @dataclass(frozen=True)
 class LinBCS:
-    """Parity constraints sum(x_i for i in support) = b over GF(2)."""
+    """Parity constraints sum(x_i for i in support) = b over GF(2).  Frozen,
+    so ``families``, cached on first use, cannot go stale."""
 
     n: int  # variable count
     constraints: tuple  # tuple of (sorted index tuple, bit)
@@ -56,6 +58,13 @@ class LinBCS:
         """Check a full assignment (length-n bit sequence) against every
         constraint."""
         return all(sum(assignment[i] for i in s) % 2 == b for s, b in self.constraints)
+
+    @cached_property
+    def families(self):
+        """G_F's vertices in order, as (constraint index, assignment dict)
+        pairs: the ``vertex_meta`` of ``bcs_graph``, read by every stage."""
+        return tuple((l, f) for l, (s, b) in enumerate(self.constraints)
+                     for f in satisfying_assignments(s, b))
 
 
 def parse_bcs(text):
@@ -192,18 +201,17 @@ class BCSGraph:
 def bcs_graph(bcs: LinBCS):
     """Two vertices are adjacent when they set some variable differently.
 
+    The vertices are ``bcs.families``, which is returned as ``vertex_meta``.
     Each vertex's (variable, bit) entries are listed once and grouped by one
     stable sort, each variable's 0-setters before its 1-setters; every
     (0-setter, 1-setter) pair of every variable is then set by one symmetric
     scatter into ``adj``, sum over i of |Z_i| |O_i| writes, no V x n array."""
-    meta, labels, size, var, bit = [], [], [], [], []
-    for l, (s, b) in enumerate(bcs.constraints):
-        for f in satisfying_assignments(s, b):
-            meta.append((l, f))
-            labels.append(vertex_label(l, s, f))
-            size.append(len(s))
-            var += s
-            bit += f.values()  # in support order
+    meta, labels, size, var, bit = bcs.families, [], [], [], []
+    for l, f in meta:
+        labels.append(vertex_label(l, bcs.constraints[l][0], f))
+        size.append(len(f))
+        var += f  # in support order
+        bit += f.values()
     key = 2 * np.array(var, dtype=np.intp) + np.array(bit, dtype=np.intp)
     setter = np.repeat(np.arange(len(meta)), size)[np.argsort(key, kind="stable")]
     zeros, ones = np.bincount(key, minlength=2 * bcs.n).reshape(bcs.n, 2).T
@@ -214,7 +222,7 @@ def bcs_graph(bcs: LinBCS):
     u, w = setter[first_one - zeros[v] + p // ones[v]], setter[first_one + p % ones[v]]
     adj = np.zeros((len(meta), len(meta)), dtype=bool)
     adj[np.concatenate([u, w]), np.concatenate([w, u])] = True
-    return BCSGraph(Graph(tuple(labels), adj), tuple(meta))
+    return BCSGraph(Graph(tuple(labels), adj), meta)
 
 
 def verify_refutation(bcs: LinBCS, y, bg: BCSGraph, bg0: BCSGraph):

@@ -24,13 +24,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, zip_longest
 
 import numpy as np
 
 from .bcs import (LinBCS, _family_index, bcs_graph, classical_reduction_report, homogenize,
-                  magic_square, satisfying_assignments)
+                  magic_square)
 from .correlations import (DEFAULT_TOL, Correlation, check_tolerance, iso_game_tokens,
                            verify_perfect_iso_strategy)
 from .games import bcs_game_wins, rel_codes
@@ -171,6 +171,8 @@ class QuantumIsoCertificate:
             raise GraphError("expected an n x m array of square blocks")
         if a.shape[2] > MAX_BLOCK_DIM:
             raise GraphError(f"block dimension {a.shape[2]} exceeds cap {MAX_BLOCK_DIM}")
+        if a.shape[2] < 1:
+            raise GraphError("block dimension 0 is below 1")
         if a.shape[2] != self.d:
             raise GraphError("block dimension does not match d")
         rows, cols = np.nonzero(np.any(a != 0, axis=(2, 3)))
@@ -237,14 +239,6 @@ def verify_qiso_certificate(g: Graph, h: Graph, cert: QuantumIsoCertificate, tol
         "consistent": consistent and ppm["consistent"],
         "residuals": residuals,
     }
-
-
-def classical_certificate(g: Graph, h: Graph, phi):
-    """The d = 1 certificate of an actual isomorphism: E_gh = [h == phi(g)]."""
-    blocks = np.zeros((g.n, h.n, 1, 1), dtype=complex)
-    for v in range(g.n):
-        blocks[v, phi(v), 0, 0] = 1.0
-    return QuantumIsoCertificate(1, blocks)
 
 
 def _certificate_blocks(cert: QuantumIsoCertificate, g: Graph, h: Graph):
@@ -357,6 +351,8 @@ def verify_packing(g: Graph, pack: ProjectivePacking, tol=DEFAULT_TOL):
     0.01 from an integer is an error.
     """
     check_tolerance(tol)
+    if pack.d < 1:
+        raise GraphError(f"block dimension {pack.d} is below 1")
     a = np.asarray(pack.blocks, dtype=complex)
     if a.shape != (g.n, pack.d, pack.d):
         raise GraphError("packing shape does not match the graph")
@@ -376,13 +372,25 @@ def verify_packing(g: Graph, pack: ProjectivePacking, tol=DEFAULT_TOL):
             "residuals": {"projector": idem, "hermitian": herm, "orthogonality": orth}}
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BCSQuantumStrategy:
     """Per constraint, a projective measurement indexed by the satisfying
-    assignments of that constraint."""
+    assignments of that constraint.  ``stack``, built on first use, holds the
+    operators family by family as one read-only (V, d, d) complex array."""
 
     d: int
     ops: tuple  # per constraint: tuple of (assignment dict, (d, d) ndarray)
+
+    @cached_property
+    def stack(self):
+        if self.d < 1:
+            raise GraphError(f"block dimension {self.d} is below 1")
+        for l, family in enumerate(self.ops):
+            if any(np.shape(op) != (self.d, self.d) for _, op in family):
+                raise GraphError(f"constraint {l}: operator is not {self.d} x {self.d}")
+        stack = np.array([op for family in self.ops for _, op in family], dtype=complex)
+        stack.setflags(write=False)
+        return stack
 
 
 _I2 = np.eye(2, dtype=complex)
@@ -410,7 +418,8 @@ def magic_square_observables():
 
 def observable_strategy(bcs: LinBCS, observables):
     """The perfect strategy of an operator solution: one observable per
-    variable, those of each constraint commuting with product (-1)^b I.
+    variable, those of each constraint commuting with product (-1)^b I,
+    with one projector per entry of ``bcs.families``.
 
     Measurement operators are joint-eigenspace projectors of each
     constraint's observables.  The observables are checked against every
@@ -426,6 +435,8 @@ def observable_strategy(bcs: LinBCS, observables):
     d = obs.shape[-1]
     if obs.shape != (bcs.n, d, d):
         raise GraphError("expected one square observable per variable")
+    if d < 1:
+        raise GraphError("block dimension 0 is below 1")
     eye = np.eye(d, dtype=complex)
     residual = np.linalg.norm([obs - obs.conj().swapaxes(-2, -1), obs @ obs - eye], axis=(-2, -1))
     bad = np.flatnonzero(~(residual < 1e-12).all(axis=0))  # a NaN residual fails too
@@ -440,7 +451,7 @@ def observable_strategy(bcs: LinBCS, observables):
             raise AssertionError(f"constraint {l}: observables do not commute")
         if not np.linalg.norm(reduce(np.matmul, obs[list(s)]) - (-1.0) ** b * eye) < 1e-12:
             raise AssertionError(f"constraint {l}: observable product is not (-1)^b I")
-    meta = [(l, f) for l, (s, b) in enumerate(bcs.constraints) for f in satisfying_assignments(s, b)]
+    meta = bcs.families
     size = np.array([len(f) for _, f in meta])
     width = size.max()
     code = np.zeros((len(meta), width), dtype=np.intp)  # [v, j]: bit * n + variable, j-th of f
@@ -462,8 +473,8 @@ def mermin_bcs_strategy():
 
 
 def _strategy_stack(strat: BCSQuantumStrategy, meta, m):
-    """The strategy's operators as one (V, d, d) stack in the order of ``meta``,
-    the (constraint, assignment) list of a BCS graph's vertices.  Raises
+    """``strat.stack``, once checked to be in the order of ``meta``, the
+    (constraint, assignment) list of a BCS graph's vertices.  Raises
     GraphError unless m families of d x d operators flatten to ``meta``; a
     mismatch names the smaller constraint of its first differing entry."""
     if len(strat.ops) != m:
@@ -472,20 +483,16 @@ def _strategy_stack(strat: BCSQuantumStrategy, meta, m):
     for got, want in zip_longest(flat, meta, fillvalue=(m, None)):
         if got != want:
             raise GraphError(f"constraint {min(got[0], want[0])}: assignment family mismatch")
-    ops = [op for family in strat.ops for _, op in family]
-    for (l, _), op in zip(meta, ops):
-        if np.shape(op) != (strat.d, strat.d):
-            raise GraphError(f"constraint {l}: operator is not {strat.d} x {strat.d}")
-    return np.array(ops, dtype=complex)
+    return strat.stack
 
 
 def verify_bcs_strategy(bcs: LinBCS, strat: BCSQuantumStrategy, tol=DEFAULT_TOL):
     """Check measurement structure and that the induced correlation
-    tr(E_(l,f) E_(k,f'))/d vanishes on every losing tuple of the BCS game."""
+    tr(E_(l,f) E_(k,f'))/d vanishes on every losing tuple of the BCS game,
+    on the strategy's stack in the order of ``bcs.families``."""
     check_tolerance(tol)
     d = strat.d
-    meta = [(l, f) for l, (s, b) in enumerate(bcs.constraints)
-            for f in satisfying_assignments(s, b)]
+    meta = bcs.families
     ops = _strategy_stack(strat, meta, bcs.m)
     losing = ~bcs_game_wins(bcs, meta)
     residuals = {

@@ -19,7 +19,7 @@ from qgiso.equitable import (
 )
 from qgiso.games import rel_codes
 from qgiso.graphs import Graph, GraphError, ParseError, from_edges
-from qgiso.quantum import MAX_BLOCK_DIM, BCSQuantumStrategy
+from qgiso.quantum import MAX_BLOCK_DIM, BCSQuantumStrategy, QuantumIsoCertificate
 
 
 def cycle(n, prefix="v"):
@@ -232,6 +232,17 @@ def oracle_shift_map(bcs, assignment, bg, bg0):
         s = bcs.constraints[l][0]
         image.append(index[vertex_label(l, s, {i: f[i] ^ assignment[i] for i in s})])
     return tuple(image)
+
+
+# --- d = 1 certificate of an isomorphism --------------------------------------
+# Moved from ``qgiso.quantum``, where nothing but the tests called it.
+
+def classical_certificate(g, h, phi):
+    """The d = 1 certificate of an actual isomorphism: E_gh = [h == phi(g)]."""
+    blocks = np.zeros((g.n, h.n, 1, 1), dtype=complex)
+    for v in range(g.n):
+        blocks[v, phi(v), 0, 0] = 1.0
+    return QuantumIsoCertificate(1, blocks)
 
 
 # --- d = 1 strategy oracle ---------------------------------------------------

@@ -143,6 +143,16 @@ class TestBcsGraph:
     def test_magic_square_24_vertices(self):
         assert bcs_graph(magic_square()).graph.n == 24
 
+    def test_vertex_meta_is_the_systems_families(self):
+        bcs = magic_square()
+        assert bcs_graph(bcs).vertex_meta is bcs.families
+
+    def test_families_leave_equality_and_hash_alone(self):
+        bcs = magic_square()
+        before = hash(bcs)
+        assert len(bcs.families) == 24
+        assert bcs == magic_square() and hash(bcs) == before == hash(magic_square())
+
     def test_magic_square_edge_count(self):
         # independent oracle: exhaustive pair enumeration over vertex metadata
         bg = bcs_graph(magic_square())

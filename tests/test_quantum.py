@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (PENTAGRAM, classical_bcs_strategy, complete, cycle, oracle_block_components,
-                      oracle_blocks_from_json, oracle_observable_strategy, oracle_ppm,
-                      oracle_qiso_certificate,
+from conftest import (PENTAGRAM, classical_bcs_strategy, classical_certificate, complete, cycle,
+                      oracle_block_components, oracle_blocks_from_json, oracle_observable_strategy,
+                      oracle_ppm, oracle_qiso_certificate,
                       pentagram_observables, permuted_copy, random_graph, rel)
 from qgiso import bcs as bcsmod
 from qgiso import quantum as qmod
@@ -34,7 +34,6 @@ from qgiso.quantum import (
     certificate_correlation,
     certificate_from_json,
     certificate_to_json,
-    classical_certificate,
     magic_square_observables,
     mermin_bcs_strategy,
     observable_strategy,
@@ -1322,6 +1321,67 @@ def _certificate_doc(d, *entries):
 def test_refusals_name_the_defect(call, message):
     with pytest.raises(GraphError, match=re.escape(message)):
         call(from_edges(["a", "b"], [("a", "b")]))
+
+
+def _zero_dimension_strategy():
+    return BCSQuantumStrategy(0, tuple(tuple((f, np.zeros((0, 0))) for f, _ in family)
+                                       for family in mermin_bcs_strategy().ops))
+
+
+class TestDimensionBelowOne:
+    """d = 0 is refused where a dimension enters, as the JSON reader refuses it."""
+
+    def test_certificate(self):
+        with pytest.raises(GraphError, match="block dimension 0 is below 1"):
+            QuantumIsoCertificate(0, np.zeros((3, 3, 0, 0)))
+
+    def test_packing(self):
+        with pytest.raises(GraphError, match="block dimension 0 is below 1"):
+            verify_packing(complete(3), ProjectivePacking(0, np.zeros((3, 0, 0))))
+
+    @pytest.mark.parametrize("use", [
+        lambda bcs, strat: verify_bcs_strategy(bcs, strat),
+        lambda bcs, strat: strategy_packing(strat, bcs_graph(bcs)),
+        lambda bcs, strat: strategy_to_certificate(bcs, strat),
+    ], ids=["verify", "packing", "certificate"])
+    def test_strategy_stack(self, use):
+        with pytest.raises(GraphError, match="block dimension 0 is below 1"):
+            use(magic_square(), _zero_dimension_strategy())
+
+    def test_observable_strategy(self):
+        with pytest.raises(GraphError, match="block dimension 0 is below 1"):
+            observable_strategy(magic_square(), np.zeros((9, 0, 0)))
+
+
+@pytest.fixture
+def stack_builds(monkeypatch):
+    """A list that gets one entry per ``BCSQuantumStrategy.stack`` build."""
+    builds, build = [], BCSQuantumStrategy.stack.func
+    monkeypatch.setattr(BCSQuantumStrategy.stack, "func",
+                        lambda strat: builds.append(strat) or build(strat))
+    return builds
+
+
+class TestBuiltOnce:
+    def test_mermin_demo_lists_families_and_stacks_the_strategy_once(self, monkeypatch,
+                                                                   stack_builds):
+        # one call per constraint each for F, F0 and the strategy's own magic square
+        calls, listed = [], bcsmod.satisfying_assignments
+        monkeypatch.setattr(bcsmod, "satisfying_assignments",
+                            lambda s, b: calls.append(s) or listed(s, b))
+        assert main(["--json", "quantum", "mermin-demo"]) == 0
+        assert len(calls) == 18 and len(stack_builds) == 1
+
+    def test_stack_is_read_only(self, mermin):
+        _, strat, _, _, _ = mermin
+        assert strat.stack.shape == (24, 4, 4) and not strat.stack.flags.writeable
+        with pytest.raises(ValueError):
+            strat.stack[0, 0, 0] = 1
+
+    def test_second_report_builds_no_new_stack(self, stack_builds):
+        strat = observable_strategy(PENTAGRAM, pentagram_observables())
+        first, second = (quantum_reduction_report(PENTAGRAM, strat) for _ in range(2))
+        assert first["ok"] and second["ok"] and len(stack_builds) == 1
 
 
 class TestRelMismatchOrthogonality:
